@@ -15,13 +15,14 @@ from .farey import (FareyTable, HeightSet, NeighborPair, chi, chi_mask,
                     parse_height_set, row_sum_exact, row_sum_formula,
                     totients_up_to)
 from .harness import (ExperimentConfig, InvariantViolation, ResultRow,
-                      Summary, aggregate, run, sample_stream, write_csv,
-                      write_json)
+                      Summary, aggregate, mq_all, mq_count_closed,
+                      mq_count_farey, mq_count_intermediates, mq_value, run,
+                      sample_stream, write_csv, write_json)
 from .rationals import FareyFraction, height, mediant, reduce_mod1
 from .stats import (TruncationFn, WeightFunction, birkhoff_average,
                     classical_stats, double_exceedance, gauss_kuzmin_prob,
-                    hypothesis_check, indicator_sum, main_term, mq_all,
-                    mq_closed_form, mq_level_expectation, mq_via_farey,
-                    mq_via_intermediates, parse_weight, weight_c, x_nf)
+                    hypothesis_check, indicator_sum, main_term,
+                    mq_level_expectation, parse_weight, terminal_quotient,
+                    x_nf)
 
 __version__ = "0.1.0"

@@ -16,11 +16,11 @@ from fractions import Fraction
 from .cf import cf_of_rational, convergents, intermediates, parse_stream
 from .farey import chi, parse_height_set, row_sum_exact, row_sum_formula
 from .harness import (REGISTRY, ExperimentConfig, InvariantViolation,
-                      aggregate, find_violations, pairdep_tables, run,
-                      write_csv, write_json)
+                      aggregate, find_violations, mq_all, mq_count_closed,
+                      mq_count_farey, mq_count_intermediates, mq_value,
+                      pairdep_tables, run, write_csv, write_json)
 from .rationals import reduce_mod1
-from .stats import (WeightFunction, mq_all, mq_closed_form, mq_via_farey,
-                    mq_via_intermediates, parse_weight)
+from .stats import WeightFunction, parse_weight
 
 
 def _ratio(text: str) -> tuple[int, int]:
@@ -81,9 +81,9 @@ def _cmd_mq(args) -> int:
         print(f"closed {_fmt(closed_v)}")
         print(f"agree {int(agree)}")
         return 0 if agree else 3
-    fn = {"farey": mq_via_farey, "conv": mq_via_intermediates,
-          "closed": mq_closed_form}[args.method]
-    print(f"{args.method} {_fmt(fn(x, args.Q, g))}")
+    route = {"farey": mq_count_farey, "conv": mq_count_intermediates,
+             "closed": mq_count_closed}[args.method]
+    print(f"{args.method} {_fmt(mq_value(route(x, args.Q), g, g.is_exact))}")
     return 0
 
 

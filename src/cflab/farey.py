@@ -356,8 +356,12 @@ def parse_height_set(spec: str) -> HeightSet:
         return HeightSet(spec, "mod", (d, r))
     if spec.startswith("file:"):
         path = spec[5:]
-        with open(path) as fh:
-            qs = tuple(sorted({int(tok) for tok in fh.read().split()}))
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read height set {path!r}: {exc.strerror}") from exc
+        qs = tuple(sorted({int(tok) for tok in text.split()}))
         return HeightSet(spec, "set", qs)
     raise ValueError(f"unknown height set spec {spec!r}")
 

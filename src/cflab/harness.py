@@ -1,4 +1,11 @@
-"""Seeded Monte Carlo driver over uniformly sampled reals.
+"""Seeded Monte Carlo driver over uniformly sampled reals, and the M_Q routes.
+
+The weighted count M_Q(x) = sum over height <= Q classes of c(beta) chi_beta(x),
+with c(beta) = g(terminal partial quotient of beta), is computed by three
+independent routes (brute-force Farey enumeration, the intermediate fractions
+of x, a closed form in the partial quotients).  Each route returns the
+multiset of terminal quotients it counts; the routes must agree on it
+exactly, and weights are applied afterwards by mq_value.
 
 Samples are endless dyadic bit streams with per-sample seeds derived from a
 master seed; every experiment statistic is a deterministic function of
@@ -17,7 +24,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .cf import GOLDEN64, M64, DyadicStream, cutoff, intermediates, mix64, quotient
-from .farey import HeightSet, chi_mask, farey_table
+from .farey import HeightSet, chi, chi_mask, enumerate_farey, farey_table
 from .stats import (TruncationFn, WeightFunction, birkhoff_average,
                     classical_stats, double_exceedance, indicator_sum,
                     terminal_quotient, x_nf)
@@ -94,7 +101,13 @@ def _bump_range(counts: dict, lo: int, hi: int) -> None:
 
 
 def mq_count_closed(stream, Q: int) -> dict:
-    """Multiset {terminal quotient: multiplicity} implied by the closed form."""
+    """Multiset {terminal quotient: multiplicity} implied by the closed form
+    M_Q(x) = g(1) + sum_{n<N} sum_{m=2}^{a_n+1} g(m) + sum_{m=2}^{a(Q,x)} g(m).
+
+    Pure quotient bookkeeping; no fraction is materialized.  For a rational
+    x that terminates before the cutoff the same form is used with the full
+    terminal multiplicity.
+    """
     cut = cutoff(stream, Q)
     counts: dict[int, int] = {}
     if cut.N == 0:
@@ -107,7 +120,8 @@ def mq_count_closed(stream, Q: int) -> dict:
 
 
 def mq_count_intermediates(stream, Q: int) -> dict:
-    """The same multiset read off the materialized enumeration."""
+    """The same multiset read off the materialized enumeration, each
+    intermediate fraction classed through its own canonical expansion."""
     counts: dict[int, int] = {}
     for rec in intermediates(stream, Q):
         m = terminal_quotient(rec.fraction)
@@ -116,7 +130,20 @@ def mq_count_intermediates(stream, Q: int) -> dict:
 
 
 def mq_count_farey(stream, Q: int) -> dict:
-    """The multiset from brute-force class enumeration (dyadic streams)."""
+    """The multiset from brute-force class enumeration, testing chi.
+
+    Dyadic streams go through the vectorized table.  Other streams walk the
+    enumeration with scalar chi and count in halves: a rational x on the
+    boundary of a neighbor interval gives its class multiplicity 1/2.
+    """
+    if not isinstance(stream, DyadicStream):
+        halves: dict[int, int] = {}
+        for beta in enumerate_farey(Q):
+            ind = chi(beta, stream)
+            if ind:
+                m = terminal_quotient(beta)
+                halves[m] = halves.get(m, 0) + int(2 * ind)
+        return {m: Fraction(h, 2) for m, h in halves.items()}
     import numpy as np
 
     table = farey_table(Q)
@@ -129,9 +156,9 @@ def mq_value(counts: dict, g: WeightFunction, exact: bool):
     """Total weight of a terminal-quotient multiset under g.
 
     Multiset equality between routes implies value equality for every g, so
-    agreement is always attested on the integer count tables; the reported
-    value is a float by default (exact per-family rationals on request, which
-    is only practical when the largest quotient is moderate).
+    agreement is always attested on the count tables; the reported value is
+    a float by default (exact per-family rationals on request, which is only
+    practical when the largest quotient is moderate).
     """
     if exact:
         if not g.is_exact:
@@ -140,19 +167,38 @@ def mq_value(counts: dict, g: WeightFunction, exact: bool):
     return math.fsum(c * float(g(m)) for m, c in sorted(counts.items()))
 
 
+def _mq_counts(stream, Q: int, with_farey: bool):
+    """(farey, intermediates, closed, agree): the three count multisets
+    (farey None unless with_farey) and whether they are all equal."""
+    closed = mq_count_closed(stream, Q)
+    inter = mq_count_intermediates(stream, Q)
+    farey = mq_count_farey(stream, Q) if with_farey else None
+    agree = inter == closed and (farey is None or farey == closed)
+    return farey, inter, closed, agree
+
+
+def mq_all(x, Q: int, g: WeightFunction):
+    """(farey, intermediates, closed, agree) values of M_Q(x) under g.
+
+    The Farey route is skipped (None) above ORACLE_LIMIT.  Agreement is
+    equality of the count multisets, for every weight family; the values are
+    exact rationals exactly when g is an exact family.
+    """
+    *counts, agree = _mq_counts(x, Q, Q <= ORACLE_LIMIT)
+    farey, inter, closed = (None if c is None else mq_value(c, g, g.is_exact)
+                            for c in counts)
+    return farey, inter, closed, agree
+
+
 def _run_mq(stream, Q, p):
-    g = p["weight"]
-    counts_closed = mq_count_closed(stream, Q)
-    counts_inter = mq_count_intermediates(stream, Q)
-    agree = counts_closed == counts_inter
+    g, exact = p["weight"], p["exact"]
+    farey, inter, closed, agree = _mq_counts(stream, Q, p["with_farey"])
     rows = [
-        ("mq_closed", mq_value(counts_closed, g, p["exact"])),
-        ("mq_intermediates", mq_value(counts_inter, g, p["exact"])),
+        ("mq_closed", mq_value(closed, g, exact)),
+        ("mq_intermediates", mq_value(inter, g, exact)),
     ]
-    if p["with_farey"]:
-        counts_farey = mq_count_farey(stream, Q)
-        agree = agree and counts_farey == counts_closed
-        rows.append(("mq_farey", mq_value(counts_farey, g, p["exact"])))
+    if farey is not None:
+        rows.append(("mq_farey", mq_value(farey, g, exact)))
     rows.append(("methods_agree", int(agree)))
     return rows
 

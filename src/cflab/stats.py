@@ -1,10 +1,9 @@
-"""Weighted counting of intermediate fractions and classical quotient statistics.
+"""Weight families, terminal quotients, tail-bounded series and classical
+quotient statistics.
 
-The weighted count M_Q(x) = sum over height <= Q classes of c(beta) chi_beta(x),
-with c(beta) = g(terminal partial quotient of beta), is computed three
-independent ways: by brute-force Farey enumeration, by walking the
-intermediate fractions of x, and by a closed form in the partial quotients.
-For weights with rational values the three results are exact and must agree.
+The weight families g and terminal_quotient define the weight
+c(beta) = g(terminal partial quotient of beta) of the weighted count M_Q,
+whose three routes live in cflab.harness.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cf import DyadicStream, cf_of_rational, cutoff, intermediates, quotient
-from .farey import chi, chi_mask, enumerate_farey, farey_table
+from .cf import cf_of_rational, quotient
 from .rationals import _pair
 
 LOG2 = math.log(2)
@@ -82,29 +80,6 @@ class WeightFunction:
                     cache.append(cache[-1] + self(m))
         return cache[k - start + 1]
 
-    def sum_to_float(self, k: int, start: int = 2) -> float:
-        """Float prefix sum of g over start..k, via a cached cumulative array.
-
-        Meant for large-k bookkeeping where exact prefix sums are infeasible
-        (an exact harmonic prefix of length 10^5 has a denominator with tens
-        of thousands of digits).
-        """
-        if k < start:
-            return 0.0
-        if self.family == "unit":
-            return float(k - start + 1)
-        if self.family == "table":
-            return float(self.sum_to(k, start))
-        with _PREFIX_LOCK:
-            arr = _FLOAT_PREFIX_CACHE.get((self, start))
-            if arr is None or len(arr) < k - start + 1:
-                size = max(1024, 2 * (k - start + 1))
-                m = np.arange(start, start + size, dtype=np.longdouble)
-                vals = 1.0 / m if self.family == "harmonic" else m ** np.longdouble(-(0.5 + self.gamma))
-                arr = np.cumsum(vals)
-                _FLOAT_PREFIX_CACHE[(self, start)] = arr
-        return float(arr[k - start])
-
     def _zero(self):
         return Fraction(0) if self.is_exact else np.longdouble(0)
 
@@ -117,7 +92,6 @@ class WeightFunction:
 
 
 _PREFIX_CACHE: dict = {}
-_FLOAT_PREFIX_CACHE: dict = {}
 _PREFIX_LOCK = threading.Lock()
 
 
@@ -135,17 +109,24 @@ def parse_weight(spec: str) -> WeightFunction:
         return WeightFunction.power(float(spec[6:]))
     if spec.startswith("table:"):
         path = spec[6:]
+        try:
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            raise ValueError(f"cannot read weight table {path!r}: {exc.strerror}") from exc
         entries: dict[int, Fraction] = {}
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                m_s, val_s = line.split()
-                m = int(m_s)
-                if m < 1 or m in entries:
-                    raise ValueError(f"bad weight table line {line!r}")
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            m_s, val_s = line.split()
+            m = int(m_s)
+            if m < 1 or m in entries:
+                raise ValueError(f"bad weight table line {line!r}")
+            try:
                 entries[m] = Fraction(val_s)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in weight table line {line!r}") from None
         if not entries:
             raise ValueError(f"empty weight table {path!r}")
         top = max(entries)
@@ -166,93 +147,26 @@ def terminal_quotient(beta) -> int:
     return cf_of_rational((a, q)).quotients[-1]
 
 
-def weight_c(beta, g: WeightFunction):
-    """c(beta) = g evaluated at the terminal partial quotient of beta."""
-    return g(terminal_quotient(beta))
+def _series_tail(s0: float, M: int, shift: int, kmax: int = 8) -> tuple[float, float]:
+    """(tail, bound) for sum_{m>M} (m+shift)^-s0 log(1+1/m), shift 0 or 1.
 
-
-def mq_via_intermediates(x, Q: int, g: WeightFunction):
-    """M_Q(x) summed over the intermediate fractions of x, each reweighed
-    through its own canonical expansion."""
-    total = g._zero()
-    for rec in intermediates(x, Q):
-        total = total + weight_c(rec.fraction, g)
-    return total
-
-
-def mq_closed_form(x, Q: int, g: WeightFunction):
-    """M_Q(x) = g(1) + sum_{n<N} sum_{m=2}^{a_n+1} g(m) + sum_{m=2}^{a(Q,x)} g(m).
-
-    Pure quotient bookkeeping; no fraction is materialized.  For a rational
-    x that terminates before the cutoff the same form is used with the full
-    terminal multiplicity.
+    Expanding log(1+1/m) as sum_k (-1)^(k+1)/(k m^k) for shift 0, or as
+    sum_k 1/(k (m+1)^k) for shift 1, turns the tail into the Hurwitz zeta
+    sum sum_k +-zeta(s0+k, M+1+shift)/k.  The alternating sum is bounded by
+    its first omitted term; the positive one by that term times
+    (M+2)/(M+1), since each term is at most 1/(M+2) of the one before.
     """
-    cut = cutoff(x, Q)
-    if cut.N == 0:
-        return g._zero()
-    total = g(1)
-    for n in range(1, cut.N):
-        total = total + g.sum_to(quotient(x, n) + 1)
-    return total + g.sum_to(cut.a)
-
-
-def mq_via_farey(x, Q: int, g: WeightFunction):
-    """M_Q(x) by enumerating every height <= Q class and testing chi.
-
-    Dyadic streams go through the vectorized table; other streams walk the
-    enumeration with scalar chi (and may pick up weight-1/2 endpoint hits
-    when x is rational).
-    """
-    if isinstance(x, DyadicStream):
-        table = farey_table(Q)
-        mask = chi_mask(table, x)
-        counts = np.bincount(table.terminal[mask])
-        if g.is_exact:
-            total = Fraction(0)
-            for m in np.nonzero(counts)[0]:
-                total += int(counts[m]) * g(int(m))
-            return total
-        total = np.longdouble(0)
-        for m in np.nonzero(counts)[0]:
-            total += int(counts[m]) * g(int(m))
-        return total
-    total = g._zero()
-    for beta in enumerate_farey(Q):
-        ind = chi(beta, x)
-        if ind:
-            w = weight_c(beta, g)
-            total = total + (w * ind if g.is_exact else w * np.longdouble(float(ind)))
-    return total
-
-
-def mq_all(x, Q: int, g: WeightFunction, oracle_limit: int = 3000):
-    """(farey, intermediates, closed, agree): the Farey route is skipped
-    (None) above oracle_limit; agreement is exact for exact weights and
-    within 1e-9 relative otherwise."""
-    by_closed = mq_closed_form(x, Q, g)
-    by_inter = mq_via_intermediates(x, Q, g)
-    by_farey = mq_via_farey(x, Q, g) if Q <= oracle_limit else None
-    vals = [v for v in (by_farey, by_inter, by_closed) if v is not None]
-    if g.is_exact:
-        agree = all(v == vals[0] for v in vals)
-    else:
-        ref = float(vals[0])
-        agree = all(math.isclose(float(v), ref, rel_tol=1e-9, abs_tol=1e-12) for v in vals)
-    return by_farey, by_inter, by_closed, agree
-
-
-def _series_tail(s0: float, M: int, kmax: int = 8) -> tuple[float, float]:
-    """(tail, bound) for sum_{m>M} m^-s0 log(1+1/m) via the alternating
-    expansion log(1+1/m) = sum_k (-1)^(k+1)/(k m^k) and Hurwitz zeta tails;
-    the bound is the first omitted term."""
     import mpmath
 
+    a = M + 1 + shift
     with mpmath.workdps(30):
         tail = mpmath.mpf(0)
         for k in range(1, kmax + 1):
-            term = mpmath.zeta(s0 + k, M + 1) / k
-            tail += term if k % 2 == 1 else -term
-        bound = mpmath.zeta(s0 + kmax + 1, M + 1) / (kmax + 1)
+            term = mpmath.zeta(s0 + k, a) / k
+            tail += -term if shift == 0 and k % 2 == 0 else term
+        bound = mpmath.zeta(s0 + kmax + 1, a) / (kmax + 1)
+        if shift:
+            bound *= mpmath.mpf(a) / (a - 1)
         return float(tail), float(bound)
 
 
@@ -260,9 +174,9 @@ def weight_log_series(g: WeightFunction, start: int = 1, shift: int = 0,
                       head: int = 4096) -> tuple[float, float]:
     """(value, tail_bound) for sum_{m>=start} g(m+shift) log(1+1/m).
 
-    The unshifted series gets a Hurwitz-zeta tail (bound far below 1e-10);
-    the shifted variant sums a long head and bounds the remainder by
-    integral comparison.  Raises ValueError for unit weights (divergent).
+    Power and harmonic weights sum a head of terms and get a Hurwitz-zeta
+    tail (bound far below 1e-30); they take shift 0 or 1 only.  Raises
+    ValueError for unit weights (divergent).
     """
     if g.family == "unit":
         raise ValueError("series diverges for unit weights")
@@ -271,18 +185,13 @@ def weight_log_series(g: WeightFunction, start: int = 1, shift: int = 0,
         for m in range(start, len(g.table) + 1 - shift):
             total += float(g(m + shift)) * math.log1p(1.0 / m)
         return total, 0.0
+    if shift not in (0, 1):
+        raise ValueError("shift must be 0 or 1")
     s0 = 1.0 if g.family == "harmonic" else 0.5 + g.gamma
     head_sum = math.fsum(float(g(m + shift)) * math.log1p(1.0 / m)
                          for m in range(start, head + 1))
-    if shift == 0:
-        tail, bound = _series_tail(s0, head)
-        return head_sum + tail, bound
-    # shifted series: terms are below m^-(1+s0), so the tail past ext is
-    # bounded by the integral ext^-s0 / s0
-    ext = 2_000_000
-    mid = math.fsum(float(g(m + shift)) * math.log1p(1.0 / m)
-                    for m in range(head + 1, ext + 1))
-    return head_sum + mid, ext ** -s0 / s0
+    tail, bound = _series_tail(s0, head, shift)
+    return head_sum + tail, bound
 
 
 def main_term(g: WeightFunction, Q: float, cutoff_m: int | None = None) -> float:

@@ -10,10 +10,10 @@ from cflab.cf import quotient
 from cflab.farey import (chi_mask, cumulative_expected_count, enumerate_farey,
                          expected_chi, farey_neighbors, farey_table,
                          row_sum_exact, row_sum_formula)
-from cflab.harness import (ExperimentConfig, aggregate, mq_count_closed,
+from cflab.harness import (ExperimentConfig, aggregate, mq_all, mq_count_closed,
                            mq_value, rows_to_csv, run, sample_stream)
 from cflab.cf import intermediates
-from cflab.stats import WeightFunction, gauss_kuzmin_prob, mq_all, weight_log_series
+from cflab.stats import WeightFunction, gauss_kuzmin_prob, weight_log_series
 
 KL_CONSTANT = math.pi ** 2 / (12 * math.log(2))   # a.e. limit of log(q_n)/n
 LEVEL_RATE = 12 * math.log(2) / math.pi ** 2      # a.e. limit of N(Q,x)/log Q

@@ -122,9 +122,14 @@ def test_montecarlo_exact_mode(tmp_path):
      "--weight", "bogus:spec", "--out", "x.csv"],
     ["mq", "--x", "rational:1/3", "--Q", "10", "--weight", "power:-1"],
     ["cf", "1/0"],
+    ["mq", "--x", "rational:1/3", "--Q", "10", "--weight", "table:missing.txt"],
+    ["mq", "--x", "rational:1/3", "--Q", "10", "--weight", "table:zero_den.txt"],
+    ["montecarlo", "--experiment", "openproblem", "--samples", "1", "--seed", "1",
+     "--set", "file:missing.txt", "--out", "x.csv"],
 ])
 def test_invalid_arguments_exit_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "zero_den.txt").write_text("1 1/0\n")
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
 

@@ -5,8 +5,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cflab.cf import intermediates, quotient
+from cflab.cf import (DyadicStream, PeriodicStream, RationalStream,
+                      intermediates, quotient)
 from cflab.farey import HeightSet
 from cflab.harness import (CSV_HEADER, ExperimentConfig, ResultRow, aggregate,
                            find_violations, format_value, mq_count_closed,
@@ -167,6 +169,38 @@ def test_mq_count_routes_agree():
         closed = mq_count_closed(s, 200)
         assert closed == mq_count_intermediates(s, 200)
         assert closed == mq_count_farey(s, 200)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), Q=st.integers(1, 600))
+def test_mq_count_routes_agree_dyadic_property(seed, Q):
+    x = DyadicStream(seed)
+    closed = mq_count_closed(x, Q)
+    assert mq_count_intermediates(x, Q) == closed
+    assert mq_count_farey(x, Q) == closed
+
+
+quotients = st.lists(st.integers(1, 20), max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pre=quotients, per=quotients.filter(bool), Q=st.integers(1, 80))
+def test_mq_count_routes_agree_periodic_property(pre, per, Q):
+    # a0 = 0: the scalar Farey route compares x itself against classes in [0, 1)
+    x = PeriodicStream(0, pre, per)
+    closed = mq_count_closed(x, Q)
+    assert mq_count_intermediates(x, Q) == closed
+    assert mq_count_farey(x, Q) == closed
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(1, 60), p=st.integers(0, 59), Q=st.integers(1, 80))
+def test_mq_count_rational_property(q, p, Q):
+    # a rational x may sit on a neighbor-interval endpoint, where its class
+    # counts 1/2 on the Farey route only
+    x = RationalStream(p % q, q)
+    assert mq_count_intermediates(x, Q) == mq_count_closed(x, Q)
+    assert all((2 * c).denominator == 1 for c in mq_count_farey(x, Q).values())
 
 
 def test_mq_count_unit_value_is_enumeration_length():

@@ -1,26 +1,29 @@
 """Weight families, multi-method weighted counts, truncated double sums,
-classical estimators and hypothesis diagnostics."""
+classical estimators and hypothesis diagnostics.  The weighted-count routes
+live in cflab.harness and are checked here on the count multisets they
+return."""
 
 import math
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 
 from cflab.cf import DyadicStream, PeriodicStream, RationalStream, intermediates
+from cflab.harness import (mq_all, mq_count_closed, mq_count_farey,
+                           mq_count_intermediates, mq_value)
 from cflab.rationals import FareyFraction
 from cflab.stats import (TruncationFn, WeightFunction, birkhoff_average,
                          classical_stats, double_exceedance, gauss_kuzmin_prob,
-                         hypothesis_check, indicator_sum, main_term, mq_all,
-                         mq_closed_form, mq_level_expectation, mq_via_farey,
-                         mq_via_intermediates, parse_weight, terminal_quotient,
-                         weight_c, weight_log_series, x_nf)
+                         hypothesis_check, indicator_sum, main_term,
+                         mq_level_expectation, parse_weight, terminal_quotient,
+                         weight_log_series, x_nf)
 
 GOLDEN = PeriodicStream(0, (), (1,))
 ALT23 = PeriodicStream(0, (2,), (3, 2))  # [0;2,3,2,3,...]
 HARMONIC = WeightFunction.harmonic()
 UNIT = WeightFunction.unit()
+ROUTES = (mq_count_farey, mq_count_intermediates, mq_count_closed)
 
 
 def test_weight_families():
@@ -57,39 +60,37 @@ def test_weight_prefix_sums():
     assert HARMONIC.sum_to(5, start=1) == Fraction(137, 60)
     p = WeightFunction.power(0.5)
     assert float(p.sum_to(3)) == pytest.approx(1 / 2 + 1 / 3)
-    assert p.sum_to_float(3) == pytest.approx(1 / 2 + 1 / 3)
-    assert HARMONIC.sum_to_float(10 ** 5) == pytest.approx(
-        float(np.log(10 ** 5)) + 0.5772156649 - 1, abs=1e-4)
 
 
 def test_weight_c_examples():
-    assert weight_c(FareyFraction(2, 5), HARMONIC) == Fraction(1, 2)
-    assert weight_c(FareyFraction(0, 1), HARMONIC) == 1
-    assert weight_c(FareyFraction(3, 7), HARMONIC) == Fraction(1, 3)
+    # c(beta) = g(terminal quotient of beta); the zero class counts as [1]
+    assert HARMONIC(terminal_quotient(FareyFraction(2, 5))) == Fraction(1, 2)
+    assert HARMONIC(terminal_quotient(FareyFraction(3, 7))) == Fraction(1, 3)
     assert terminal_quotient(FareyFraction(0, 1)) == 1
 
 
 def test_mq_examples_golden():
-    for fn in (mq_via_farey, mq_via_intermediates, mq_closed_form):
-        assert fn(GOLDEN, 3, HARMONIC) == 2
+    for route in ROUTES:
+        assert mq_value(route(GOLDEN, 3), HARMONIC, exact=True) == 2
 
 
 def test_mq_examples_alt():
-    for fn in (mq_via_farey, mq_via_intermediates, mq_closed_form):
-        assert fn(ALT23, 7, HARMONIC) == Fraction(8, 3)
+    for route in ROUTES:
+        assert mq_value(route(ALT23, 7), HARMONIC, exact=True) == Fraction(8, 3)
 
 
 def test_mq_unit_q1():
     for x in (GOLDEN, ALT23, DyadicStream(5)):
-        assert mq_via_farey(x, 1, UNIT) == 1
-        assert mq_closed_form(x, 1, UNIT) == 1
+        assert mq_value(mq_count_farey(x, 1), UNIT, exact=True) == 1
+        assert mq_value(mq_count_closed(x, 1), UNIT, exact=True) == 1
 
 
 def test_mq_unit_counts_intermediates():
     for seed in range(4):
         x = DyadicStream(seed)
         for Q in (10, 200, 900):
-            assert mq_closed_form(x, Q, UNIT) == len(intermediates(x, Q))
+            counts = mq_count_closed(x, Q)
+            assert mq_value(counts, UNIT, exact=True) == len(intermediates(x, Q))
 
 
 def test_mq_triple_equality_exact_weights(tmp_path):
@@ -118,9 +119,8 @@ def test_mq_rational_endpoints_get_half_weight():
     # x = 1/2 inside F_3: the classes 1/3 and 2/3 see x on their interval
     # boundary and contribute half their weight on the brute-force route only
     x = RationalStream(1, 2)
-    farey_v = mq_via_farey(x, 3, HARMONIC)
-    closed_v = mq_closed_form(x, 3, HARMONIC)
-    inter_v = mq_via_intermediates(x, 3, HARMONIC)
+    farey_v, inter_v, closed_v = (mq_value(route(x, 3), HARMONIC, exact=True)
+                                  for route in ROUTES)
     assert closed_v == inter_v == Fraction(3, 2)
     assert farey_v == Fraction(23, 12)
     assert farey_v > closed_v
@@ -171,6 +171,21 @@ def test_level_expectation_differs_from_naive_series():
     assert lvl == pytest.approx(series / math.log(2), rel=1e-12)
     naive, _ = weight_log_series(HARMONIC, start=1)
     assert series < naive  # same base, the shift strictly lowers every term
+
+
+@pytest.mark.parametrize("g", [HARMONIC, WeightFunction.power(0.25)])
+def test_shifted_series_matches_nsum_oracle(g):
+    # slow oracle: the shifted series summed directly by Euler-Maclaurin at
+    # 30 digits, against the head plus Hurwitz-zeta tail
+    s0 = 1 if g.family == "harmonic" else 0.5 + g.gamma
+    with mpmath.workdps(30):
+        ref = mpmath.nsum(lambda m: (m + 1) ** -s0 * mpmath.log1p(1 / m),
+                          [1, mpmath.inf], method="euler-maclaurin")
+    series, bound = weight_log_series(g, start=1, shift=1)
+    assert bound < 1e-30
+    assert abs(series - float(ref)) <= bound + 1e-15
+    with pytest.raises(ValueError):
+        weight_log_series(g, start=1, shift=2)
 
 
 def test_indicator_sum():
