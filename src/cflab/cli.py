@@ -65,8 +65,8 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_farey_row(args) -> int:
-    print(f"exact {row_sum_exact(args.q)}")
-    print(f"formula {row_sum_formula(args.q):.12g}")
+    exact, formula = row_sum_exact(args.q), row_sum_formula(args.q)
+    print(f"exact {exact}\nformula {formula:.12g}")
     return 0
 
 

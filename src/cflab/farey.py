@@ -18,11 +18,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .cf import DyadicStream, _euclid, compare_real_rational
+from .cf import DyadicStream, compare_real_rational
 from .rationals import FareyFraction, _pair
-
-EULER_DIGITS = 40
-
 
 @dataclass(frozen=True)
 class NeighborPair:
@@ -51,19 +48,19 @@ def farey_neighbors(beta) -> NeighborPair:
 def chi(beta, x) -> Fraction:
     """Indicator of the neighbor interval of beta, evaluated at a stream x.
 
-    Returns 1 inside (lower, upper), 1/2 at an endpoint, 0 outside;
-    identically 1 for the height-1 class.
+    Returns 1 when x mod 1 lies inside (lower, upper), 1/2 at an endpoint,
+    0 outside; identically 1 for the height-1 class.
     """
     a, q = _pair(beta)
     if q == 1:
         return Fraction(1)
     nb = farey_neighbors(beta)
-    c_lo = compare_real_rational(x, nb.lower)
+    c_lo = compare_real_rational(x, x.a0 + nb.lower)
     if c_lo < 0:
         return Fraction(0)
     if c_lo == 0:
         return Fraction(1, 2)
-    c_hi = compare_real_rational(x, nb.upper)
+    c_hi = compare_real_rational(x, x.a0 + nb.upper)
     if c_hi > 0:
         return Fraction(0)
     if c_hi == 0:
@@ -106,13 +103,17 @@ def farey_size(Q: int) -> int:
     return 1 + int(totients_up_to(Q)[2:].sum())
 
 
+_ARRAYS = ("num", "den", "lo_f", "hi_f", "lo_num", "lo_den", "hi_num", "hi_den", "terminal")
+
+
 @dataclass
 class FareyTable:
     """Flat arrays over all fractions of height <= Q, for bulk chi evaluation.
 
-    Entry 0 is the zero class; its neighbor fields are sentinels and its
-    mask value is always True.  terminal[i] is the last partial quotient
-    of the canonical expansion (1 for the zero class).
+    Entries are ordered by (den, num), so the table of any smaller order is
+    a prefix.  Entry 0 is the zero class; its neighbor fields are sentinels
+    and its mask value is always True.  terminal[i] is the last partial
+    quotient of the canonical expansion (1 for the zero class).
     """
 
     Q: int
@@ -126,6 +127,7 @@ class FareyTable:
     hi_den: np.ndarray
     terminal: np.ndarray
     _index: dict | None = field(default=None, repr=False)
+    _prefixes: dict = field(default_factory=dict, repr=False)
 
     def __len__(self):
         return len(self.num)
@@ -136,43 +138,64 @@ class FareyTable:
                            for i, (a, q) in enumerate(zip(self.num, self.den))}
         return self._index[(frac.num, frac.den)]
 
+    def prefix(self, Q: int) -> FareyTable:
+        """F_Q for Q <= self.Q, as views into these arrays; one object per Q."""
+        if Q == self.Q:
+            return self
+        if Q not in self._prefixes:
+            n = int(np.searchsorted(self.den, Q, side="right"))
+            view = FareyTable(Q, *(getattr(self, name)[:n] for name in _ARRAYS))
+            self._prefixes.setdefault(Q, view)  # racing threads keep the first
+        return self._prefixes[Q]
 
-_TABLE_CACHE: dict[int, FareyTable] = {}
+
 FAREY_TABLE_LIMIT = 5000
+_held: FareyTable | None = None
 
 
 def farey_table(Q: int) -> FareyTable:
-    """Build (and cache) the bulk table for F_Q.  O(Q^2) entries."""
+    """The bulk table for F_Q, O(Q^2) entries.  One table is held per
+    process: a larger Q builds its replacement, a smaller Q gets a prefix."""
+    global _held
+    if Q < 1:
+        raise ValueError("Q must be >= 1")
     if Q > FAREY_TABLE_LIMIT:
         raise ValueError(f"Q = {Q} beyond enumeration limit {FAREY_TABLE_LIMIT}")
-    if Q in _TABLE_CACHE:
-        return _TABLE_CACHE[Q]
-    size = farey_size(Q)
-    num, den, lon, lod, hin, hid, term = (np.empty(size, dtype=np.int64)
-                                          for _ in range(7))
-    num[0], den[0], lon[0], lod[0], hin[0], hid[0], term[0] = 0, 1, 0, 1, 1, 1, 1
+    held = _held  # one read: a concurrent grow cannot change it under us
+    if held is None or held.Q < Q:
+        held = _build_table(Q)
+        _held = held
+    return held.prefix(Q)
+
+
+def _build_table(Q: int) -> FareyTable:
+    """F_Q over the Stern-Brocot tree, sorted by (den, num).
+
+    A fraction's parents in the tree are its Farey neighbors.  For
+    beta = [0; a1, ..., an], h(beta) = an q_{n-1} + q_{n-2} with q_{n-1} the
+    smaller neighbor height, except for (q-1)/q = [0; 1, q-1].
+    """
+    rows = np.empty((6, farey_size(Q)), dtype=np.int64)  # num, den, lo, hi
+    rows[:, 0] = 0, 1, 0, 1, 1, 1
+    lo, hi = np.array([[0], [1]]), np.array([[1], [1]])  # next level's parents
     i = 1
-    a, b, c, d = 0, 1, 1, Q
-    while (c, d) != (1, 1):
-        q_lo = pow(c, -1, d)
-        p_lo = (c * q_lo - 1) // d
-        num[i], den[i] = c, d
-        lon[i], lod[i] = p_lo, q_lo
-        hin[i], hid[i] = c - p_lo, d - q_lo
-        term[i] = _euclid(c, d)[1][-1]
-        i += 1
-        k = (Q + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-    assert i == size
-    lo_f = lon.astype(np.float64) / lod.astype(np.float64)
-    hi_f = hin.astype(np.float64) / hid.astype(np.float64)
-    lo_f[0] = -np.inf
-    hi_f[0] = np.inf
-    table = FareyTable(Q=Q, num=num, den=den, lo_f=lo_f, hi_f=hi_f,
-                       lo_num=lon, lo_den=lod, hi_num=hin, hi_den=hid,
-                       terminal=term)
-    _TABLE_CACHE[Q] = table
-    return table
+    while lo.size:
+        keep = lo[1] + hi[1] <= Q
+        lo, hi = lo[:, keep], hi[:, keep]
+        mid = lo + hi
+        rows[:, i:i + mid.shape[1]] = np.vstack((mid, lo, hi))
+        i += mid.shape[1]
+        lo, hi = np.hstack((lo, mid)), np.hstack((mid, hi))
+    assert i == rows.shape[1]
+    order = np.argsort(rows[1] * (Q + 1) + rows[0])  # unique keys: num <= Q
+    for row in rows:
+        row[:] = row[order]
+    del order
+    num, den, lon, lod, hin, hid = rows
+    term = den // np.minimum(lod, hid) - ((hid == 1) & (den > 2))
+    lo_f, hi_f = lon / lod, hin / hid
+    lo_f[0], hi_f[0] = -np.inf, np.inf
+    return FareyTable(Q, num, den, lo_f, hi_f, lon, lod, hin, hid, term)
 
 
 CHI_MARGIN = 1e-9
@@ -182,20 +205,19 @@ def chi_mask(table: FareyTable, x: DyadicStream, margin: float = CHI_MARGIN) -> 
     """chi values over a whole table for a dyadic stream, as a boolean mask.
 
     Fast float comparisons with a guard band of width `margin`; entries whose
-    neighbor endpoint lands inside the band are settled exactly.  Exact for
-    any margin >= a few ulps since endpoint floats are within 2^-52 relative.
+    neighbor endpoint lands inside the band are settled exactly, and the
+    infinite endpoints of entry 0 keep it in the mask.  Exact for any
+    margin >= a few ulps since endpoint floats are within 2^-52 relative.
     """
     lo, hi = x.interval()
     x_lo = float(lo)
     x_hi = float(hi)
     mask = (table.lo_f < x_lo - margin) & (table.hi_f > x_hi + margin)
-    near = ((np.abs(table.lo_f - x_lo) <= margin) | (np.abs(table.hi_f - x_hi) <= margin)) \
-        & ~np.isinf(table.lo_f)
+    near = (np.abs(table.lo_f - x_lo) <= margin) | (np.abs(table.hi_f - x_hi) <= margin)
     for i in np.nonzero(near)[0]:
         c_lo = x.compare_fraction(Fraction(int(table.lo_num[i]), int(table.lo_den[i])))
         c_hi = x.compare_fraction(Fraction(int(table.hi_num[i]), int(table.hi_den[i])))
         mask[i] = c_lo > 0 and c_hi < 0
-    mask[0] = True
     return mask
 
 
@@ -227,35 +249,12 @@ def row_sum_exact(q: int) -> Fraction:
     return Fraction(2 * s, q * lcm)
 
 
-_EULER_CACHE: dict[int, object] = {}
-
-
-def euler_constant(digits: int = EULER_DIGITS):
-    """Euler's constant by the Euler-Maclaurin series, as an mpmath float.
-
-    gamma = H_N - ln N - 1/(2N) + sum B_{2k}/(2k N^{2k}), N = 1000, through
-    k = 5; the omitted term is below 1e-31.  The harmonic number is summed
-    exactly.
-    """
-    if digits in _EULER_CACHE:
-        return _EULER_CACHE[digits]
+def euler_constant(digits: int = 40):
+    """Euler's constant to `digits` significant digits, as an mpmath float."""
     import mpmath
 
-    with mpmath.workdps(digits + 10):
-        N = 1000
-        H = Fraction(0)
-        for i in range(1, N + 1):
-            H += Fraction(1, i)
-        val = mpmath.mpf(H.numerator) / H.denominator - mpmath.ln(N)
-        bernoulli = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
-                     Fraction(-1, 30), Fraction(5, 66)]
-        val -= mpmath.mpf(1) / (2 * N)
-        for k, b in enumerate(bernoulli, start=1):
-            term = Fraction(b, 2 * k) / N ** (2 * k)
-            val += mpmath.mpf(term.numerator) / term.denominator
-        result = +val
-    _EULER_CACHE[digits] = result
-    return result
+    with mpmath.workdps(digits):
+        return +mpmath.euler
 
 
 def row_sum_formula(q: int) -> float:

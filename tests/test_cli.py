@@ -32,6 +32,9 @@ def test_chi_values(capsys):
     assert capsys.readouterr().out == "1\n"
     assert main(["chi", "--beta", "2/5", "--x", "rational:9/10"]) == 0
     assert capsys.readouterr().out == "0\n"
+    # x mod 1 = 1/2 lies strictly inside (0, 1), the interval of 1/2
+    assert main(["chi", "--beta", "1/2", "--x", "rational:7/2"]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_farey_row_lines(capsys):
@@ -49,6 +52,13 @@ def test_mq_all_methods_printed_and_equal(capsys):
     values = {ln.split()[1] for ln in lines[:3]}
     assert len(values) == 1
     assert lines[3] == "agree 1"
+
+
+def test_mq_routes_agree_with_integer_part(capsys):
+    assert main(["mq", "--x", "rational:355/113", "--Q", "50",
+                 "--weight", "unit"]) == 0
+    assert capsys.readouterr().out == \
+        "farey 14\nconv 14\nclosed 14\nagree 1\n"
 
 
 def test_mq_single_method(capsys):
@@ -126,12 +136,16 @@ def test_montecarlo_exact_mode(tmp_path):
     ["mq", "--x", "rational:1/3", "--Q", "10", "--weight", "table:zero_den.txt"],
     ["montecarlo", "--experiment", "openproblem", "--samples", "1", "--seed", "1",
      "--set", "file:missing.txt", "--out", "x.csv"],
+    ["farey-row", "--q", "1"],
+    ["mq", "--x", "dyadic:seed=1", "--Q", "0", "--method", "farey"],
 ])
 def test_invalid_arguments_exit_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "zero_den.txt").write_text("1 1/0\n")
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_exact_mode_rejects_float_statistics(tmp_path, capsys):

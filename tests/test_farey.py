@@ -1,12 +1,15 @@
 """Neighbors, indicators, row sums, expected counts, height sets."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from cflab import farey
 from cflab.cf import DyadicStream, PeriodicStream, RationalStream, intermediates
 from cflab.farey import (HeightSet, chi, chi_mask, cumulative_expected_count,
                          divergence_functional, enumerate_farey,
@@ -14,6 +17,7 @@ from cflab.farey import (HeightSet, chi, chi_mask, cumulative_expected_count,
                          farey_size, farey_table, parse_height_set,
                          row_sum_exact, row_sum_formula, totients_up_to)
 from cflab.rationals import FareyFraction
+from cflab.stats import terminal_quotient
 
 
 def brute_neighbors(a, q):
@@ -143,7 +147,8 @@ def test_farey_table_matches_enumeration():
     table = farey_table(50)
     listed = list(enumerate_farey(50))
     assert len(table) == len(listed)
-    for i, beta in enumerate(listed):
+    for beta in listed:
+        i = table.index_of(beta)
         assert (table.num[i], table.den[i]) == (beta.num, beta.den)
         if beta.den == 1:
             continue
@@ -152,6 +157,78 @@ def test_farey_table_matches_enumeration():
             (nb.lower.numerator, nb.lower.denominator)
         assert (table.hi_num[i], table.hi_den[i]) == \
             (nb.upper.numerator, nb.upper.denominator)
+
+
+def check_table_against_oracle(table, Q):
+    """Every field of every entry, from the scalar routines."""
+    listed = list(enumerate_farey(Q))
+    assert table.Q == Q and len(table) == len(listed) == farey_size(Q)
+    keys = [(int(q), int(a)) for a, q in zip(table.num, table.den)]
+    assert keys == sorted({(b.den, b.num) for b in listed})
+    assert (table.lo_f[0], table.hi_f[0], table.terminal[0]) == (-math.inf, math.inf, 1)
+    for i in range(1, len(table)):
+        beta = FareyFraction(int(table.num[i]), int(table.den[i]))
+        nb = farey_neighbors(beta)
+        lo = (int(table.lo_num[i]), int(table.lo_den[i]))
+        hi = (int(table.hi_num[i]), int(table.hi_den[i]))
+        assert lo == (nb.lower.numerator, nb.lower.denominator)
+        assert hi == (nb.upper.numerator, nb.upper.denominator)
+        assert table.lo_f[i] == lo[0] / lo[1] and table.hi_f[i] == hi[0] / hi[1]
+        assert table.terminal[i] == terminal_quotient(beta)
+
+
+def test_farey_table_fields_fresh_and_as_prefix():
+    larger = farey._build_table(310)
+    for Q in [*range(1, 41), 300]:
+        check_table_against_oracle(farey._build_table(Q), Q)
+        check_table_against_oracle(larger.prefix(Q), Q)
+
+
+def test_farey_table_serves_smaller_q_as_views():
+    big = farey_table(2000)
+    for Q in (100, 500):
+        small = farey_table(Q)
+        assert small is farey_table(Q)
+        assert len(small) == farey_size(Q)
+        assert np.shares_memory(small.num, big.num)
+        assert np.shares_memory(small.terminal, big.terminal)
+    assert farey_table(2000) is big
+
+
+def test_farey_table_rejects_bad_q():
+    for Q in (0, -1):
+        with pytest.raises(ValueError, match="Q must be >= 1"):
+            farey_table(Q)
+    with pytest.raises(ValueError, match="limit"):
+        farey_table(farey.FAREY_TABLE_LIMIT + 1)
+
+
+def test_farey_table_concurrent_growth():
+    # more threads than cores, growing the held table while others read it
+    orders = [37, 120, 5, 260, 80, 200, 1, 150]
+    errors = []
+
+    def worker(k):
+        try:
+            for Q in orders[k:] + orders[:k]:
+                t = farey_table(Q)
+                assert t.Q == Q and len(t) == farey_size(Q)
+        except Exception as exc:  # reported through the list below
+            errors.append(exc)
+
+    farey._held = None
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 def test_chi_mask_matches_scalar_chi():

@@ -184,23 +184,25 @@ quotients = st.lists(st.integers(1, 20), max_size=3)
 
 
 @settings(max_examples=30, deadline=None)
-@given(pre=quotients, per=quotients.filter(bool), Q=st.integers(1, 80))
-def test_mq_count_routes_agree_periodic_property(pre, per, Q):
-    # a0 = 0: the scalar Farey route compares x itself against classes in [0, 1)
-    x = PeriodicStream(0, pre, per)
+@given(a0=st.integers(-3, 5), pre=quotients, per=quotients.filter(bool),
+       Q=st.integers(1, 80))
+def test_mq_count_routes_agree_periodic_property(a0, pre, per, Q):
+    x = PeriodicStream(a0, pre, per)
     closed = mq_count_closed(x, Q)
     assert mq_count_intermediates(x, Q) == closed
     assert mq_count_farey(x, Q) == closed
 
 
 @settings(max_examples=40, deadline=None)
-@given(q=st.integers(1, 60), p=st.integers(0, 59), Q=st.integers(1, 80))
+@given(q=st.integers(1, 60), p=st.integers(-300, 300), Q=st.integers(1, 80))
 def test_mq_count_rational_property(q, p, Q):
     # a rational x may sit on a neighbor-interval endpoint, where its class
     # counts 1/2 on the Farey route only
     x = RationalStream(p % q, q)
     assert mq_count_intermediates(x, Q) == mq_count_closed(x, Q)
-    assert all((2 * c).denominator == 1 for c in mq_count_farey(x, Q).values())
+    farey = mq_count_farey(x, Q)
+    assert all((2 * c).denominator == 1 for c in farey.values())
+    assert mq_count_farey(RationalStream(p, q), Q) == farey
 
 
 def test_mq_count_unit_value_is_enumeration_length():
