@@ -41,6 +41,10 @@ class QuotientCapExceeded(Exception):
     """A certified partial quotient exceeded QUOTIENT_CAP."""
 
 
+class InvariantViolation(Exception):
+    """An internal cross-check (such as multi-method agreement) failed."""
+
+
 def mix64(z: int) -> int:
     """SplitMix64 output scramble of a 64-bit state (Steele et al. constants)."""
     z &= M64
@@ -193,6 +197,20 @@ class DyadicStream(PartialQuotientStream):
     once the canonical expansions of both endpoints agree through its index.
     Refinement appends one 64-bit block at a time and never alters earlier
     bits, so certified quotients are stable.
+
+    Certification is incremental (Gosper, HAKMEM item 101).  With a_1..a_k
+    certified and s = (-1)^k, the stream holds the signed denominators
+    s q_{k-1}, s q_k and the tail t = a/b of the lower endpoint, so that
+    X/2^B = [0; a_1, ..., a_k, t].  Here a = s (p_{k-1} 2^B - q_{k-1} X) and
+    b = s (q_k X - p_k 2^B) are the two remainders Euclid reaches after k
+    steps on X/2^B.  A block w maps them to 2^64 a - s q_{k-1} w and
+    2^64 b + s q_k w; the upper endpoint's tail is (a - s q_{k-1}) /
+    (b + s q_k).  Euclid then runs on both tails in lockstep and certifies
+    each quotient on which they agree, so a block costs O(B) per certified
+    quotient instead of a full-width Euclid.  Both endpoints stay in the
+    cylinder of the certified prefix, so both tails stay in [1, inf] (b = 0
+    when an endpoint is the k-th convergent itself); a tail below 1 raises
+    InvariantViolation.
     """
 
     kind = "dyadic"
@@ -209,6 +227,8 @@ class DyadicStream(PartialQuotientStream):
         self._B = 0
         self._blocks = 0
         self._certified: list[int] = []
+        self._sq = (0, 1)    # s q_{k-1}, s q_k
+        self._tail = (1, 0)  # a, b with X/2^B = [0; a_1, ..., a_k, a/b]
         self._grow((bits + self.BLOCK - 1) // self.BLOCK)
 
     @property
@@ -221,35 +241,47 @@ class DyadicStream(PartialQuotientStream):
         return Fraction(self._X, den), Fraction(self._X + 1, den)
 
     def _grow(self, nblocks: int):
+        sq0, sq1 = self._sq
+        a, b = self._tail
         for _ in range(nblocks):
             self._blocks += 1
             word = mix64((self.seed + self._blocks * GOLDEN64) & M64)
             self._X = (self._X << self.BLOCK) | word
             self._B += self.BLOCK
+            a = (a << self.BLOCK) - sq0 * word
+            b = (b << self.BLOCK) + sq1 * word
+        self._tail = a, b
         self._certify()
 
     def _certify(self):
-        den = 1 << self._B
-        lo0, lo = _euclid(self._X, den)
-        hi0, hi = _euclid(self._X + 1, den)
-        if lo0 != hi0:
-            return
-        common = []
-        for a, b in zip(lo, hi):
-            if a != b:
-                break
-            common.append(a)
-        k = len(self._certified)
-        if len(common) > k:
-            # Certified prefixes are true prefixes of the expansion of x,
-            # hence never contradict one another.
-            assert common[:k] == self._certified
-            for a in common[k:]:
-                if a > QUOTIENT_CAP:
+        certified = self._certified
+        sq0, sq1 = self._sq
+        a, b = self._tail
+        c, d = a - sq0, b + sq1
+        # Certified prefixes are true prefixes of the expansion of x, so both
+        # endpoints lie in the cylinder of the prefix: tails in [1, inf].
+        if not (0 <= b <= a and 0 <= d <= c):
+            raise InvariantViolation(
+                f"{self!r}: an endpoint left the certified prefix of length "
+                f"{len(certified)}")
+        try:
+            # A zero denominator means that endpoint's expansion has ended.
+            while b and d:
+                m, r = divmod(a, b)
+                if m != c // d:
+                    break
+                r2 = c - m * d
+                # A tail of exactly 1 is no quotient: [..., a_k, 1] is [..., a_k + 1].
+                if m == 1 and not (r and r2):
+                    break
+                if m > QUOTIENT_CAP:
                     raise QuotientCapExceeded(
-                        f"partial quotient {a} exceeds sanity cap; input is degenerate"
-                    )
-                self._certified.append(a)
+                        f"partial quotient {m} exceeds sanity cap; input is degenerate")
+                certified.append(m)
+                sq0, sq1 = -sq1, -(m * sq1 + sq0)
+                a, b, c, d = b, r, d, r2
+        finally:
+            self._sq, self._tail = (sq0, sq1), (a, b)
 
     def quotient(self, n: int, max_bits: int = 1 << 20) -> int:
         if n < 1:

@@ -2,8 +2,8 @@
 
 Exact utilities (expansions, convergents, intermediate fractions, indicator
 and row-sum queries, multi-method weighted counts) plus the seeded
-`montecarlo` experiment driver.  Exit codes: 0 success, 2 bad arguments,
-3 internal invariant violation.
+`montecarlo` experiment driver.  Exit codes: 0 success, 2 bad arguments or
+an exhausted refinement budget, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .cf import cf_of_rational, convergents, intermediates, parse_stream
+from .cf import (NeedsMoreBits, QuotientCapExceeded, cf_of_rational,
+                 convergents, intermediates, parse_stream)
 from .farey import chi, parse_height_set, row_sum_exact, row_sum_formula
 from .harness import (REGISTRY, ExperimentConfig, InvariantViolation,
                       aggregate, find_violations, mq_all, mq_count_closed,
@@ -209,7 +210,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, NeedsMoreBits, QuotientCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

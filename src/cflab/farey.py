@@ -249,6 +249,10 @@ def row_sum_exact(q: int) -> Fraction:
     return Fraction(2 * s, q * lcm)
 
 
+# Euler's constant as the nearest double, equal to float(euler_constant()).
+EULER_GAMMA = 0.5772156649015329
+
+
 def euler_constant(digits: int = 40):
     """Euler's constant to `digits` significant digits, as an mpmath float."""
     import mpmath
@@ -266,8 +270,7 @@ def row_sum_formula(q: int) -> float:
     for p in fac:
         phi = phi // p * (p - 1)
     p_term = sum(math.log(p) / (p - 1) for p in fac)
-    gamma = float(euler_constant())
-    return 2 * phi / q**2 * (math.log(q) + p_term + gamma)
+    return 2 * phi / q**2 * (math.log(q) + p_term + EULER_GAMMA)
 
 
 def _factorize(q: int) -> dict[int, int]:

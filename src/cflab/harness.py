@@ -23,17 +23,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .cf import GOLDEN64, M64, DyadicStream, cutoff, intermediates, mix64, quotient
+from .cf import (GOLDEN64, M64, DyadicStream, InvariantViolation, cutoff,
+                 intermediates, mix64, quotient)
 from .farey import HeightSet, chi, chi_mask, enumerate_farey, farey_table
 from .stats import (TruncationFn, WeightFunction, birkhoff_average,
                     classical_stats, double_exceedance, indicator_sum,
                     terminal_quotient, x_nf)
 
 ORACLE_LIMIT = 3000
-
-
-class InvariantViolation(Exception):
-    """An internal cross-check (such as multi-method agreement) failed."""
 
 
 def sample_stream(master_seed: int, index: int, bits: int = 256) -> DyadicStream:
@@ -292,6 +289,8 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
         raise ValueError("threads must be >= 1")
     grid, p = resolve_params(config)
     exp = REGISTRY[config.experiment]
+    if p.get("with_farey"):
+        farey_table(max(grid))  # every grid value is then a prefix view
 
     def work(i: int) -> list[ResultRow]:
         stream = sample_stream(config.seed, i, config.initial_bits)

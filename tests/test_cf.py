@@ -1,13 +1,17 @@
 """Canonical expansions, convergents, streams, cutoff and intermediate
 fraction enumeration."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cflab.cf import (ContinuedFraction, DyadicStream, OutOfQuotients,
-                      PeriodicStream, RationalStream, cf_of_rational,
+import cflab.cf
+from cflab.cf import (M64, ContinuedFraction, DyadicStream, InvariantViolation,
+                      NeedsMoreBits, OutOfQuotients, PeriodicStream,
+                      QuotientCapExceeded, RationalStream, cf_of_rational,
                       compare_real_rational, convergents, cutoff,
                       intermediates, parse_stream, quotient, value_of_cf)
 from cflab.rationals import mediant, reduce_mod1
@@ -119,6 +123,84 @@ def test_dyadic_endpoint_prefix_oracle():
             break
         common += 1
     assert common == 1
+
+
+def restart_certified(x, held=()):
+    """Full-restart oracle: the longest common prefix of the canonical
+    expansions of both interval endpoints, never shorter than `held`."""
+    lo, hi = (cf_of_rational(e) for e in x.interval())
+    common = []
+    if lo.a0 == hi.a0:
+        for a, b in zip(lo.quotients, hi.quotients):
+            if a != b:
+                break
+            common.append(a)
+    assert tuple(common[:len(held)]) == tuple(held[:len(common)])
+    return max(tuple(common), tuple(held), key=len)
+
+
+def assert_grows_like_oracle(x, blocks):
+    held = restart_certified(x)
+    assert x.certified() == held
+    for _ in range(blocks):
+        x._grow(1)
+        held = restart_certified(x, held)
+        assert x.certified() == held
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, M64), bits=st.sampled_from([1, 64, 100, 256, 1024]),
+       blocks=st.integers(1, 12))
+def test_dyadic_certifier_matches_restart_oracle(seed, bits, blocks):
+    assert_grows_like_oracle(DyadicStream(seed, bits), blocks)
+
+
+def test_dyadic_certifier_matches_restart_oracle_deep():
+    x = DyadicStream(0x5EED, 64)
+    assert_grows_like_oracle(x, 105)
+    assert len(x.certified()) >= 2000
+
+
+@pytest.mark.parametrize("words", [
+    [0] * 4,                                  # lower endpoint 0: no quotient
+    [M64] * 4,                                # upper endpoint 1: a0 differs
+    [0xC000000000000000] + [0] * 3,           # lower endpoint 3/4 = [0;1,3]
+    [0x8000000000000000] + [0] * 3,           # 1/2 inside every interval
+    [0xBFFFFFFFFFFFFFFF] + [M64] * 3,         # upper endpoint 3/4
+    [0xAAAAAAAAAAAAAAAA] + [0] * 3,           # one huge quotient, then 2/3 - e
+    [0xFFFFFFFFFFFFFFFE] + [M64] * 3,         # upper endpoint [0;1,2^64-1]
+])
+def test_dyadic_certifier_canonical_edges(words, monkeypatch):
+    blocks = iter(words)
+    monkeypatch.setattr(cflab.cf, "mix64", lambda z: next(blocks))
+    assert_grows_like_oracle(DyadicStream(0, 64), len(words) - 1)
+
+
+def test_dyadic_quotient_cap(monkeypatch):
+    # x lies about 2^-190 below 1/3 = [0;3], so a_2 is about 2^186
+    blocks = itertools.chain([0x5555555555555555] * 2 + [0x5555555555555554],
+                             itertools.repeat(7))
+    monkeypatch.setattr(cflab.cf, "mix64", lambda z: next(blocks))
+    x = DyadicStream(0, 192)
+    assert x.certified() == (3,)
+    with pytest.raises(QuotientCapExceeded):
+        x.quotient(2)
+    assert x.certified() == (3,)
+
+
+def test_dyadic_tail_below_one_is_an_invariant_violation():
+    x = DyadicStream(5)
+    a, b = x._tail
+    x._tail = (b, a)
+    with pytest.raises(InvariantViolation):
+        x._grow(1)
+
+
+def test_dyadic_budget_exhausted():
+    x = DyadicStream(17)
+    with pytest.raises(NeedsMoreBits):
+        x.quotient(10 ** 6, max_bits=1 << 14)
+    assert x.bits == 1 << 14
 
 
 def test_dyadic_determinism_and_stability():

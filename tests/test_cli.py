@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cflab.cf import DyadicStream, NeedsMoreBits, QuotientCapExceeded
 from cflab.cli import main
 from cflab.harness import Experiment, ExperimentConfig, REGISTRY, rows_to_csv, run
 
@@ -146,6 +147,22 @@ def test_invalid_arguments_exit_2(argv, tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("exc", [NeedsMoreBits, QuotientCapExceeded])
+def test_budget_errors_exit_2(exc, tmp_path, capsys, monkeypatch):
+    def exhausted(self, n, max_bits=1 << 20):
+        raise exc(f"quotient {n} out of budget")
+
+    monkeypatch.setattr(DyadicStream, "quotient", exhausted)
+    out = tmp_path / "levy.csv"
+    rc = main(["montecarlo", "--experiment", "levy", "--samples", "1",
+               "--seed", "1", "--n", "10", "--out", str(out)])
+    assert rc == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == "error: quotient 1 out of budget\n"
+    assert not out.exists()
 
 
 def test_exact_mode_rejects_float_statistics(tmp_path, capsys):

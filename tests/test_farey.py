@@ -134,6 +134,10 @@ def test_euler_constant():
         assert abs(got - mpmath.euler) < mpmath.mpf(10) ** -35
 
 
+def test_euler_gamma_literal():
+    assert farey.EULER_GAMMA == float(euler_constant())
+
+
 def test_cumulative_expected_count():
     assert cumulative_expected_count(2)[0] == 1
     assert cumulative_expected_count(3)[0] == 2

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cflab.cf import (DyadicStream, PeriodicStream, RationalStream,
                       intermediates, quotient)
+from cflab import farey
 from cflab.farey import HeightSet
 from cflab.harness import (CSV_HEADER, ExperimentConfig, ResultRow, aggregate,
                            find_violations, format_value, mq_count_closed,
@@ -83,6 +84,26 @@ def test_run_mq_all_methods_agree():
     agree = [r for r in rows if r.stat == "methods_agree"]
     assert len(agree) == 5 and all(r.value == 1 for r in agree)
     assert find_violations(rows) == []
+
+
+def test_run_mq_builds_the_largest_farey_table_once(monkeypatch):
+    builds = []
+    build = farey._build_table
+    monkeypatch.setattr(farey, "_held", None)
+    monkeypatch.setattr(farey, "_build_table",
+                        lambda Q: builds.append(Q) or build(Q))
+    grid = (100, 500, 2000)
+    csv = rows_to_csv(run(ExperimentConfig("mq", samples=2, seed=42,
+                                           params={"grid": grid})))
+    assert builds == [2000]
+    # the same bytes as runs that each hold a table of exactly their order
+    parts = []
+    for Q in grid:
+        farey._held = None
+        rows = run(ExperimentConfig("mq", samples=2, seed=42, params={"grid": (Q,)}))
+        parts.append(rows_to_csv(rows).split("\n", 1)[1])
+    assert builds == [2000, 100, 500, 2000]
+    assert csv == CSV_HEADER + "\n" + "".join(parts)
 
 
 def test_run_mq_large_q_drops_oracle_route():
