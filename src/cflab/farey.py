@@ -11,7 +11,6 @@ neighbor and 0 outside; the zero class (height 1) has chi identically 1.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -81,6 +80,8 @@ def enumerate_farey(Q: int) -> Iterator[FareyFraction]:
     """Fractions of height <= Q in [0, 1), ascending, starting at 0/1."""
     if Q < 1:
         raise ValueError("Q must be >= 1")
+    if Q > FAREY_TABLE_LIMIT:
+        raise ValueError(f"Q = {Q} beyond enumeration limit {FAREY_TABLE_LIMIT}")
     a, b, c, d = 0, 1, 1, Q
     yield FareyFraction(0, 1)
     while (c, d) != (1, 1):
@@ -89,12 +90,21 @@ def enumerate_farey(Q: int) -> Iterator[FareyFraction]:
         a, b, c, d = c, d, k * c - a, k * d - b
 
 
+def _prime_mask(n: int) -> np.ndarray:
+    """Boolean mask over 0..n, True at the primes (sieve of Eratosthenes)."""
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return sieve
+
+
 def totients_up_to(Q: int) -> np.ndarray:
     """phi(q) for q = 0..Q by sieve (index 0 unused)."""
     phi = np.arange(Q + 1, dtype=np.int64)
-    for p in range(2, Q + 1):
-        if phi[p] == p:  # p prime
-            phi[p::p] -= phi[p::p] // p
+    for p in np.flatnonzero(_prime_mask(Q)):
+        phi[p::p] -= phi[p::p] // p
     return phi
 
 
@@ -221,16 +231,15 @@ def chi_mask(table: FareyTable, x: DyadicStream, margin: float = CHI_MARGIN) -> 
     return mask
 
 
-_LCM_STATE = [1, 1]  # lcm(1..upper), upper
-_LCM_LOCK = threading.Lock()
-
-
 def _lcm_up_to(n: int) -> int:
-    with _LCM_LOCK:
-        while _LCM_STATE[1] < n:
-            _LCM_STATE[1] += 1
-            _LCM_STATE[0] = math.lcm(_LCM_STATE[0], _LCM_STATE[1])
-        return _LCM_STATE[0]
+    """lcm(1..n): the product over primes p <= n of the largest power of p <= n."""
+    lcm = 1
+    for p in np.flatnonzero(_prime_mask(n)).tolist():
+        power = p
+        while power * p <= n:
+            power *= p
+        lcm *= power
+    return lcm
 
 
 def row_sum_exact(q: int) -> Fraction:
@@ -240,8 +249,8 @@ def row_sum_exact(q: int) -> Fraction:
     units mod q, and 1/(q'(q-q')) telescopes to (2/q) sum of 1/q'; the sum
     is assembled over one common denominator and reduced once.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    if not 1 <= q <= FAREY_TABLE_LIMIT:
+        raise ValueError(f"q = {q} outside 1..{FAREY_TABLE_LIMIT}")
     if q == 1:
         return Fraction(1)
     lcm = _lcm_up_to(q - 1)
@@ -291,13 +300,25 @@ def cumulative_expected_count(Q: int) -> tuple[Fraction, float]:
 
     The exact part is the expected number of nonzero Farey classes of height
     <= Q hit by a uniform point; the float is the leading asymptotic term.
+    Moebius inversion over gcd(u, q) makes it sum_{d<=Q} mu(d)/d^2
+    (H_n^2 - H_n^(2)) with n = Q // d, one integer over L^2 for L = lcm(1..Q),
+    since every L/(dk) with k <= n is an integer.
     """
-    if Q < 2:
-        raise ValueError("Q must be >= 2")
-    total = Fraction(0)
-    for q in range(2, Q + 1):
-        total += row_sum_exact(q)
-    return total, 6 / math.pi**2 * math.log(Q) ** 2
+    if not 2 <= Q <= FAREY_TABLE_LIMIT:
+        raise ValueError(f"Q = {Q} outside 2..{FAREY_TABLE_LIMIT}")
+    mu = np.ones(Q + 1, dtype=np.int64)
+    for p in np.flatnonzero(_prime_mask(Q)):
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+    L = _lcm_up_to(Q)
+    total = a = b = k = 0
+    for d in range(Q, 0, -1):  # n = Q // d only grows, so one pass over k
+        if k < Q // d:
+            for k in range(k + 1, Q // d + 1):
+                a, b = a + L // k, b + (L // k) ** 2
+            c = a * a - b  # L^2 (H_n^2 - H_n^(2)), divisible by d^2
+        total += int(mu[d]) * (c // (d * d))
+    return Fraction(total, L * L), 6 / math.pi**2 * math.log(Q) ** 2
 
 
 @dataclass(frozen=True)
@@ -314,13 +335,7 @@ class HeightSet:
         if self.kind == "all":
             m[1:] = True
         elif self.kind == "primes":
-            if X >= 2:
-                sieve = np.ones(X + 1, dtype=bool)
-                sieve[:2] = False
-                for p in range(2, int(X**0.5) + 1):
-                    if sieve[p]:
-                        sieve[p * p::p] = False
-                m = sieve
+            m = _prime_mask(X)
         elif self.kind == "mod":
             d, r = self.payload
             idx = np.arange(X + 1)

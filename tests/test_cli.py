@@ -139,6 +139,8 @@ def test_montecarlo_exact_mode(tmp_path):
      "--set", "file:missing.txt", "--out", "x.csv"],
     ["farey-row", "--q", "1"],
     ["mq", "--x", "dyadic:seed=1", "--Q", "0", "--method", "farey"],
+    ["mq", "--x", "rational:1/3", "--Q", "100000", "--method", "farey"],
+    ["farey-row", "--q", "3000000"],
 ])
 def test_invalid_arguments_exit_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -99,6 +99,21 @@ def test_totients():
     assert list(phi[1:]) == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
 
+def test_sieves_match_trial_division():
+    phi = [sum(math.gcd(u, q) == 1 for u in range(1, q + 1)) for q in range(501)]
+    prime = [q >= 2 and all(q % p for p in range(2, q)) for q in range(501)]
+    primes = parse_height_set("primes")
+    for n in range(501):
+        assert list(totients_up_to(n)[1:]) == phi[1:n + 1]
+        assert list(primes.mask_up_to(n)) == prime[:n + 1]
+
+
+def test_lcm_up_to_matches_math_lcm():
+    # crosses the prime powers 243, 256, 343, 512 and 529
+    for n in range(601):
+        assert farey._lcm_up_to(n) == math.lcm(*range(1, n + 1))
+
+
 def test_expected_chi_examples():
     assert expected_chi(FareyFraction(2, 5)) == Fraction(1, 6)
     assert expected_chi(FareyFraction(1, 2)) == 1
@@ -145,6 +160,27 @@ def test_cumulative_expected_count():
     exact, asym = cumulative_expected_count(50)
     assert asym == pytest.approx(6 / math.pi ** 2 * math.log(50) ** 2)
     assert exact > 0
+
+
+def test_cumulative_expected_count_matches_row_sums():
+    # the row-by-row sum is the oracle for the divisor sum
+    total = Fraction(0)
+    for Q in range(2, 2001):
+        total += row_sum_exact(Q)
+        if Q <= 300 or Q == 2000:
+            assert cumulative_expected_count(Q)[0] == total
+
+
+def test_exact_sums_reject_heights_beyond_limit():
+    limit = farey.FAREY_TABLE_LIMIT
+    for bad in (0, limit + 1, 3_000_000):
+        with pytest.raises(ValueError, match="outside"):
+            row_sum_exact(bad)
+    for bad in (1, limit + 1):
+        with pytest.raises(ValueError, match="outside"):
+            cumulative_expected_count(bad)
+    with pytest.raises(ValueError, match="limit"):
+        next(enumerate_farey(limit + 1))
 
 
 def test_farey_table_matches_enumeration():
