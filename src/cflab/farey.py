@@ -78,10 +78,7 @@ def expected_chi(beta) -> Fraction:
 
 def enumerate_farey(Q: int) -> Iterator[FareyFraction]:
     """Fractions of height <= Q in [0, 1), ascending, starting at 0/1."""
-    if Q < 1:
-        raise ValueError("Q must be >= 1")
-    if Q > FAREY_TABLE_LIMIT:
-        raise ValueError(f"Q = {Q} beyond enumeration limit {FAREY_TABLE_LIMIT}")
+    check_order(Q)
     a, b, c, d = 0, 1, 1, Q
     yield FareyFraction(0, 1)
     while (c, d) != (1, 1):
@@ -163,14 +160,19 @@ FAREY_TABLE_LIMIT = 5000
 _held: FareyTable | None = None
 
 
-def farey_table(Q: int) -> FareyTable:
-    """The bulk table for F_Q, O(Q^2) entries.  One table is held per
-    process: a larger Q builds its replacement, a smaller Q gets a prefix."""
-    global _held
+def check_order(Q: int) -> None:
+    """Raise ValueError unless 1 <= Q <= FAREY_TABLE_LIMIT."""
     if Q < 1:
         raise ValueError("Q must be >= 1")
     if Q > FAREY_TABLE_LIMIT:
         raise ValueError(f"Q = {Q} beyond enumeration limit {FAREY_TABLE_LIMIT}")
+
+
+def farey_table(Q: int) -> FareyTable:
+    """The bulk table for F_Q, O(Q^2) entries.  One table is held per
+    process: a larger Q builds its replacement, a smaller Q gets a prefix."""
+    global _held
+    check_order(Q)
     held = _held  # one read: a concurrent grow cannot change it under us
     if held is None or held.Q < Q:
         held = _build_table(Q)

@@ -2,10 +2,10 @@
 
 The weighted count M_Q(x) = sum over height <= Q classes of c(beta) chi_beta(x),
 with c(beta) = g(terminal partial quotient of beta), is computed by three
-independent routes (brute-force Farey enumeration, the intermediate fractions
-of x, a closed form in the partial quotients).  Each route returns the
-multiset of terminal quotients it counts; the routes must agree on it
-exactly, and weights are applied afterwards by mq_value.
+independent routes (chi tested on the candidate classes of each height, the
+intermediate fractions of x, a closed form in the partial quotients).  Each
+route returns the multiset of terminal quotients it counts; the routes must
+agree on it exactly, and weights are applied afterwards by mq_value.
 
 Samples are endless dyadic bit streams with per-sample seeds derived from a
 master seed; every experiment statistic is a deterministic function of
@@ -23,9 +23,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .cf import (GOLDEN64, M64, DyadicStream, InvariantViolation, cutoff,
-                 intermediates, mix64, quotient)
-from .farey import HeightSet, chi, chi_mask, enumerate_farey, farey_table
+import numpy as np
+
+from .cf import (GOLDEN64, M64, DyadicStream, InvariantViolation,
+                 compare_real_rational, convergents, cutoff, intermediates, mix64,
+                 quotient)
+# chi_mask and farey_table are unused here; perfbench/tracer.py patches them by name.
+from .farey import (CHI_MARGIN, HeightSet, check_order, chi_mask,  # noqa: F401
+                    farey_neighbors, farey_table)
 from .stats import (TruncationFn, WeightFunction, birkhoff_average,
                     classical_stats, double_exceedance, indicator_sum,
                     terminal_quotient, x_nf)
@@ -126,27 +131,51 @@ def mq_count_intermediates(stream, Q: int) -> dict:
     return counts
 
 
+def _euclid(a, q):
+    """(gcd(a, q), t) with t a = gcd mod q, for arrays 1 <= a < q.  A finished
+    pair (g, 0) divides by zero, which numpy makes k = 0, so it swaps till all end."""
+    r0, r1, t0, t1 = q, a, np.zeros_like(a), np.ones_like(a)
+    with np.errstate(divide="ignore"):
+        while (r0 * r1).any():
+            k = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    return r0 + r1, np.where(r1 == 0, t0, t1) % q
+
+
 def mq_count_farey(stream, Q: int) -> dict:
-    """The multiset from brute-force class enumeration, testing chi.
+    """The multiset from the definition, walking the heights: every class of
+    height <= Q whose neighbor interval holds x mod 1.
 
-    Dyadic streams go through the vectorized table.  Other streams walk the
-    enumeration with scalar chi and count in halves: a rational x on the
-    boundary of a neighbor interval gives its class multiplicity 1/2.
+    Both neighbor gaps of a/q are at most 1/q, so a/q can hold x only if
+    |q x - a| <= 1, which floor(q x) - 1 .. floor(q x) + 2 covers under float
+    error.  chi is tested in floats with the CHI_MARGIN guard band, and the
+    band is settled exactly.  Counts are kept in halves: an x on a neighbor
+    endpoint (a rational) gives its class 1/2.
     """
-    if not isinstance(stream, DyadicStream):
-        halves: dict[int, int] = {}
-        for beta in enumerate_farey(Q):
-            ind = chi(beta, stream)
-            if ind:
-                m = terminal_quotient(beta)
-                halves[m] = halves.get(m, 0) + int(2 * ind)
-        return {m: Fraction(h, 2) for m, h in halves.items()}
-    import numpy as np
-
-    table = farey_table(Q)
-    mask = chi_mask(table, stream)
-    counts = np.bincount(table.terminal[mask])
-    return {int(m): int(counts[m]) for m in np.nonzero(counts)[0]}
+    check_order(Q)
+    # x mod 1 within float error (the 40th convergent is within 1e-16 of x)
+    x_f = float(stream.interval()[0] if isinstance(stream, DyadicStream)
+                else convergents(stream, 40)[-1].as_fraction() - stream.a0)
+    q = np.repeat(np.arange(2, Q + 1, dtype=np.int64), 4)
+    a = np.floor(q * x_f).astype(np.int64) + np.tile(np.arange(-1, 3), Q - 1)
+    keep = (a >= 1) & (a < q) & (np.abs(q * x_f - a) <= 1 + CHI_MARGIN)
+    gcd, q_lo = _euclid(a[keep], q[keep])  # q_lo = a^-1 mod q, as in farey_neighbors
+    keep[keep] = gcd == 1
+    a, q, q_lo = a[keep], q[keep], q_lo[gcd == 1]
+    q_hi = q - q_lo
+    lo_f, hi_f = (a - 1 / q_lo) / q, (a + 1 / q_hi) / q  # the neighbors' values
+    halves = 2 * ((lo_f < x_f - CHI_MARGIN) & (hi_f > x_f + CHI_MARGIN))
+    for i in np.flatnonzero(np.minimum(abs(lo_f - x_f), abs(hi_f - x_f)) <= CHI_MARGIN):
+        nb = farey_neighbors((a[i], q[i]))
+        # sign(x - lower) - sign(x - upper): 2 inside, 1 on an endpoint, 0 outside
+        halves[i] = (compare_real_rational(stream, stream.a0 + nb.lower)
+                     - compare_real_rational(stream, stream.a0 + nb.upper))
+    term = q // np.minimum(q_lo, q_hi) - ((q_hi == 1) & (q > 2))  # as in _build_table
+    total = np.bincount(term, weights=halves, minlength=2).astype(np.int64)
+    total[1] += 2  # the zero class, chi identically 1
+    odd = bool((total % 2).any())
+    return {int(m): Fraction(int(total[m]), 2) if odd else int(total[m]) // 2
+            for m in np.flatnonzero(total)}
 
 
 def mq_value(counts: dict, g: WeightFunction, exact: bool):
@@ -289,8 +318,6 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
         raise ValueError("threads must be >= 1")
     grid, p = resolve_params(config)
     exp = REGISTRY[config.experiment]
-    if p.get("with_farey"):
-        farey_table(max(grid))  # every grid value is then a prefix view
 
     def work(i: int) -> list[ResultRow]:
         stream = sample_stream(config.seed, i, config.initial_bits)
@@ -300,10 +327,11 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
                 out.append(ResultRow(config.experiment, config.seed, i, param, stat, val))
         return out
 
-    if config.threads == 1:
+    workers = min(config.threads, config.samples)
+    if workers == 1:
         chunks = [work(i) for i in range(config.samples)]
     else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(work, range(config.samples)))
     rows = [r for ch in chunks for r in ch]
     rows.sort(key=lambda r: (r.param, r.index, r.stat))

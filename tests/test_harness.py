@@ -1,22 +1,25 @@
 """Monte Carlo driver tests: seeding, row contracts, aggregation, serialization."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cflab.cf
 from cflab.cf import (DyadicStream, PeriodicStream, RationalStream,
                       intermediates, quotient)
-from cflab import farey
-from cflab.farey import HeightSet
+from cflab import farey, harness
+from cflab.farey import HeightSet, chi, enumerate_farey
 from cflab.harness import (CSV_HEADER, ExperimentConfig, ResultRow, aggregate,
                            find_violations, format_value, mq_count_closed,
                            mq_count_farey, mq_count_intermediates, mq_value,
                            pairdep_tables, resolve_params, rows_to_csv, run,
                            sample_stream, write_csv, write_json)
-from cflab.stats import WeightFunction, gauss_kuzmin_prob
+from cflab.stats import WeightFunction, gauss_kuzmin_prob, terminal_quotient
 
 
 # -- sample_stream -------------------------------------------------------------
@@ -86,7 +89,7 @@ def test_run_mq_all_methods_agree():
     assert find_violations(rows) == []
 
 
-def test_run_mq_builds_the_largest_farey_table_once(monkeypatch):
+def test_run_mq_builds_no_farey_table(monkeypatch):
     builds = []
     build = farey._build_table
     monkeypatch.setattr(farey, "_held", None)
@@ -95,14 +98,11 @@ def test_run_mq_builds_the_largest_farey_table_once(monkeypatch):
     grid = (100, 500, 2000)
     csv = rows_to_csv(run(ExperimentConfig("mq", samples=2, seed=42,
                                            params={"grid": grid})))
-    assert builds == [2000]
-    # the same bytes as runs that each hold a table of exactly their order
-    parts = []
-    for Q in grid:
-        farey._held = None
-        rows = run(ExperimentConfig("mq", samples=2, seed=42, params={"grid": (Q,)}))
-        parts.append(rows_to_csv(rows).split("\n", 1)[1])
-    assert builds == [2000, 100, 500, 2000]
+    # the same bytes as one run per grid value
+    parts = [rows_to_csv(run(ExperimentConfig("mq", samples=2, seed=42,
+                                              params={"grid": (Q,)}))).split("\n", 1)[1]
+             for Q in grid]
+    assert builds == [] and farey._held is None
     assert csv == CSV_HEADER + "\n" + "".join(parts)
 
 
@@ -153,6 +153,32 @@ def test_run_threads_do_not_change_output():
     assert len(texts) == 1
 
 
+def test_run_caps_the_pool_at_the_sample_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:  # records the requested size and starts no thread
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
+    cfg = ExperimentConfig("nq", samples=3, seed=4, params={"grid": (50,)})
+    serial = rows_to_csv(run(cfg))
+    cfg.threads = 5000
+    assert rows_to_csv(run(cfg)) == serial
+    cfg.samples = 1
+    run(cfg)
+    assert sizes == [3]
+
+
 def test_run_exact_mode_emits_rationals():
     cfg = ExperimentConfig("khinchin_avg", samples=2, seed=8,
                            params={"grid": (30,)}, exact=True)
@@ -201,7 +227,68 @@ def test_mq_count_routes_agree_dyadic_property(seed, Q):
     assert mq_count_farey(x, Q) == closed
 
 
+def _table_scan(x, Q):
+    """The slow oracle for dyadic x: chi_mask over all of F_Q."""
+    table = farey.farey_table(Q)
+    counts = np.bincount(table.terminal[farey.chi_mask(table, x)])
+    return {int(m): int(counts[m]) for m in np.flatnonzero(counts)}
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), Q=st.integers(1, 600))
+def test_mq_count_farey_matches_table_scan(seed, Q):
+    x = DyadicStream(seed)
+    assert mq_count_farey(x, Q) == _table_scan(x, Q)
+
+
+def _scalar_farey_halves(x, Q):
+    """2 chi(beta, x) summed per terminal quotient over every class of F_Q."""
+    halves = {}
+    for beta in enumerate_farey(Q):
+        h = int(2 * chi(beta, x))
+        if h:
+            m = terminal_quotient(beta)
+            halves[m] = halves.get(m, 0) + h
+    return halves
+
+
 quotients = st.lists(st.integers(1, 20), max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a0=st.integers(-3, 5), pre=quotients, per=quotients.filter(bool),
+       q=st.integers(1, 60), p=st.integers(-300, 300), Q=st.integers(1, 80),
+       periodic=st.booleans())
+def test_mq_count_farey_matches_scalar_chi(a0, pre, per, q, p, Q, periodic):
+    x = PeriodicStream(a0, pre, per) if periodic else RationalStream(p, q)
+    walk = {m: 2 * c for m, c in mq_count_farey(x, Q).items()}
+    assert walk == _scalar_farey_halves(x, Q)
+
+
+def test_mq_count_farey_float_floor_guard(monkeypatch):
+    # x = 1 - 2^-56 + ..., so float(x) == 1.0 and q x is within 1e-12 of the
+    # integer q: the float pair floor(q x), floor(q x) + 1 is q, q + 1, and
+    # only the widened candidates reach the class (q - 1)/q that holds x
+    blocks = itertools.chain([0xFFFFFFFFFFFFFF00], itertools.repeat(0x0123456789ABCDEF))
+    monkeypatch.setattr(cflab.cf, "mix64", lambda z: next(blocks))
+    x = DyadicStream(0, 128)
+    assert float(x.interval()[0]) == 1.0
+    counts = mq_count_farey(x, 300)
+    assert counts == {1: 1, 2: 2, **dict.fromkeys(range(3, 300), 1)}
+    assert counts == mq_count_closed(x, 300) == _table_scan(x, 300)
+
+
+def test_mq_count_farey_smallest_orders():
+    x = sample_stream(3, 0)
+    assert mq_count_farey(x, 1) == {1: 1}
+    assert mq_count_farey(x, 2) == {1: 1, 2: 1}  # 1/2 holds all of (0, 1)
+    counts = mq_count_farey(RationalStream(-1, 2), 2)
+    assert counts == {1: 1, 2: 1} and all(type(c) is int for c in counts.values())
+    assert mq_count_farey(RationalStream(3, 1), 1) == {1: 1}
+    assert mq_count_farey(RationalStream(3, 1), 2) == {1: 1, 2: Fraction(1, 2)}
+    for Q in (0, farey.FAREY_TABLE_LIMIT + 1):
+        with pytest.raises(ValueError):
+            mq_count_farey(x, Q)
 
 
 @settings(max_examples=30, deadline=None)
