@@ -29,8 +29,11 @@ class OutOfQuotients(Exception):
     """A terminating expansion was asked for a quotient past its end."""
 
     def __init__(self, length: int):
-        super().__init__(f"expansion ends after {length} partial quotients")
+        super().__init__(length)  # args hold the length, so a pickle round trip rebuilds it
         self.length = length
+
+    def __str__(self) -> str:
+        return f"expansion ends after {self.length} partial quotients"
 
 
 class NeedsMoreBits(Exception):

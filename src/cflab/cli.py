@@ -197,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight")
     p.add_argument("--set", help="height set: all | primes | mod:d,r | file:<path>")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes, capped at the usable CPUs; same output for any")
     p.add_argument("--exact", action="store_true",
                    help="emit exact rationals (num/den) in the CSV")
     p.add_argument("--json", action="store_true",

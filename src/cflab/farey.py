@@ -151,8 +151,7 @@ class FareyTable:
             return self
         if Q not in self._prefixes:
             n = int(np.searchsorted(self.den, Q, side="right"))
-            view = FareyTable(Q, *(getattr(self, name)[:n] for name in _ARRAYS))
-            self._prefixes.setdefault(Q, view)  # racing threads keep the first
+            self._prefixes[Q] = FareyTable(Q, *(getattr(self, name)[:n] for name in _ARRAYS))
         return self._prefixes[Q]
 
 

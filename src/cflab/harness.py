@@ -10,7 +10,7 @@ agree on it exactly, and weights are applied afterwards by mq_value.
 Samples are endless dyadic bit streams with per-sample seeds derived from a
 master seed; every experiment statistic is a deterministic function of
 (master_seed, sample index, parameter), so runs are byte-reproducible
-independent of thread count.  Output is a flat CSV (optionally mirrored to
+independent of the worker count.  Output is a flat CSV (optionally mirrored to
 JSON) plus deterministic per-(param, stat) aggregate summaries.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -310,30 +310,41 @@ def resolve_params(config: ExperimentConfig) -> tuple[tuple[int, ...], dict]:
     return grid, p
 
 
+def _run_chunk(config: ExperimentConfig, grid: tuple, p: dict, indices: range) -> list[ResultRow]:
+    """Rows of the samples in `indices`; module-level, so a worker process can run it."""
+    compute = REGISTRY[config.experiment].compute
+    out = []
+    for i in indices:
+        stream = sample_stream(config.seed, i, config.initial_bits)
+        for param in grid:
+            for stat, val in compute(stream, param, p):
+                out.append(ResultRow(config.experiment, config.seed, i, param, stat, val))
+    return out
+
+
 def run(config: ExperimentConfig) -> list[ResultRow]:
-    """Execute the experiment; rows come back sorted by (param, index, stat)."""
+    """Execute the experiment; rows come back sorted by (param, index, stat).
+
+    `threads` counts forked worker processes (pure Python gains nothing from
+    threads), capped at the samples and usable CPUs; each has its own caches.
+    """
     if config.samples < 1:
         raise ValueError("samples must be >= 1")
     if config.threads < 1:
         raise ValueError("threads must be >= 1")
     grid, p = resolve_params(config)
-    exp = REGISTRY[config.experiment]
-
-    def work(i: int) -> list[ResultRow]:
-        stream = sample_stream(config.seed, i, config.initial_bits)
-        out = []
-        for param in grid:
-            for stat, val in exp.compute(stream, param, p):
-                out.append(ResultRow(config.experiment, config.seed, i, param, stat, val))
-        return out
-
-    workers = min(config.threads, config.samples)
+    workers = min(config.threads, config.samples, len(os.sched_getaffinity(0)))
     if workers == 1:
-        chunks = [work(i) for i in range(config.samples)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(work, range(config.samples)))
-    rows = [r for ch in chunks for r in ch]
+        rows = _run_chunk(config, grid, p, range(config.samples))
+    else:  # eight contiguous chunks per worker even out the heavy-tailed samples
+        import multiprocessing  # imported here, so that serial runs never load it
+        from concurrent.futures import ProcessPoolExecutor
+        n = min(config.samples, 8 * workers)
+        bounds = [config.samples * k // n for k in range(n + 1)]
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_run_chunk, config, grid, p, range(lo, hi))
+                       for lo, hi in zip(bounds, bounds[1:])]
+            rows = [r for f in futures for r in f.result()]
     rows.sort(key=lambda r: (r.param, r.index, r.stat))
     return rows
 

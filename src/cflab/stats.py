@@ -9,14 +9,13 @@ whose three routes live in cflab.harness.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .cf import cf_of_rational, quotient
+from .cf import _euclid, quotient
 from .rationals import _pair
 
 LOG2 = math.log(2)
@@ -72,12 +71,13 @@ class WeightFunction:
         """Prefix sum of g over start..k (empty when k < start)."""
         if k < start:
             return self._zero()
-        cache = _PREFIX_CACHE.setdefault((self, start), [self._zero()])
+        cache = _PREFIX_CACHE.get((self, start), [self._zero()])
         if len(cache) < k - start + 2:
-            with _PREFIX_LOCK:
-                while len(cache) < k - start + 2:
-                    m = start + len(cache) - 1
-                    cache.append(cache[-1] + self(m))
+            cache = cache.copy()  # grown privately: a racing thread never sees it half built
+            while len(cache) < k - start + 2:
+                m = start + len(cache) - 1
+                cache.append(cache[-1] + self(m))
+            _PREFIX_CACHE[(self, start)] = cache
         return cache[k - start + 1]
 
     def _zero(self):
@@ -91,8 +91,7 @@ class WeightFunction:
         return self.family
 
 
-_PREFIX_CACHE: dict = {}
-_PREFIX_LOCK = threading.Lock()
+_PREFIX_CACHE: dict = {}  # per process: forked workers each grow their own
 
 
 def parse_weight(spec: str) -> WeightFunction:
@@ -138,13 +137,13 @@ def parse_weight(spec: str) -> WeightFunction:
 def terminal_quotient(beta) -> int:
     """Last partial quotient of the canonical expansion of beta.
 
-    The zero class counts as the expansion [1] of the representative 1,
-    so its terminal quotient is 1.
+    The zero class counts as the expansion [1] of the representative 1, so
+    its terminal quotient is 1; any other is the last Euclid quotient of a/q.
     """
     a, q = _pair(beta)
     if q == 1:
         return 1
-    return cf_of_rational((a, q)).quotients[-1]
+    return _euclid(a, q)[1][-1]
 
 
 def _series_tail(s0: float, M: int, shift: int, kmax: int = 8) -> tuple[float, float]:

@@ -3,6 +3,7 @@ fraction enumeration."""
 
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,19 @@ def test_cf_terminal_quotient_at_least_two():
             assert cf.quotients[-1] >= 2
             a0, rest = euclid_expansion(p, q)
             assert (cf.a0, list(cf.quotients)) == (a0, rest)
+
+
+def test_exceptions_survive_a_pickle_round_trip():
+    # worker processes send their exceptions back pickled
+    for exc in (OutOfQuotients(5), NeedsMoreBits("quotient 3 out of budget"),
+                QuotientCapExceeded("quotient 2 above cap"),
+                InvariantViolation("methods_agree failed on 2 rows")):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc) and back.args == exc.args
+        assert vars(back) == vars(exc)
+    assert str(OutOfQuotients(5)) == "expansion ends after 5 partial quotients"
+    assert pickle.loads(pickle.dumps(OutOfQuotients(5))).length == 5
 
 
 def test_cf_validation():

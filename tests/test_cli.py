@@ -1,10 +1,12 @@
 """Command line behavior: output formats, exit codes, file artifacts."""
 
 import json
+import os
 
 import pytest
 
-from cflab.cf import DyadicStream, NeedsMoreBits, QuotientCapExceeded
+from cflab.cf import (DyadicStream, InvariantViolation, NeedsMoreBits,
+                      QuotientCapExceeded)
 from cflab.cli import main
 from cflab.harness import Experiment, ExperimentConfig, REGISTRY, rows_to_csv, run
 
@@ -164,6 +166,28 @@ def test_budget_errors_exit_2(exc, tmp_path, capsys, monkeypatch):
     stdout, err = capsys.readouterr()
     assert stdout == ""
     assert err == "error: quotient 1 out of budget\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (NeedsMoreBits, 2, "error"), (QuotientCapExceeded, 2, "error"),
+    (InvariantViolation, 3, "invariant violation")])
+def test_worker_process_errors_keep_their_exit_code(exc, code, prefix, tmp_path,
+                                                     capsys, monkeypatch):
+    parent = os.getpid()
+
+    def failing(stream, n, p):  # the forked workers inherit this registry entry
+        raise exc("raised in a worker" if os.getpid() != parent else "raised in the parent")
+
+    monkeypatch.setitem(REGISTRY, "levy", Experiment("levy", "n", (10,), failing))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two workers anywhere
+    out = tmp_path / "levy.csv"
+    rc = main(["montecarlo", "--experiment", "levy", "--samples", "4",
+               "--seed", "1", "--threads", "2", "--out", str(out)])
+    assert rc == code
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == f"{prefix}: raised in a worker\n"
     assert not out.exists()
 
 

@@ -1,8 +1,11 @@
 """Monte Carlo driver tests: seeding, row contracts, aggregation, serialization."""
 
+import concurrent.futures
 import itertools
 import json
 import math
+import os
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -96,14 +99,17 @@ def test_run_mq_builds_no_farey_table(monkeypatch):
     monkeypatch.setattr(farey, "_build_table",
                         lambda Q: builds.append(Q) or build(Q))
     grid = (100, 500, 2000)
-    csv = rows_to_csv(run(ExperimentConfig("mq", samples=2, seed=42,
-                                           params={"grid": grid})))
+    # samples 2 and 7 of seed 42 have a_1 > 2000, the heavy tail of a run
+    cfg = ExperimentConfig("mq", samples=8, seed=42, params={"grid": grid})
+    csv = rows_to_csv(run(cfg))
     # the same bytes as one run per grid value
-    parts = [rows_to_csv(run(ExperimentConfig("mq", samples=2, seed=42,
+    parts = [rows_to_csv(run(ExperimentConfig("mq", samples=8, seed=42,
                                               params={"grid": (Q,)}))).split("\n", 1)[1]
              for Q in grid]
     assert builds == [] and farey._held is None
     assert csv == CSV_HEADER + "\n" + "".join(parts)
+    cfg.threads = 2  # and across worker processes, one chunk per sample
+    assert rows_to_csv(run(cfg)) == csv
 
 
 def test_run_mq_large_q_drops_oracle_route():
@@ -154,10 +160,10 @@ def test_run_threads_do_not_change_output():
 
 
 def test_run_caps_the_pool_at_the_sample_count(monkeypatch):
-    sizes = []
+    sizes, chunks = [], []
 
-    class SerialPool:  # records the requested size and starts no thread
-        def __init__(self, max_workers):
+    class SerialPool:  # records the requested size and starts no process
+        def __init__(self, max_workers, mp_context=None):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -166,17 +172,30 @@ def test_run_caps_the_pool_at_the_sample_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            chunks.append(args[-1])
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
-    cfg = ExperimentConfig("nq", samples=3, seed=4, params={"grid": (50,)})
-    serial = rows_to_csv(run(cfg))
-    cfg.threads = 5000
-    assert rows_to_csv(run(cfg)) == serial
-    cfg.samples = 1
-    run(cfg)
-    assert sizes == [3]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = ExperimentConfig("nq", samples=1, seed=4, params={"grid": (50,)})
+    # (usable CPUs, threads, samples, expected pool size or None for no pool)
+    for cpus, threads, samples, size in [(64, 5000, 40, 40), (64, 5000, 3, 3),
+                                         (4, 5000, 40, 4), (4, 3, 40, 3),
+                                         (1, 5000, 40, None), (64, 5000, 1, None),
+                                         (64, 1, 40, None)]:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        cfg.threads, cfg.samples = 1, samples
+        serial = rows_to_csv(run(cfg))
+        sizes.clear()
+        chunks.clear()
+        cfg.threads = threads
+        assert rows_to_csv(run(cfg)) == serial
+        assert sizes == ([] if size is None else [size])
+        if size is not None:  # contiguous chunks, in order, a few per worker
+            assert [i for c in chunks for i in c] == list(range(samples))
+            assert len(chunks) == min(samples, 8 * size)
 
 
 def test_run_exact_mode_emits_rationals():

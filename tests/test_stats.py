@@ -3,13 +3,17 @@ classical estimators and hypothesis diagnostics.  The weighted-count routes
 live in cflab.harness and are checked here on the count multisets they
 return."""
 
+import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from cflab.cf import DyadicStream, PeriodicStream, RationalStream, intermediates
+from cflab.cf import (DyadicStream, PeriodicStream, RationalStream, cf_of_rational,
+                      intermediates)
 from cflab.harness import (mq_all, mq_count_closed, mq_count_farey,
                            mq_count_intermediates, mq_value)
 from cflab.rationals import FareyFraction
@@ -62,11 +66,49 @@ def test_weight_prefix_sums():
     assert float(p.sum_to(3)) == pytest.approx(1 / 2 + 1 / 3)
 
 
+def test_weight_prefix_sums_under_racing_threads():
+    # more threads than cores grow one unguarded prefix cache at once, in
+    # small steps; a fresh table per round gives a fresh cache
+    errors = []
+
+    def worker(g, want, k):
+        try:
+            for top in range(k + 1, len(want) + 1, 8):
+                assert g.sum_to(top) == want[top - 1]
+        except Exception as exc:  # reported through the list below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(20):
+            g = WeightFunction.from_table([Fraction(1, m + 3 + r) for m in range(1, 161)])
+            want = list(itertools.accumulate((g(m) for m in range(2, 161)), initial=Fraction(0)))
+            threads = [threading.Thread(target=worker, args=(g, want, k)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+
+
 def test_weight_c_examples():
     # c(beta) = g(terminal quotient of beta); the zero class counts as [1]
     assert HARMONIC(terminal_quotient(FareyFraction(2, 5))) == Fraction(1, 2)
     assert HARMONIC(terminal_quotient(FareyFraction(3, 7))) == Fraction(1, 3)
     assert terminal_quotient(FareyFraction(0, 1)) == 1
+
+
+def test_terminal_quotient_matches_the_canonical_expansion():
+    for q in range(2, 301):
+        for a in range(1, q):
+            if math.gcd(a, q) == 1:
+                want = cf_of_rational((a, q)).quotients[-1]
+                assert terminal_quotient(FareyFraction(a, q)) == want
+                assert terminal_quotient(Fraction(a, q)) == want
 
 
 def test_mq_examples_golden():
