@@ -5,17 +5,19 @@ Conventions.  An expansion is written [a0; a1, ..., aL] with all partial
 quotients positive and, for rationals with L >= 1, a terminal quotient
 aL >= 2; the integer 1 has the expansion [1] with L = 0.  Convergents
 follow p_n = a_n p_{n-1} + p_{n-2}, q_n = a_n q_{n-1} + q_{n-2} seeded
-with p_{-1} = 1, p_{-2} = 0, q_{-1} = 0, q_{-2} = 1, so p_0/q_0 = a0/1.
+with p_{-1} = 1, p_{-2} = 0, q_{-1} = 0, q_{-2} = 1, so p_0/q_0 = a0/1;
+`_levels` is the one walk of this recurrence, and every function here that
+needs convergents consumes it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Union
 
-from .rationals import FareyFraction, reduce_mod1
+from .rationals import FareyFraction, _pair, reduce_mod1
 
 M64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
@@ -78,18 +80,6 @@ class ContinuedFraction:
         return f"[{self.a0};{','.join(str(a) for a in self.quotients)}]"
 
 
-def _as_ratio(x) -> tuple[int, int]:
-    if isinstance(x, FareyFraction):
-        return x.num, x.den
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    if isinstance(x, tuple):
-        return int(x[0]), int(x[1])
-    if isinstance(x, int):
-        return x, 1
-    raise TypeError(f"not a rational: {x!r}")
-
-
 def _euclid(p: int, q: int) -> tuple[int, list[int]]:
     # Plain Euclidean algorithm; the final quotient is automatically >= 2
     # whenever at least one division step happens.
@@ -105,7 +95,7 @@ def _euclid(p: int, q: int) -> tuple[int, list[int]]:
 
 def cf_of_rational(x) -> ContinuedFraction:
     """Canonical expansion of a rational via the Euclidean algorithm."""
-    p, q = _as_ratio(x)
+    p, q = _pair(x)
     if q == 0:
         raise ValueError("invalid denominator: q = 0")
     if q < 0:
@@ -116,13 +106,8 @@ def cf_of_rational(x) -> ContinuedFraction:
 
 def value_of_cf(cf: ContinuedFraction) -> Fraction:
     """Exact value of a finite expansion."""
-    pm1, pm2 = 1, 0
-    qm1, qm2 = 0, 1
-    p, q = cf.a0 * pm1 + pm2, cf.a0 * qm1 + qm2
-    for a in cf.quotients:
-        pm2, pm1 = pm1, p
-        qm2, qm1 = qm1, q
-        p, q = a * pm1 + pm2, a * qm1 + qm2
+    for _, _, p, q, _, _ in _levels(cf):
+        pass
     return Fraction(p, q)
 
 
@@ -362,6 +347,23 @@ def quotient(x, n: int) -> int:
     return x.quotient(n)
 
 
+def _levels(x):
+    """The continuant walk: (n, a_n, p_n, q_n, p_{n-1}, q_{n-1}) for n = 0, 1, ...
+
+    Level 0 is (0, a0, a0, 1, 1, 0).  a_{n+1} is read only when level n + 1
+    is asked for, and the walk ends where a terminating expansion ends.
+    """
+    n, a, p, q, pm1, qm1 = 0, x.a0, x.a0, 1, 1, 0
+    while True:
+        yield n, a, p, q, pm1, qm1
+        n += 1
+        try:
+            a = quotient(x, n)
+        except OutOfQuotients:
+            return
+        p, q, pm1, qm1 = a * p + pm1, a * q + qm1, p, q
+
+
 @dataclass(frozen=True)
 class ConvergentPair:
     n: int
@@ -379,20 +381,7 @@ def convergents(x, n_max: int) -> list[ConvergentPair]:
     """Convergents p_n/q_n for n = 0..n_max (stopping at a terminating end)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    pm1, pm2 = 1, 0
-    qm1, qm2 = 0, 1
-    p, q = x.a0, 1
-    out = [ConvergentPair(0, p, q)]
-    pm2, pm1, qm2, qm1 = pm1, p, qm1, q
-    for n in range(1, n_max + 1):
-        try:
-            a = quotient(x, n)
-        except OutOfQuotients:
-            break
-        p, q = a * pm1 + pm2, a * qm1 + qm2
-        out.append(ConvergentPair(n, p, q))
-        pm2, pm1, qm2, qm1 = pm1, p, qm1, q
-    return out
+    return [ConvergentPair(n, p, q) for n, _, p, q, _, _ in islice(_levels(x), n_max + 1)]
 
 
 def compare_real_rational(x, r) -> int:
@@ -414,20 +403,13 @@ def compare_real_rational(x, r) -> int:
 def _compare_periodic(x: PeriodicStream, r: Fraction, max_terms: int = 20000) -> int:
     # Consecutive convergents bracket the (irrational) value strictly, so
     # walk until r leaves the bracket.
-    pm1, pm2 = 1, 0
-    qm1, qm2 = 0, 1
-    p, q = x.a0, 1
-    pm2, pm1, qm2, qm1 = pm1, p, qm1, q
-    for n in range(1, max_terms + 1):
-        a = x.quotient(n)
-        p, q = a * pm1 + pm2, a * qm1 + qm2
+    for n, _, p, q, pm1, qm1 in islice(_levels(x), 1, max_terms + 1):
         lo_p, lo_q, hi_p, hi_q = (pm1, qm1, p, q) if n % 2 == 1 else (p, q, pm1, qm1)
         # bracket is (lo, hi) open; compare r by cross multiplication
         if r.numerator * lo_q <= lo_p * r.denominator:
             return 1
         if r.numerator * hi_q >= hi_p * r.denominator:
             return -1
-        pm2, pm1, qm2, qm1 = pm1, p, qm1, q
     raise NeedsMoreBits(f"comparison undecided after {max_terms} convergents")
 
 
@@ -449,19 +431,10 @@ def cutoff(x, Q: int) -> CutoffData:
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    q_nm2, q_nm1, q_n = 1, 0, 1  # q_{-2}, q_{-1}, q_0
-    n = 0
-    last_a = 0
-    while Q >= q_n + q_nm1:
-        try:
-            a_next = quotient(x, n + 1)
-        except OutOfQuotients:
-            return CutoffData(N=n, a=last_a, terminated=True)
-        n += 1
-        last_a = a_next
-        q_nm2, q_nm1, q_n = q_nm1, q_n, a_next * q_n + q_nm1
-    a = (Q - q_nm2) // q_nm1
-    return CutoffData(N=n, a=a)
+    for n, a, _, q, _, qm1 in _levels(x):
+        if Q < q + qm1:  # never at level 0, where q_0 + q_{-1} = 1
+            return CutoffData(N=n, a=a + (Q - q) // qm1)
+    return CutoffData(N=n, a=a if n else 0, terminated=True)  # an integer: no level 1
 
 
 @dataclass(frozen=True)
@@ -480,25 +453,22 @@ def intermediates(x, Q: int) -> list[Intermediate]:
     Level n contributes (m p_{n-1} + p_{n-2}) / (m q_{n-1} + q_{n-2}) for
     m = 1..a_n, the cutoff level truncated at m = a(Q, x).  The enumeration
     order has strictly increasing heights; the m = 1 element of level 1 is
-    the zero class (stored 0/1, the class of the integer a0 + 1).
+    the zero class (stored 0/1, the class of the integer a0 + 1).  One pass
+    over the levels: it stops at the first height above Q, or after the
+    cutoff level, the first with Q < q_n + q_{n-1}.
     """
-    cut = cutoff(x, Q)
+    if Q < 1:
+        raise ValueError("Q must be >= 1")
     out: list[Intermediate] = []
-    if cut.N == 0:
-        return out
-    pm2, pm1 = 1, x.a0     # p_{-1}, p_0
-    qm2, qm1 = 0, 1        # q_{-1}, q_0
     last_height = 0
-    for n in range(1, cut.N + 1):
-        mult = cut.a if n == cut.N else quotient(x, n)
-        for m in range(1, mult + 1):
-            num = m * pm1 + pm2
-            den = m * qm1 + qm2
-            frac = reduce_mod1(num, den)
+    for n, a, p, q, pm1, qm1 in islice(_levels(x), 1, None):
+        for m in range(1, a + 1):
+            den = q - (a - m) * qm1
+            if den > Q:
+                return out
             assert den > last_height
             last_height = den
-            out.append(Intermediate(frac, n, m, den))
-        if n < cut.N:
-            pm2, pm1 = pm1, mult * pm1 + pm2
-            qm2, qm1 = qm1, mult * qm1 + qm2
+            out.append(Intermediate(reduce_mod1(p - (a - m) * pm1, den), n, m, den))
+        if Q < q + qm1:
+            break
     return out

@@ -3,7 +3,8 @@
 Exact utilities (expansions, convergents, intermediate fractions, indicator
 and row-sum queries, multi-method weighted counts) plus the seeded
 `montecarlo` experiment driver.  Exit codes: 0 success, 2 bad arguments or
-an exhausted refinement budget, 3 internal invariant violation.
+an exhausted refinement budget, 3 internal invariant violation or a worker
+process that died.
 """
 
 from __future__ import annotations

@@ -179,12 +179,18 @@ def farey_table(Q: int) -> FareyTable:
     return held.prefix(Q)
 
 
+def terminal_from_neighbors(den, lo_den, hi_den):
+    """Terminal partial quotients of height-den fractions from their neighbor
+    heights, elementwise (1 for the zero class): for beta = [0; a1, ..., an],
+    den = an q_{n-1} + q_{n-2} with q_{n-1} the smaller neighbor height,
+    except for (q-1)/q = [0; 1, q-1]."""
+    return den // np.minimum(lo_den, hi_den) - ((hi_den == 1) & (den > 2))
+
+
 def _build_table(Q: int) -> FareyTable:
     """F_Q over the Stern-Brocot tree, sorted by (den, num).
 
-    A fraction's parents in the tree are its Farey neighbors.  For
-    beta = [0; a1, ..., an], h(beta) = an q_{n-1} + q_{n-2} with q_{n-1} the
-    smaller neighbor height, except for (q-1)/q = [0; 1, q-1].
+    A fraction's parents in the tree are its Farey neighbors.
     """
     rows = np.empty((6, farey_size(Q)), dtype=np.int64)  # num, den, lo, hi
     rows[:, 0] = 0, 1, 0, 1, 1, 1
@@ -203,10 +209,10 @@ def _build_table(Q: int) -> FareyTable:
         row[:] = row[order]
     del order
     num, den, lon, lod, hin, hid = rows
-    term = den // np.minimum(lod, hid) - ((hid == 1) & (den > 2))
     lo_f, hi_f = lon / lod, hin / hid
     lo_f[0], hi_f[0] = -np.inf, np.inf
-    return FareyTable(Q, num, den, lo_f, hi_f, lon, lod, hin, hid, term)
+    return FareyTable(Q, num, den, lo_f, hi_f, lon, lod, hin, hid,
+                      terminal_from_neighbors(den, lod, hid))
 
 
 CHI_MARGIN = 1e-9

@@ -30,7 +30,7 @@ from .cf import (GOLDEN64, M64, DyadicStream, InvariantViolation,
                  quotient)
 # chi_mask and farey_table are unused here; perfbench/tracer.py patches them by name.
 from .farey import (CHI_MARGIN, HeightSet, check_order, chi_mask,  # noqa: F401
-                    farey_neighbors, farey_table)
+                    farey_neighbors, farey_table, terminal_from_neighbors)
 from .stats import (TruncationFn, WeightFunction, birkhoff_average,
                     classical_stats, double_exceedance, indicator_sum,
                     terminal_quotient, x_nf)
@@ -170,7 +170,7 @@ def mq_count_farey(stream, Q: int) -> dict:
         # sign(x - lower) - sign(x - upper): 2 inside, 1 on an endpoint, 0 outside
         halves[i] = (compare_real_rational(stream, stream.a0 + nb.lower)
                      - compare_real_rational(stream, stream.a0 + nb.upper))
-    term = q // np.minimum(q_lo, q_hi) - ((q_hi == 1) & (q > 2))  # as in _build_table
+    term = terminal_from_neighbors(q, q_lo, q_hi)
     total = np.bincount(term, weights=halves, minlength=2).astype(np.int64)
     total[1] += 2  # the zero class, chi identically 1
     odd = bool((total % 2).any())
@@ -339,12 +339,19 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
     else:  # eight contiguous chunks per worker even out the heavy-tailed samples
         import multiprocessing  # imported here, so that serial runs never load it
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         n = min(config.samples, 8 * workers)
         bounds = [config.samples * k // n for k in range(n + 1)]
+        chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_run_chunk, config, grid, p, range(lo, hi))
-                       for lo, hi in zip(bounds, bounds[1:])]
-            rows = [r for f in futures for r in f.result()]
+            futures = [pool.submit(_run_chunk, config, grid, p, c) for c in chunks]
+            try:
+                rows = [r for f in futures for r in f.result()]
+            except BrokenProcessPool:  # a worker died, say killed for memory
+                lost = [f"{c.start}..{c.stop - 1}" for c, f in zip(chunks, futures)
+                        if isinstance(f.exception(), BrokenProcessPool)]
+                raise InvariantViolation(
+                    f"a worker process died; samples {', '.join(lost)} were lost") from None
     rows.sort(key=lambda r: (r.param, r.index, r.stat))
     return rows
 

@@ -33,12 +33,17 @@ class FareyFraction:
 
 
 def _pair(f) -> Pair:
+    """(num, den) of a FareyFraction, Fraction, (num, den) tuple or int."""
     if isinstance(f, FareyFraction):
         return f.num, f.den
     if isinstance(f, Fraction):
         return f.numerator, f.denominator
-    a, q = f
-    return int(a), int(q)
+    if isinstance(f, tuple):
+        a, q = f
+        return int(a), int(q)
+    if isinstance(f, int):
+        return f, 1
+    raise TypeError(f"not a rational: {f!r}")
 
 
 def reduce_mod1(a: int, q: int) -> FareyFraction:

@@ -337,6 +337,42 @@ def test_intermediates_rational_contains_itself_last():
     assert (last.num, last.den) == (355 % 113, 113)
 
 
+class RecordingStream:
+    """Passes quotient reads through to a stream and logs each index asked for."""
+
+    def __init__(self, inner):
+        self.inner, self.a0, self.asked = inner, inner.a0, []
+
+    def quotient(self, n):
+        self.asked.append(n)
+        return self.inner.quotient(n)
+
+
+@pytest.mark.parametrize("x", [DyadicStream(3), DyadicStream(8), PeriodicStream(1, (2,), (1, 3)),
+                               PeriodicStream(0, (), (1,)), RationalStream(1393, 972),
+                               RationalStream(355, 113), RationalStream(5, 1)],
+                         ids=repr)
+def test_no_quotient_is_read_past_the_cutoff_level(x):
+    cs = convergents(x, 13)  # a terminating x: all L + 1 of its levels
+    L = len(cs) - 1
+    for n in range(len(cs)):
+        rec = RecordingStream(x)
+        assert convergents(rec, n) == cs[:n + 1]
+        assert rec.asked == list(range(1, n + 1))
+    for n in range(1, min(L + 1, 13)):
+        for Q in (cs[n].q + cs[n - 1].q - 1, cs[n].q + cs[n - 1].q):
+            # N is the least level with Q < q_N + q_{N-1}; a terminating x
+            # reaching its end also asks for a_{L+1} once, to learn that it ended
+            N = next((k for k in range(1, L + 1) if Q < cs[k].q + cs[k - 1].q), L)
+            ended = Q >= cs[N].q + cs[N - 1].q
+            want = list(range(1, N + 1 + ended))
+            for walk in (cutoff, intermediates):
+                rec = RecordingStream(x)
+                assert walk(rec, Q) == walk(x, Q)
+                assert rec.asked == want, (walk.__name__, Q)
+            assert cutoff(x, Q).N == N and cutoff(x, Q).terminated == ended
+
+
 def test_parse_stream():
     assert isinstance(parse_stream("rational:2/5"), RationalStream)
     p = parse_stream("periodic:[0;2|3,2]")

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,12 +174,15 @@ def test_budget_errors_exit_2(exc, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("exc, code, prefix", [
     (NeedsMoreBits, 2, "error"), (QuotientCapExceeded, 2, "error"),
-    (InvariantViolation, 3, "invariant violation")])
+    (InvariantViolation, 3, "invariant violation"), (None, 3, "invariant violation")])
 def test_worker_process_errors_keep_their_exit_code(exc, code, prefix, tmp_path,
                                                      capsys, monkeypatch):
     parent = os.getpid()
 
     def failing(stream, n, p):  # the forked workers inherit this registry entry
+        if exc is None:  # the worker dies, as when it is killed for memory
+            assert os.getpid() != parent
+            os._exit(9)
         raise exc("raised in a worker" if os.getpid() != parent else "raised in the parent")
 
     monkeypatch.setitem(REGISTRY, "levy", Experiment("levy", "n", (10,), failing))
@@ -187,7 +193,9 @@ def test_worker_process_errors_keep_their_exit_code(exc, code, prefix, tmp_path,
     assert rc == code
     stdout, err = capsys.readouterr()
     assert stdout == ""
-    assert err == f"{prefix}: raised in a worker\n"
+    message = ("raised in a worker" if exc else  # every chunk of one sample dies
+               "a worker process died; samples 0..0, 1..1, 2..2, 3..3 were lost")
+    assert err == f"{prefix}: {message}\n"
     assert not out.exists()
 
 
@@ -218,3 +226,33 @@ def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACED_RUN = """
+import json, sys
+sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
+from tracer import Tracer
+from cflab import cli
+tracer = Tracer()
+tracer.install_experiment(sys.argv[2])
+rc = cli.main(sys.argv[4:])
+with open(sys.argv[3], "w") as fh:
+    json.dump({"rc": rc, "spans": sorted({s[0] for s in tracer.spans})}, fh)
+"""
+
+
+@pytest.mark.parametrize("experiment, flag, spans", [
+    ("mq", "--Q", {"cf.cutoff", "cf.intermediates", "cf.quotient", "harness.mq_count_farey"}),
+    ("levy", "--n", {"cf.quotient", "stats.classical_stats"})], ids=["mq", "levy"])
+def test_benchmark_tracer_finds_every_name_it_patches(experiment, flag, spans, tmp_path):
+    # perfbench/tracer.py patches cflab names by getattr, so a renamed one
+    # would only show as a missing span; a fresh process keeps the patches out
+    report = tmp_path / "spans.json"
+    subprocess.run([sys.executable, "-c", TRACED_RUN, str(ROOT), experiment, str(report),
+                    "montecarlo", "--experiment", experiment, "--samples", "3", "--seed", "7",
+                    flag, "100", "--out", str(tmp_path / "out.csv")],
+                   check=True, capture_output=True, timeout=120)
+    got = json.loads(report.read_text())
+    assert got["rc"] == 0
+    assert spans | {"cli.main", "harness.run", "harness.compute"} <= set(got["spans"])

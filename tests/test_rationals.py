@@ -2,10 +2,13 @@
 
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from cflab.rationals import FareyFraction, height, mediant, reduce_mod1
+from cflab.cf import ContinuedFraction, cf_of_rational
+from cflab.rationals import FareyFraction, _pair, height, mediant, reduce_mod1
 
 
 def test_reduce_mod1_basic():
@@ -84,6 +87,21 @@ def test_height_examples():
     assert height(FareyFraction(2, 5)) == 5
     assert height(FareyFraction(0, 1)) == 1
     assert height(reduce_mod1(4, 6)) == 3
+
+
+def test_pair_coerces_rationals_and_rejects_the_rest():
+    assert _pair(FareyFraction(2, 5)) == (2, 5)
+    assert _pair(Fraction(-6, 4)) == (-3, 2)
+    assert _pair((np.int64(3), np.int64(7))) == (3, 7)
+    assert type(_pair((np.int64(3), 7))[0]) is int
+    assert _pair(-7) == (-7, 1)
+    assert cf_of_rational(7) == ContinuedFraction(7, ())
+    # a string, list or float is no rational, though "12" unpacks into two digits
+    for bad in ("12", [1, 2], 1.5, None):
+        with pytest.raises(TypeError, match="not a rational"):
+            _pair(bad)
+        with pytest.raises(TypeError, match="not a rational"):
+            cf_of_rational(bad)
 
 
 def test_farey_fraction_str_and_value():
