@@ -415,11 +415,13 @@ def _compare_periodic(x: PeriodicStream, r: Fraction, max_terms: int = 20000) ->
 
 @dataclass(frozen=True)
 class CutoffData:
-    """Level cutoff N(Q, x) and final multiplicity a(Q, x)."""
+    """Level cutoff N(Q, x), final multiplicity a(Q, x), and the quotients
+    a_1, ..., a_{N-1} of the levels before it, as the walk read them."""
 
     N: int
     a: int
     terminated: bool = False
+    quotients: tuple[int, ...] = ()
 
 
 def cutoff(x, Q: int) -> CutoffData:
@@ -431,10 +433,13 @@ def cutoff(x, Q: int) -> CutoffData:
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
+    read = []  # a0, a_1, ..., a_n
     for n, a, _, q, _, qm1 in _levels(x):
         if Q < q + qm1:  # never at level 0, where q_0 + q_{-1} = 1
-            return CutoffData(N=n, a=a + (Q - q) // qm1)
-    return CutoffData(N=n, a=a if n else 0, terminated=True)  # an integer: no level 1
+            return CutoffData(N=n, a=a + (Q - q) // qm1, quotients=tuple(read[1:]))
+        read.append(a)
+    # an integer has no level 1
+    return CutoffData(N=n, a=a if n else 0, terminated=True, quotients=tuple(read[1:-1]))
 
 
 @dataclass(frozen=True)

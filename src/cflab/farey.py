@@ -249,20 +249,50 @@ def _lcm_up_to(n: int) -> int:
     return lcm
 
 
+_harmonic: tuple[list[int], list[int]] = ([0], [1])
+
+
+def _harmonic_prefix(k: int) -> tuple[list[int], list[int]]:
+    """(N, L) with L[m] = lcm(1..m) and N[m] = L[m] H_m for m = 0..k at least.
+
+    One prefix per process, grown on demand by
+    N_m = N_{m-1} (L_m / L_{m-1}) + L_m / m.  row_sum_exact asks for at most
+    k = FAREY_TABLE_LIMIT - 1, so it holds at most FAREY_TABLE_LIMIT entries
+    (about 5 MB).  It is grown on a private copy and published by one
+    assignment, so a thread that shares the module never reads it half built.
+    """
+    global _harmonic
+    N, L = _harmonic
+    if len(L) <= k:
+        N, L = N.copy(), L.copy()
+        for m in range(len(L), k + 1):
+            step = m // math.gcd(L[-1], m)  # p if m is a power of the prime p, else 1
+            L.append(L[-1] * step)
+            N.append(N[-1] * step + L[-1] // m)
+        _harmonic = N, L
+    return N, L
+
+
 def row_sum_exact(q: int) -> Fraction:
     """Sum of expected_chi over all fractions of height exactly q.
 
-    As a/q runs over the row, the lower-neighbor heights q' run over the
-    units mod q, and 1/(q'(q-q')) telescopes to (2/q) sum of 1/q'; the sum
-    is assembled over one common denominator and reduced once.
+    As a/q runs over the row, the lower-neighbor heights u run over the
+    units mod q, and 1/(u(q-u)) telescopes to (2/q) sum of 1/u.  Moebius
+    inversion over gcd(u, q) makes that sum sum_{d|q} mu(d)/d H_{q/d-1},
+    one integer over L = lcm(1..q-1): L H_m / d is an integer for
+    m = q/d - 1, since every dk <= q - 1 divides L.
     """
     if not 1 <= q <= FAREY_TABLE_LIMIT:
         raise ValueError(f"q = {q} outside 1..{FAREY_TABLE_LIMIT}")
     if q == 1:
         return Fraction(1)
-    lcm = _lcm_up_to(q - 1)
-    s = sum(lcm // u for u in range(1, q) if math.gcd(u, q) == 1)
-    return Fraction(2 * s, q * lcm)
+    N, L = _harmonic_prefix(q - 1)
+    divisors = [(1, 1)]  # squarefree d | q with mu(d)
+    for p in _factorize(q):
+        divisors += [(d * p, -mu) for d, mu in divisors]
+    s = sum(mu * (N[q // d - 1] * (L[q - 1] // L[q // d - 1]) // d)
+            for d, mu in divisors)
+    return Fraction(2 * s, q * L[q - 1])
 
 
 # Euler's constant as the nearest double, equal to float(euler_constant()).

@@ -106,17 +106,17 @@ def mq_count_closed(stream, Q: int) -> dict:
     """Multiset {terminal quotient: multiplicity} implied by the closed form
     M_Q(x) = g(1) + sum_{n<N} sum_{m=2}^{a_n+1} g(m) + sum_{m=2}^{a(Q,x)} g(m).
 
-    Pure quotient bookkeeping; no fraction is materialized.  For a rational
-    x that terminates before the cutoff the same form is used with the full
-    terminal multiplicity.
+    Pure bookkeeping on the quotients cutoff read, each read once; no
+    fraction is materialized.  For a rational x that terminates before the
+    cutoff the same form is used with the full terminal multiplicity.
     """
     cut = cutoff(stream, Q)
     counts: dict[int, int] = {}
     if cut.N == 0:
         return counts
     counts[1] = 1
-    for n in range(1, cut.N):
-        _bump_range(counts, 2, quotient(stream, n) + 1)
+    for a_n in cut.quotients:
+        _bump_range(counts, 2, a_n + 1)
     _bump_range(counts, 2, cut.a)
     return counts
 
@@ -230,10 +230,8 @@ def _run_mq(stream, Q, p):
 
 
 def _run_count(stream, Q, p):
-    cut = cutoff(stream, Q)
-    total = 1 + sum(quotient(stream, n) for n in range(1, cut.N)) + cut.a - 1 \
-        if cut.N > 0 else 0
-    return [("count", total)]
+    cut = cutoff(stream, Q)  # an integer x has N = 0, a = 0 and no quotients
+    return [("count", sum(cut.quotients) + cut.a)]
 
 
 def _run_xnf(stream, n, p):

@@ -371,6 +371,8 @@ def test_no_quotient_is_read_past_the_cutoff_level(x):
                 assert walk(rec, Q) == walk(x, Q)
                 assert rec.asked == want, (walk.__name__, Q)
             assert cutoff(x, Q).N == N and cutoff(x, Q).terminated == ended
+            assert cutoff(x, Q).quotients == tuple(quotient(x, k) for k in range(1, N))
+    assert cutoff(RationalStream(5, 1), 3).quotients == ()
 
 
 def test_parse_stream():

@@ -7,7 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cflab import cli
 from cflab.cf import (DyadicStream, InvariantViolation, NeedsMoreBits,
                       QuotientCapExceeded)
 from cflab.cli import main
@@ -48,6 +50,15 @@ def test_farey_row_lines(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "exact 5/6"
     assert out[1].startswith("formula 0.828")
+
+
+def test_farey_row_checks_both_domains_first(capsys, monkeypatch):
+    computed = []
+    monkeypatch.setattr(cli, "row_sum_exact", lambda q: computed.append(q))
+    for q in (-1, 0, 1, 5001):
+        assert main(["farey-row", "--q", str(q)]) == 2
+        assert capsys.readouterr() == ("", f"error: q = {q} outside 2..5000\n")
+    assert computed == []
 
 
 def test_mq_all_methods_printed_and_equal(capsys):
@@ -156,6 +167,119 @@ def test_invalid_arguments_exit_2(argv, tmp_path, capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+# -- malformed specs: every one is a bad argument ---------------------------------
+
+# printable ASCII without digits or the letters of inf/nan: no word parses as a number
+NOT_NUMERIC = "!#$%&()*+-.;<>?@[]_bcdeghjklmopqrsuvwxz|,/:="
+WORD = st.text(st.sampled_from(" " + NOT_NUMERIC), max_size=8)
+TOKEN = st.text(st.sampled_from(NOT_NUMERIC), min_size=1, max_size=8)  # one field of a line
+ANY_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+INT = st.integers(-10 ** 6, 10 ** 6)
+POS = st.integers(1, 50)
+
+
+def unknown(*known):
+    return ANY_TEXT.filter(lambda t: t not in known and not t.startswith(known))
+
+
+def quotient_list(values):
+    return st.lists(values, max_size=3).map(lambda v: ",".join(map(str, v)))
+
+
+BAD_STREAMS = st.one_of(
+    unknown("rational:", "periodic:", "dyadic:"),
+    st.builds("rational:{}".format, WORD),
+    st.builds("rational:{}/0".format, INT),
+    st.builds("periodic:{}".format, WORD),
+    st.builds("periodic:[{};{}]".format, INT, quotient_list(POS)),
+    st.builds("periodic:[{};{}|]".format, INT, quotient_list(POS)),
+    st.builds("periodic:[{};{}|{},{}]".format, INT, quotient_list(POS),
+              st.integers(-5, 0), quotient_list(POS)),
+    st.builds("dyadic:{}".format, WORD.filter(lambda w: "seed" not in w)),
+    st.builds("dyadic:seed={}".format, WORD),
+    st.builds("dyadic:seed={}".format, st.integers(2 ** 64, 2 ** 70) | st.integers(max_value=-1)),
+    st.builds("dyadic:seed={},bits={}".format, st.integers(0, 2 ** 64 - 1),
+              st.integers(-10, 0)),
+)
+
+
+def table_lines(bad):
+    """Well-formed `m value` lines with one malformed line among them."""
+    good = st.lists(st.tuples(POS, INT, POS), max_size=3, unique_by=lambda t: t[0])
+    return st.builds(lambda lines, bad, at: [f"{m} {p}/{q}" for m, p, q in lines][:at]
+                     + [bad] + [f"{m} {p}/{q}" for m, p, q in lines][at:],
+                     good, bad, st.integers(0, 3))
+
+
+BAD_TABLE_LINES = st.one_of(
+    table_lines(st.builds("{} 1".format, st.integers(-5, 0))),        # m < 1
+    table_lines(st.builds("{} {}/0".format, POS, INT)),               # zero denominator
+    table_lines(st.builds("{} {}".format, TOKEN, INT)),               # m not an integer
+    table_lines(st.builds("{} {}".format, POS, TOKEN)),               # value not a number
+    table_lines(st.builds(str, POS)),                                 # one field
+    table_lines(st.builds("{} 1 {}".format, POS, INT)),               # three fields
+    st.builds(lambda m, a, b: [f"{m} {a}", f"{m} {b}"], POS, INT, INT),  # m twice
+    st.lists(st.sampled_from(["", " ", "\t"]), max_size=3),          # no entry
+)
+
+BAD_HEIGHT_SETS = st.one_of(
+    unknown("all", "primes", "mod:", "file:"),
+    st.builds("mod:{}".format, WORD),
+    st.builds("mod:{}".format, INT),
+    st.builds("mod:{},{}".format, st.integers(-5, 0), INT),
+    st.builds(lambda d, r: f"mod:{d},{r}", POS, st.integers(-5, -1))
+    | st.builds(lambda d, k: f"mod:{d},{d + k}", POS, st.integers(0, 5)),
+)
+
+NO_WORKERS = settings(max_examples=40, deadline=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def assert_bad_argument(argv, capsys):
+    """Exit 2 with one `error:` line on stderr and nothing on stdout."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@NO_WORKERS
+@given(spec=BAD_STREAMS)
+def test_malformed_stream_specs_exit_2(spec, capsys):
+    assert_bad_argument(["convergents", f"--x={spec}", "--n", "3"], capsys)
+
+
+@NO_WORKERS
+@given(spec=unknown("harmonic", "unit", "power:", "table:")
+       | st.builds("power:{}".format, WORD | st.just("nan"))
+       | st.builds("power:{}".format, st.floats(max_value=0) | st.integers(max_value=0)),
+       lines=st.none() | BAD_TABLE_LINES)
+def test_malformed_weight_specs_exit_2(spec, lines, tmp_path, capsys):
+    if lines is not None:  # a table file, or none at all when lines is empty
+        path = tmp_path / "weights.txt"
+        path.unlink(missing_ok=True)
+        if lines:
+            path.write_text("\n".join(lines) + "\n")
+        spec = f"table:{path}"
+    assert_bad_argument(["mq", "--x", "rational:1/3", "--Q", "10", f"--weight={spec}"], capsys)
+
+
+@NO_WORKERS
+@given(spec=BAD_HEIGHT_SETS, tokens=st.none() | st.lists(TOKEN | INT.map(str), max_size=4))
+def test_malformed_height_set_specs_exit_2(spec, tokens, tmp_path, capsys):
+    if tokens is not None:  # a height file, missing or with a token that is no integer
+        path = tmp_path / "heights.txt"
+        path.unlink(missing_ok=True)
+        if tokens and not all(t.lstrip("-").isdigit() for t in tokens):
+            path.write_text(" ".join(tokens) + "\n")
+        spec = f"file:{path}"
+    out = tmp_path / "out.csv"
+    assert_bad_argument(["montecarlo", "--experiment", "openproblem", "--samples", "1",
+                         "--seed", "1", "--Q", "10", f"--set={spec}", "--out", str(out)],
+                        capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("exc", [NeedsMoreBits, QuotientCapExceeded])
 def test_budget_errors_exit_2(exc, tmp_path, capsys, monkeypatch):
     def exhausted(self, n, max_bits=1 << 20):
@@ -256,3 +380,32 @@ def test_benchmark_tracer_finds_every_name_it_patches(experiment, flag, spans, t
     got = json.loads(report.read_text())
     assert got["rc"] == 0
     assert spans | {"cli.main", "harness.run", "harness.compute"} <= set(got["spans"])
+
+
+TRACED_REFERENCE = """
+import json, sys
+sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
+import worker
+from tracer import Tracer
+from cflab import farey, stats
+calls = worker.ReferenceCalls(farey, stats)
+tracer = Tracer()
+for name, fn in calls.fn.items():  # as the traced replay wraps them
+    calls.fn[name] = tracer.span(name, fn)
+for key in sys.argv[3:]:
+    calls.compute(key)
+with open(sys.argv[2], "w") as fh:
+    json.dump(sorted({s[0] for s in tracer.spans}), fh)
+"""
+
+
+def test_benchmark_reference_calls_find_every_name(tmp_path):
+    # the reference workload looks its cflab calls up by name, farey.row_sum_exact among them
+    report = tmp_path / "spans.json"
+    subprocess.run([sys.executable, "-c", TRACED_REFERENCE, str(ROOT), str(report),
+                    "row_sum:10", "cumulative_expected_count:20",
+                    "weight_log_series:harmonic", "mq_level_expectation:harmonic"],
+                   check=True, capture_output=True, timeout=120)
+    assert json.loads(report.read_text()) == [
+        "farey.cumulative_expected_count", "farey.row_sum_exact", "farey.row_sum_formula",
+        "stats.mq_level_expectation", "stats.weight_log_series"]

@@ -131,6 +131,78 @@ def test_row_sums_exact():
         assert row_sum_exact(q) == total
 
 
+def coprime_row_sum(q, lcm):
+    """Oracle: the coprime sum (2/q) sum_{u<q, (u,q)=1} 1/u over lcm = lcm(1..q-1)."""
+    s = sum(lcm // u for u in range(1, q) if math.gcd(u, q) == 1)
+    return Fraction(2 * s, q * lcm)
+
+
+def cold():
+    """The harmonic prefix before any row is asked for."""
+    return [0], [1]
+
+
+def test_row_sum_exact_matches_coprime_sum(monkeypatch):
+    monkeypatch.setattr(farey, "_harmonic", cold())
+    lcm = 1
+    for q in range(2, 1201):
+        lcm = math.lcm(lcm, q - 1)
+        assert row_sum_exact(q) == coprime_row_sum(q, lcm), q
+    # 2310 = 2*3*5*7*11 and 4620 have 32 squarefree divisors
+    for q in (2310, 4620, 4999, 5000):
+        assert row_sum_exact(q) == coprime_row_sum(q, math.lcm(*range(1, q))), q
+    assert len(farey._harmonic[0]) == len(farey._harmonic[1]) == farey.FAREY_TABLE_LIMIT
+
+
+def test_row_sum_exact_any_call_order(monkeypatch):
+    qs = [5000, 2, 3, 97, 4620, 1, 30, 4999, 64]
+    monkeypatch.setattr(farey, "_harmonic", cold())
+    ascending = {q: row_sum_exact(q) for q in sorted(qs)}
+    monkeypatch.setattr(farey, "_harmonic", cold())
+    assert {q: row_sum_exact(q) for q in qs} == ascending
+
+
+def test_row_sum_exact_threads_racing_on_a_cold_prefix(monkeypatch):
+    orders = [[4000, 12, 2500], [7, 3001, 4000], [2500, 4000, 7], [3001, 12, 2310]]
+    want = {}
+    for order in orders:
+        for q in order:
+            want[q] = coprime_row_sum(q, math.lcm(*range(1, q)))
+    got, errors = [], []
+
+    def worker(order):
+        try:
+            got.append({q: row_sum_exact(q) for q in order})
+        except Exception as exc:  # reported through the list below
+            errors.append(exc)
+
+    monkeypatch.setattr(farey, "_harmonic", cold())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(o,)) for o in orders]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(got) == len(orders)
+    assert all(v == want[q] for row in got for q, v in row.items())
+
+
+def test_row_sum_exact_rejects_before_growing(monkeypatch):
+    monkeypatch.setattr(farey, "_harmonic", cold())
+    row_sum_exact(40)
+    before = farey._harmonic
+    for bad in (0, farey.FAREY_TABLE_LIMIT + 1):
+        with pytest.raises(ValueError, match="outside"):
+            row_sum_exact(bad)
+        assert farey._harmonic is before and len(before[1]) == 40
+
+
 def test_row_sum_formula_values():
     c0 = float(mpmath.euler)
     want5 = (8 / 25) * (math.log(5) + math.log(5) / 4 + c0)

@@ -237,6 +237,28 @@ def test_mq_count_routes_agree():
         assert closed == mq_count_farey(s, 200)
 
 
+class Recording:
+    """Passes quotient reads through to a stream and logs each index asked for."""
+
+    def __init__(self, inner):
+        self.inner, self.a0, self.asked = inner, inner.a0, []
+
+    def quotient(self, n):
+        self.asked.append(n)
+        return self.inner.quotient(n)
+
+
+@pytest.mark.parametrize("route", [mq_count_closed, lambda x, Q: harness._run_count(x, Q, {})],
+                         ids=["mq_count_closed", "count_intermediates"])
+def test_closed_routes_read_each_quotient_once(route):
+    for i in range(20):
+        x = sample_stream(7, i)
+        for Q in (1, 100, 10 ** 4):
+            rec = Recording(x)
+            assert route(rec, Q) == route(x, Q)
+            assert rec.asked == list(range(1, harness.cutoff(x, Q).N + 1))
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2 ** 64 - 1), Q=st.integers(1, 600))
 def test_mq_count_routes_agree_dyadic_property(seed, Q):
