@@ -10,10 +10,9 @@ from .cf import (ContinuedFraction, ConvergentPair, CutoffData, DyadicStream,
                  value_of_cf)
 from .farey import (FareyTable, HeightSet, NeighborPair, chi, chi_mask,
                     cumulative_expected_count, divergence_functional,
-                    enumerate_farey, euler_constant, expected_chi,
-                    farey_neighbors, farey_size, farey_table,
-                    parse_height_set, row_sum_exact, row_sum_formula,
-                    totients_up_to)
+                    enumerate_farey, expected_chi, farey_neighbors,
+                    farey_size, farey_table, parse_height_set,
+                    row_sum_exact, row_sum_formula, totients_up_to)
 from .harness import (ExperimentConfig, InvariantViolation, ResultRow,
                       Summary, aggregate, mq_all, mq_count_closed,
                       mq_count_farey, mq_count_intermediates, mq_value, run,

@@ -114,7 +114,6 @@ def value_of_cf(cf: ContinuedFraction) -> Fraction:
 class PartialQuotientStream:
     """A real presented by its integer part and partial quotients a_1, a_2, ..."""
 
-    kind: str = "abstract"
     a0: int = 0
 
     def quotient(self, n: int) -> int:
@@ -124,8 +123,6 @@ class PartialQuotientStream:
 class RationalStream(PartialQuotientStream):
     """Terminating stream for a rational number."""
 
-    kind = "rational"
-
     def __init__(self, p: int, q: int):
         if q == 0:
             raise ValueError("invalid denominator: q = 0")
@@ -133,10 +130,6 @@ class RationalStream(PartialQuotientStream):
         cf = cf_of_rational(self.value)
         self.a0 = cf.a0
         self._qs = cf.quotients
-
-    @property
-    def length(self) -> int:
-        return len(self._qs)
 
     def quotient(self, n: int) -> int:
         if n < 1:
@@ -151,8 +144,6 @@ class RationalStream(PartialQuotientStream):
 
 class PeriodicStream(PartialQuotientStream):
     """Eventually periodic stream (a quadratic irrational)."""
-
-    kind = "periodic"
 
     def __init__(self, a0: int, preperiod, period):
         self.a0 = a0
@@ -201,8 +192,6 @@ class DyadicStream(PartialQuotientStream):
     InvariantViolation.
     """
 
-    kind = "dyadic"
-    a0 = 0
     BLOCK = 64
 
     def __init__(self, seed: int, bits: int = 256):
@@ -330,6 +319,8 @@ def parse_stream(spec: str) -> Stream:
         fields = dict(kv.partition("=")[::2] for kv in body.split(","))
         if "seed" not in fields:
             raise ValueError(f"dyadic spec needs seed=<u64>: {spec!r}")
+        if fields.keys() - {"seed", "bits"}:
+            raise ValueError(f"dyadic spec takes only seed and bits: {spec!r}")
         seed = int(fields["seed"], 0)
         bits = int(fields.get("bits", "256"), 0)
         return DyadicStream(seed, bits=bits)

@@ -132,9 +132,12 @@ def _cmd_montecarlo(args) -> int:
     config = ExperimentConfig(args.experiment, args.samples, args.seed,
                               params, threads=args.threads, exact=args.exact)
     rows = run(config)
-    write_csv(rows, args.out, exact=args.exact)
-    if args.json:
-        write_json(rows, os.path.splitext(args.out)[0] + ".json", exact=args.exact)
+    try:
+        write_csv(rows, args.out, exact=args.exact)
+        if args.json:
+            write_json(rows, os.path.splitext(args.out)[0] + ".json", exact=args.exact)
+    except OSError as exc:
+        raise ValueError(f"cannot write {exc.filename!r}: {exc.strerror}") from exc
     for s in aggregate(rows):
         print(f"{s.param} {s.stat} mean={s.mean:.12g} median={s.median:.12g} "
               f"trimmed={s.trimmed_mean:.12g} stddev={s.stddev:.12g} n={s.count}")

@@ -110,17 +110,14 @@ def farey_size(Q: int) -> int:
     return 1 + int(totients_up_to(Q)[2:].sum())
 
 
-_ARRAYS = ("num", "den", "lo_f", "hi_f", "lo_num", "lo_den", "hi_num", "hi_den", "terminal")
-
-
 @dataclass
 class FareyTable:
     """Flat arrays over all fractions of height <= Q, for bulk chi evaluation.
 
-    Entries are ordered by (den, num), so the table of any smaller order is
-    a prefix.  Entry 0 is the zero class; its neighbor fields are sentinels
-    and its mask value is always True.  terminal[i] is the last partial
-    quotient of the canonical expansion (1 for the zero class).
+    Entries are ordered by (den, num).  Entry 0 is the zero class; its
+    neighbor fields are sentinels and its mask value is always True.
+    terminal[i] is the last partial quotient of the canonical expansion
+    (1 for the zero class).
     """
 
     Q: int
@@ -134,7 +131,6 @@ class FareyTable:
     hi_den: np.ndarray
     terminal: np.ndarray
     _index: dict | None = field(default=None, repr=False)
-    _prefixes: dict = field(default_factory=dict, repr=False)
 
     def __len__(self):
         return len(self.num)
@@ -145,18 +141,8 @@ class FareyTable:
                            for i, (a, q) in enumerate(zip(self.num, self.den))}
         return self._index[(frac.num, frac.den)]
 
-    def prefix(self, Q: int) -> FareyTable:
-        """F_Q for Q <= self.Q, as views into these arrays; one object per Q."""
-        if Q == self.Q:
-            return self
-        if Q not in self._prefixes:
-            n = int(np.searchsorted(self.den, Q, side="right"))
-            self._prefixes[Q] = FareyTable(Q, *(getattr(self, name)[:n] for name in _ARRAYS))
-        return self._prefixes[Q]
-
 
 FAREY_TABLE_LIMIT = 5000
-_held: FareyTable | None = None
 
 
 def check_order(Q: int) -> None:
@@ -168,15 +154,9 @@ def check_order(Q: int) -> None:
 
 
 def farey_table(Q: int) -> FareyTable:
-    """The bulk table for F_Q, O(Q^2) entries.  One table is held per
-    process: a larger Q builds its replacement, a smaller Q gets a prefix."""
-    global _held
+    """The bulk table for F_Q, O(Q^2) entries, built afresh on every call."""
     check_order(Q)
-    held = _held  # one read: a concurrent grow cannot change it under us
-    if held is None or held.Q < Q:
-        held = _build_table(Q)
-        _held = held
-    return held.prefix(Q)
+    return _build_table(Q)
 
 
 def terminal_from_neighbors(den, lo_den, hi_den):
@@ -238,17 +218,6 @@ def chi_mask(table: FareyTable, x: DyadicStream, margin: float = CHI_MARGIN) -> 
     return mask
 
 
-def _lcm_up_to(n: int) -> int:
-    """lcm(1..n): the product over primes p <= n of the largest power of p <= n."""
-    lcm = 1
-    for p in np.flatnonzero(_prime_mask(n)).tolist():
-        power = p
-        while power * p <= n:
-            power *= p
-        lcm *= power
-    return lcm
-
-
 _harmonic: tuple[list[int], list[int]] = ([0], [1])
 
 
@@ -256,10 +225,11 @@ def _harmonic_prefix(k: int) -> tuple[list[int], list[int]]:
     """(N, L) with L[m] = lcm(1..m) and N[m] = L[m] H_m for m = 0..k at least.
 
     One prefix per process, grown on demand by
-    N_m = N_{m-1} (L_m / L_{m-1}) + L_m / m.  row_sum_exact asks for at most
-    k = FAREY_TABLE_LIMIT - 1, so it holds at most FAREY_TABLE_LIMIT entries
-    (about 5 MB).  It is grown on a private copy and published by one
-    assignment, so a thread that shares the module never reads it half built.
+    N_m = N_{m-1} (L_m / L_{m-1}) + L_m / m.  row_sum_exact and
+    cumulative_expected_count ask for at most k = FAREY_TABLE_LIMIT, so it
+    holds at most FAREY_TABLE_LIMIT + 1 entries (about 5 MB).  It is grown
+    on a private copy and published by one assignment, so a thread that
+    shares the module never reads it half built.
     """
     global _harmonic
     N, L = _harmonic
@@ -295,16 +265,8 @@ def row_sum_exact(q: int) -> Fraction:
     return Fraction(2 * s, q * L[q - 1])
 
 
-# Euler's constant as the nearest double, equal to float(euler_constant()).
+# Euler's constant as the nearest double, float(mpmath.euler).
 EULER_GAMMA = 0.5772156649015329
-
-
-def euler_constant(digits: int = 40):
-    """Euler's constant to `digits` significant digits, as an mpmath float."""
-    import mpmath
-
-    with mpmath.workdps(digits):
-        return +mpmath.euler
 
 
 def row_sum_formula(q: int) -> float:
@@ -347,7 +309,7 @@ def cumulative_expected_count(Q: int) -> tuple[Fraction, float]:
     for p in np.flatnonzero(_prime_mask(Q)):
         mu[p::p] *= -1
         mu[p * p::p * p] = 0
-    L = _lcm_up_to(Q)
+    L = _harmonic_prefix(Q)[1][Q]
     total = a = b = k = 0
     for d in range(Q, 0, -1):  # n = Q // d only grows, so one pass over k
         if k < Q // d:

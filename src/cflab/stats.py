@@ -8,6 +8,7 @@ whose three routes live in cflab.harness.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,12 +28,13 @@ class WeightFunction:
 
     Families: power (g(m) = m^(-(1/2+gamma)), evaluated in extended 80-bit
     precision and rounded to the nearest long double), harmonic (1/m),
-    unit (1), table (finite list of rationals, zero beyond).
+    unit (1), table (rationals at the listed m, in ascending (m, value)
+    pairs, zero elsewhere).
     """
 
     family: str
     gamma: float | None = None
-    table: tuple[Fraction, ...] = ()
+    table: tuple[tuple[int, Fraction], ...] = ()
 
     @staticmethod
     def harmonic() -> "WeightFunction":
@@ -50,7 +52,9 @@ class WeightFunction:
 
     @staticmethod
     def from_table(values: Sequence) -> "WeightFunction":
-        return WeightFunction("table", table=tuple(Fraction(v) for v in values))
+        """g(m) = values[m - 1] for m up to len(values), zero beyond."""
+        return WeightFunction("table", table=tuple((m, Fraction(v))
+                                                   for m, v in enumerate(values, start=1)))
 
     @property
     def is_exact(self) -> bool:
@@ -64,7 +68,9 @@ class WeightFunction:
         if self.family == "unit":
             return Fraction(1)
         if self.family == "table":
-            return self.table[m - 1] if m <= len(self.table) else Fraction(0)
+            i = bisect.bisect_left(self.table, (m,))
+            hit = i < len(self.table) and self.table[i][0] == m
+            return self.table[i][1] if hit else Fraction(0)
         return np.longdouble(m) ** np.longdouble(-(0.5 + self.gamma))
 
     def sum_to(self, k: int, start: int = 2):
@@ -83,13 +89,6 @@ class WeightFunction:
     def _zero(self):
         return Fraction(0) if self.is_exact else np.longdouble(0)
 
-    def spec(self) -> str:
-        if self.family == "power":
-            return f"power:{self.gamma:g}"
-        if self.family == "table":
-            return f"table:<{len(self.table)} entries>"
-        return self.family
-
 
 _PREFIX_CACHE: dict = {}  # per process: forked workers each grow their own
 
@@ -98,7 +97,7 @@ def parse_weight(spec: str) -> WeightFunction:
     """Parse a weight spec: power:<gamma> | harmonic | unit | table:<path>.
 
     A table file holds one `m value` pair per line, values as p/q or
-    decimal strings; unlisted m up to the largest listed get weight 0.
+    decimal strings; unlisted m get weight 0.
     """
     if spec == "harmonic":
         return WeightFunction.harmonic()
@@ -128,9 +127,7 @@ def parse_weight(spec: str) -> WeightFunction:
                 raise ValueError(f"zero denominator in weight table line {line!r}") from None
         if not entries:
             raise ValueError(f"empty weight table {path!r}")
-        top = max(entries)
-        return WeightFunction.from_table([entries.get(m, Fraction(0))
-                                          for m in range(1, top + 1)])
+        return WeightFunction("table", table=tuple(sorted(entries.items())))
     raise ValueError(f"unknown weight spec {spec!r}")
 
 
@@ -181,8 +178,9 @@ def weight_log_series(g: WeightFunction, start: int = 1, shift: int = 0,
         raise ValueError("series diverges for unit weights")
     if g.family == "table":
         total = 0.0
-        for m in range(start, len(g.table) + 1 - shift):
-            total += float(g(m + shift)) * math.log1p(1.0 / m)
+        for k, v in g.table:  # the unlisted terms are 0
+            if k - shift >= start:
+                total += float(v) * math.log1p(1.0 / (k - shift))
         return total, 0.0
     if shift not in (0, 1):
         raise ValueError("shift must be 0 or 1")
@@ -340,7 +338,7 @@ def hypothesis_check(g: WeightFunction, delta: float, n_max: int) -> HypothesisR
 
         value, divergent = float(mpmath.zeta(1.5 + g.gamma)), False
     else:
-        value = float(sum(Fraction(v, m) for m, v in enumerate(g.table, start=1)))
+        value = float(sum(v / m for m, v in g.table))
         divergent = False
     f = TruncationFn(delta)
     traj = []

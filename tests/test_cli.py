@@ -157,10 +157,17 @@ def test_montecarlo_exact_mode(tmp_path):
     ["mq", "--x", "dyadic:seed=1", "--Q", "0", "--method", "farey"],
     ["mq", "--x", "rational:1/3", "--Q", "100000", "--method", "farey"],
     ["farey-row", "--q", "3000000"],
+    ["montecarlo", "--experiment", "levy", "--samples", "1", "--seed", "1",
+     "--n", "10", "--out", "missing_dir/x.csv"],
+    ["montecarlo", "--experiment", "levy", "--samples", "1", "--seed", "1",
+     "--n", "10", "--out", "."],
+    ["montecarlo", "--experiment", "levy", "--samples", "1", "--seed", "1",
+     "--n", "10", "--out", "blocked.csv", "--json"],
 ])
 def test_invalid_arguments_exit_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "zero_den.txt").write_text("1 1/0\n")
+    (tmp_path / "blocked.json").mkdir()  # the JSON mirror's path is a directory
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -200,6 +207,9 @@ BAD_STREAMS = st.one_of(
     st.builds("dyadic:seed={}".format, st.integers(2 ** 64, 2 ** 70) | st.integers(max_value=-1)),
     st.builds("dyadic:seed={},bits={}".format, st.integers(0, 2 ** 64 - 1),
               st.integers(-10, 0)),
+    st.builds("dyadic:seed={},{}={}".format, st.integers(0, 2 ** 64 - 1),
+              st.text(st.sampled_from("abcdeistz_"), max_size=6).filter(
+                  lambda k: k not in ("seed", "bits")), st.integers(1, 512)),
 )
 
 
@@ -409,3 +419,23 @@ def test_benchmark_reference_calls_find_every_name(tmp_path):
     assert json.loads(report.read_text()) == [
         "farey.cumulative_expected_count", "farey.row_sum_exact", "farey.row_sum_formula",
         "stats.mq_level_expectation", "stats.weight_log_series"]
+
+
+SERIAL_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1] + "/src")
+import cflab
+from cflab import cli
+rc = cli.main(sys.argv[2:])
+print(rc, sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules))
+"""
+
+
+def test_serial_montecarlo_never_loads_the_process_pool(tmp_path):
+    # harness.run imports the pool only for worker processes; the serial
+    # workloads' peak RSS counts every module a run loads
+    done = subprocess.run([sys.executable, "-c", SERIAL_RUN, str(ROOT),
+                           "montecarlo", "--experiment", "mq", "--samples", "3",
+                           "--seed", "7", "--Q", "100", "--out", str(tmp_path / "out.csv")],
+                          check=True, capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "0 []"

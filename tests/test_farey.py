@@ -13,9 +13,9 @@ from cflab import farey
 from cflab.cf import DyadicStream, PeriodicStream, RationalStream, intermediates
 from cflab.farey import (HeightSet, chi, chi_mask, cumulative_expected_count,
                          divergence_functional, enumerate_farey,
-                         euler_constant, expected_chi, farey_neighbors,
-                         farey_size, farey_table, parse_height_set,
-                         row_sum_exact, row_sum_formula, totients_up_to)
+                         expected_chi, farey_neighbors, farey_size,
+                         farey_table, parse_height_set, row_sum_exact,
+                         row_sum_formula, totients_up_to)
 from cflab.rationals import FareyFraction
 from cflab.stats import terminal_quotient
 
@@ -111,7 +111,7 @@ def test_sieves_match_trial_division():
 def test_lcm_up_to_matches_math_lcm():
     # crosses the prime powers 243, 256, 343, 512 and 529
     for n in range(601):
-        assert farey._lcm_up_to(n) == math.lcm(*range(1, n + 1))
+        assert farey._harmonic_prefix(n)[1][n] == math.lcm(*range(1, n + 1))
 
 
 def test_expected_chi_examples():
@@ -215,14 +215,8 @@ def test_row_sum_formula_values():
     assert abs(row_sum_formula(7) - want7) < 1e-12
 
 
-def test_euler_constant():
-    got = euler_constant()
-    with mpmath.workdps(45):
-        assert abs(got - mpmath.euler) < mpmath.mpf(10) ** -35
-
-
 def test_euler_gamma_literal():
-    assert farey.EULER_GAMMA == float(euler_constant())
+    assert farey.EULER_GAMMA == float(mpmath.euler)
 
 
 def test_cumulative_expected_count():
@@ -290,21 +284,8 @@ def check_table_against_oracle(table, Q):
 
 
 def test_farey_table_fields_fresh_and_as_prefix():
-    larger = farey._build_table(310)
     for Q in [*range(1, 41), 300]:
         check_table_against_oracle(farey._build_table(Q), Q)
-        check_table_against_oracle(larger.prefix(Q), Q)
-
-
-def test_farey_table_serves_smaller_q_as_views():
-    big = farey_table(2000)
-    for Q in (100, 500):
-        small = farey_table(Q)
-        assert small is farey_table(Q)
-        assert len(small) == farey_size(Q)
-        assert np.shares_memory(small.num, big.num)
-        assert np.shares_memory(small.terminal, big.terminal)
-    assert farey_table(2000) is big
 
 
 def test_farey_table_rejects_bad_q():
@@ -328,7 +309,6 @@ def test_farey_table_concurrent_growth():
         except Exception as exc:  # reported through the list below
             errors.append(exc)
 
-    farey._held = None
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -95,7 +95,6 @@ def test_run_mq_all_methods_agree():
 def test_run_mq_builds_no_farey_table(monkeypatch):
     builds = []
     build = farey._build_table
-    monkeypatch.setattr(farey, "_held", None)
     monkeypatch.setattr(farey, "_build_table",
                         lambda Q: builds.append(Q) or build(Q))
     grid = (100, 500, 2000)
@@ -106,7 +105,7 @@ def test_run_mq_builds_no_farey_table(monkeypatch):
     parts = [rows_to_csv(run(ExperimentConfig("mq", samples=8, seed=42,
                                               params={"grid": (Q,)}))).split("\n", 1)[1]
              for Q in grid]
-    assert builds == [] and farey._held is None
+    assert builds == []
     assert csv == CSV_HEADER + "\n" + "".join(parts)
     cfg.threads = 2  # and across worker processes, one chunk per sample
     assert rows_to_csv(run(cfg)) == csv
@@ -484,6 +483,34 @@ def test_write_csv_and_json_mirror(tmp_path):
     assert len(mirrored) == len(body) - 1
     for line, rec in zip(body[1:], mirrored):
         assert line.split(",")[5] == rec["value"]
+
+
+NAMES = st.from_regex(r"[a-z_]{1,12}", fullmatch=True)
+ROWS = st.lists(st.builds(ResultRow, NAMES, st.integers(0, 2 ** 64 - 1),
+                          st.integers(0, 10 ** 6), st.integers(-10 ** 6, 10 ** 6), NAMES,
+                          st.integers() | st.fractions() | st.floats()), max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=ROWS, exact=st.booleans())
+def test_json_mirror_matches_csv_field_for_field(rows, exact, tmp_path_factory):
+    folder = tmp_path_factory.mktemp("mirror")
+    csv_path, json_path = str(folder / "out.csv"), str(folder / "out.json")
+    if exact and any(isinstance(r.value, float) for r in rows):
+        for write, path in ((write_csv, csv_path), (write_json, json_path)):
+            with pytest.raises(ValueError, match="not exact"):
+                write(rows, path, exact=True)
+        return
+    write_csv(rows, csv_path, exact=exact)
+    write_json(rows, json_path, exact=exact)
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        header, *lines = fh.read().split("\n")[:-1]
+    with open(json_path, encoding="utf-8") as fh:
+        records = json.load(fh)
+    assert header == CSV_HEADER and len(records) == len(lines) == len(rows)
+    for line, record in zip(lines, records):
+        assert list(record) == CSV_HEADER.split(",")
+        assert [str(v) for v in record.values()] == line.split(",")
 
 
 def test_exact_csv_values(tmp_path):

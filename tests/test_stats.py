@@ -7,6 +7,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import mpmath
@@ -55,6 +56,37 @@ def test_weight_table_parsing(tmp_path):
         parse_weight(f"table:{bad}")
     with pytest.raises(ValueError):
         parse_weight("mystery")
+
+
+def dense_table_series(g, top, start=1, shift=0):
+    """Oracle: the table series summed over every m up to the largest listed."""
+    total = 0.0
+    for m in range(start, top + 1 - shift):
+        total += float(g(m + shift)) * math.log1p(1.0 / m)
+    return total
+
+
+def test_weight_table_is_sparse(tmp_path):
+    far = tmp_path / "far.txt"
+    far.write_text("1000000000 1/2\n")
+    t0 = time.perf_counter()
+    g = parse_weight(f"table:{far}")
+    assert time.perf_counter() - t0 < 0.1
+    assert g(10 ** 9) == Fraction(1, 2) and g(1) == 0 and g(10 ** 9 + 1) == 0
+    assert hash(g) == hash(parse_weight(f"table:{far}"))
+    f = tmp_path / "w.txt"
+    f.write_text("7 2/3\n1 1/3\n5 0\n40 -1/8\n")
+    sparse = parse_weight(f"table:{f}")
+    dense = WeightFunction.from_table([sparse(m) for m in range(1, 41)])
+    assert [sparse(m) for m in range(1, 50)] == [dense(m) for m in range(1, 50)]
+    for start, shift in itertools.product((1, 3), (0, 1)):
+        want = dense_table_series(sparse, 40, start, shift)
+        assert weight_log_series(sparse, start, shift) == (want, 0.0)
+        assert weight_log_series(dense, start, shift) == (want, 0.0)
+    assert hypothesis_check(sparse, 0.5, 3) == hypothesis_check(dense, 0.5, 3)
+    for seed in (2, 3):
+        x = DyadicStream(seed)
+        assert x_nf(x, 30, sparse, TruncationFn(0.5)) == x_nf(x, 30, dense, TruncationFn(0.5))
 
 
 def test_weight_prefix_sums():
