@@ -174,8 +174,9 @@ class DyadicStream(PartialQuotientStream):
     blocks concatenated most significant first.  The stream keeps the dyadic
     interval [X/2^B, (X+1)/2^B] containing x; a partial quotient is certified
     once the canonical expansions of both endpoints agree through its index.
-    Refinement appends one 64-bit block at a time and never alters earlier
-    bits, so certified quotients are stable.
+    Construction draws block 0; quotient and compare_fraction append one
+    block at a time only when they need it, never altering earlier bits, so
+    certified quotients are stable.  Growing past MAX_BITS raises NeedsMoreBits.
 
     Certification is incremental (Gosper, HAKMEM item 101).  With a_1..a_k
     certified and s = (-1)^k, the stream holds the signed denominators
@@ -193,12 +194,11 @@ class DyadicStream(PartialQuotientStream):
     """
 
     BLOCK = 64
+    MAX_BITS = 1 << 20
 
-    def __init__(self, seed: int, bits: int = 256):
+    def __init__(self, seed: int):
         if not 0 <= seed <= M64:
             raise ValueError("seed must fit in 64 bits")
-        if bits < 1:
-            raise ValueError("bits must be positive")
         self.seed = seed
         self._X = 0
         self._B = 0
@@ -206,7 +206,7 @@ class DyadicStream(PartialQuotientStream):
         self._certified: list[int] = []
         self._sq = (0, 1)    # s q_{k-1}, s q_k
         self._tail = (1, 0)  # a, b with X/2^B = [0; a_1, ..., a_k, a/b]
-        self._grow((bits + self.BLOCK - 1) // self.BLOCK)
+        self._grow(1)
 
     @property
     def bits(self) -> int:
@@ -218,6 +218,8 @@ class DyadicStream(PartialQuotientStream):
         return Fraction(self._X, den), Fraction(self._X + 1, den)
 
     def _grow(self, nblocks: int):
+        if self._B + nblocks * self.BLOCK > self.MAX_BITS:
+            raise NeedsMoreBits(f"{self!r} would exceed its budget of {self.MAX_BITS} bits")
         sq0, sq1 = self._sq
         a, b = self._tail
         for _ in range(nblocks):
@@ -260,32 +262,30 @@ class DyadicStream(PartialQuotientStream):
         finally:
             self._sq, self._tail = (sq0, sq1), (a, b)
 
-    def quotient(self, n: int, max_bits: int = 1 << 20) -> int:
+    def quotient(self, n: int) -> int:
         if n < 1:
             raise ValueError("quotient index starts at 1")
         while len(self._certified) < n:
-            if self._B >= max_bits:
-                raise NeedsMoreBits(f"quotient {n} not certified within {max_bits} bits")
             self._grow(1)
         return self._certified[n - 1]
 
     def certified(self) -> tuple[int, ...]:
         return tuple(self._certified)
 
-    def compare_fraction(self, r: Fraction, max_rounds: int = 8192) -> int:
+    def compare_fraction(self, r: Fraction) -> int:
         """Sign of x - r.  The bit source is endless and not eventually
         constant, so x is interior to every enclosing interval and the
-        comparison never returns 0."""
+        comparison never returns 0; an r that MAX_BITS bits cannot tell
+        from x raises NeedsMoreBits."""
         p, q = r.numerator, r.denominator
         if q < 0:
             p, q = -p, -q
-        for _ in range(max_rounds):
+        while True:
             if p * (1 << self._B) <= q * self._X:
                 return 1
             if p * (1 << self._B) >= q * (self._X + 1):
                 return -1
             self._grow(1)
-        raise NeedsMoreBits(f"comparison with {r} undecided after {max_rounds} refinements")
 
     def __repr__(self):
         return f"DyadicStream(seed={self.seed:#x}, bits={self._B})"
@@ -295,7 +295,7 @@ Stream = Union[RationalStream, PeriodicStream, DyadicStream]
 
 
 def parse_stream(spec: str) -> Stream:
-    """Parse a stream spec: rational:p/q | periodic:[a0;pre|per] | dyadic:seed=S,bits=B."""
+    """Parse a stream spec: rational:p/q | periodic:[a0;pre|per] | dyadic:seed=S."""
     if spec.startswith("rational:"):
         body = spec[len("rational:"):]
         p, _, q = body.partition("/")
@@ -315,15 +315,10 @@ def parse_stream(spec: str) -> Stream:
         per = [int(t) for t in per_s.split(",") if t.strip()]
         return PeriodicStream(int(head), pre, per)
     if spec.startswith("dyadic:"):
-        body = spec[len("dyadic:"):]
-        fields = dict(kv.partition("=")[::2] for kv in body.split(","))
-        if "seed" not in fields:
-            raise ValueError(f"dyadic spec needs seed=<u64>: {spec!r}")
-        if fields.keys() - {"seed", "bits"}:
-            raise ValueError(f"dyadic spec takes only seed and bits: {spec!r}")
-        seed = int(fields["seed"], 0)
-        bits = int(fields.get("bits", "256"), 0)
-        return DyadicStream(seed, bits=bits)
+        key, _, seed = spec[len("dyadic:"):].partition("=")
+        if key != "seed" or "," in seed:
+            raise ValueError(f"dyadic spec takes one field, seed=<u64>: {spec!r}")
+        return DyadicStream(int(seed, 0))
     raise ValueError(f"unknown stream spec {spec!r}")
 
 

@@ -38,7 +38,7 @@ from .stats import (TruncationFn, WeightFunction, birkhoff_average,
 ORACLE_LIMIT = 3000
 
 
-def sample_stream(master_seed: int, index: int, bits: int = 256) -> DyadicStream:
+def sample_stream(master_seed: int, index: int) -> DyadicStream:
     """Dyadic stream for sample `index` under `master_seed`.
 
     The per-sample seed is mix64((master_seed + (index+1) * GOLDEN64) mod 2^64)
@@ -46,11 +46,9 @@ def sample_stream(master_seed: int, index: int, bits: int = 256) -> DyadicStream
     stream applies to its own block counter.  This derivation is part of the
     reproducibility contract.
     """
-    if bits < 64:
-        raise ValueError("bits must be >= 64")
     if index < 0:
         raise ValueError("index must be >= 0")
-    return DyadicStream(mix64((master_seed + (index + 1) * GOLDEN64) & M64), bits=bits)
+    return DyadicStream(mix64((master_seed + (index + 1) * GOLDEN64) & M64))
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,6 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     threads: int = 1
     exact: bool = False
-    initial_bits: int = 256
 
 
 # -- per-experiment statistics ------------------------------------------------
@@ -260,8 +257,8 @@ def _run_openproblem(stream, Q, p):
 
 def _run_khinchin(stream, n, p):
     g = p["weight"]
-    res = birkhoff_average(stream, g, n)
-    return [("birkhoff_avg", res.average if p["exact"] else float(res.average))]
+    avg = birkhoff_average(stream, g, n)
+    return [("birkhoff_avg", avg if p["exact"] else float(avg))]
 
 
 @dataclass(frozen=True)
@@ -313,7 +310,7 @@ def _run_chunk(config: ExperimentConfig, grid: tuple, p: dict, indices: range) -
     compute = REGISTRY[config.experiment].compute
     out = []
     for i in indices:
-        stream = sample_stream(config.seed, i, config.initial_bits)
+        stream = sample_stream(config.seed, i)
         for param in grid:
             for stat, val in compute(stream, param, p):
                 out.append(ResultRow(config.experiment, config.seed, i, param, stat, val))
@@ -406,8 +403,8 @@ def aggregate(rows: list[ResultRow]) -> list[Summary]:
     return out
 
 
-def pairdep_tables(rows: list[ResultRow], r_vals=(1, 2), s_vals=(1, 2)) -> dict:
-    """{(k, r, s): (joint frequency, product of marginal frequencies)}."""
+def pairdep_tables(rows: list[ResultRow]) -> dict:
+    """{(k, r, s): (joint frequency, product of marginal frequencies)} for r, s in 1, 2."""
     by_param: dict[int, dict[int, dict[str, int]]] = {}
     for r in rows:
         by_param.setdefault(r.param, {}).setdefault(r.index, {})[r.stat] = r.value
@@ -415,8 +412,8 @@ def pairdep_tables(rows: list[ResultRow], r_vals=(1, 2), s_vals=(1, 2)) -> dict:
     for k, per_sample in sorted(by_param.items()):
         pairs = [(d["a_first"], d["a_second"]) for _, d in sorted(per_sample.items())]
         n = len(pairs)
-        for rv in r_vals:
-            for sv in s_vals:
+        for rv in (1, 2):
+            for sv in (1, 2):
                 joint = sum(1 for a, b in pairs if a == rv and b == sv) / n
                 p1 = sum(1 for a, _ in pairs if a == rv) / n
                 p2 = sum(1 for _, b in pairs if b == sv) / n

@@ -260,28 +260,14 @@ def gauss_kuzmin_prob(k: int) -> float:
     return math.log1p(1.0 / (k * (k + 2))) / LOG2
 
 
-@dataclass(frozen=True)
-class BirkhoffResult:
-    average: object
-    reference: float | None
-
-
-def birkhoff_average(x, fvals: Callable[[int], object], n: int,
-                     ref_terms: int | None = None) -> BirkhoffResult:
-    """Cesaro average (1/n) sum_{k<=n} fvals(a_k), with an optional reference
-    value sum_r fvals(r) log2(1+1/(r(r+2))) truncated at ref_terms (the
-    caller asserts the tail of fvals is summable)."""
+def birkhoff_average(x, fvals: Callable[[int], object], n: int):
+    """Cesaro average (1/n) sum_{k<=n} fvals(a_k)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     total = 0
     for k in range(1, n + 1):
         total = total + fvals(quotient(x, k))
-    avg = total / n
-    ref = None
-    if ref_terms is not None:
-        ref = math.fsum(float(fvals(r)) * gauss_kuzmin_prob(r)
-                        for r in range(1, ref_terms + 1))
-    return BirkhoffResult(avg, ref)
+    return total / n
 
 
 @dataclass(frozen=True)
@@ -328,7 +314,8 @@ class HypothesisReport:
 
 def hypothesis_check(g: WeightFunction, delta: float, n_max: int) -> HypothesisReport:
     """Check sum_m g(m)/m (closed form per family) and the growth ratios
-    G_f(n) = sum_{m<=f((n+1)^2)} g / sum_{m<=f(n^2)} g for n = 1..n_max."""
+    G_f(n) = sum_{m<=f((n+1)^2)} g / sum_{m<=f(n^2)} g for n = 1..n_max; a
+    ratio whose lower sum is 0 (a table weight zero at the start) is nan."""
     if g.family == "unit":
         value, divergent = None, True
     elif g.family == "harmonic":
@@ -345,5 +332,5 @@ def hypothesis_check(g: WeightFunction, delta: float, n_max: int) -> HypothesisR
     for n in range(1, n_max + 1):
         hi = float(g.sum_to(f((n + 1) ** 2), start=1))
         lo = float(g.sum_to(f(n ** 2), start=1))
-        traj.append(hi / lo)
+        traj.append(hi / lo if lo else math.nan)
     return HypothesisReport(value, divergent, tuple(traj))

@@ -98,7 +98,7 @@ def test_convergents_rational():
 
 def test_convergents_determinant_identity():
     for spec in ("periodic:[0;|1]", "periodic:[0;2|3,2]", "rational:355/113",
-                 "dyadic:seed=5,bits=256"):
+                 "dyadic:seed=5"):
         x = parse_stream(spec)
         cs = convergents(x, 8)
         for n in range(1, len(cs)):
@@ -163,14 +163,16 @@ def assert_grows_like_oracle(x, blocks):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, M64), bits=st.sampled_from([1, 64, 100, 256, 1024]),
+@given(seed=st.integers(0, M64), first=st.sampled_from([0, 1, 3, 15]),
        blocks=st.integers(1, 12))
-def test_dyadic_certifier_matches_restart_oracle(seed, bits, blocks):
-    assert_grows_like_oracle(DyadicStream(seed, bits), blocks)
+def test_dyadic_certifier_matches_restart_oracle(seed, first, blocks):
+    x = DyadicStream(seed)
+    x._grow(first)  # several blocks before one certification pass
+    assert_grows_like_oracle(x, blocks)
 
 
 def test_dyadic_certifier_matches_restart_oracle_deep():
-    x = DyadicStream(0x5EED, 64)
+    x = DyadicStream(0x5EED)
     assert_grows_like_oracle(x, 105)
     assert len(x.certified()) >= 2000
 
@@ -187,7 +189,7 @@ def test_dyadic_certifier_matches_restart_oracle_deep():
 def test_dyadic_certifier_canonical_edges(words, monkeypatch):
     blocks = iter(words)
     monkeypatch.setattr(cflab.cf, "mix64", lambda z: next(blocks))
-    assert_grows_like_oracle(DyadicStream(0, 64), len(words) - 1)
+    assert_grows_like_oracle(DyadicStream(0), len(words) - 1)
 
 
 def test_dyadic_quotient_cap(monkeypatch):
@@ -195,7 +197,8 @@ def test_dyadic_quotient_cap(monkeypatch):
     blocks = itertools.chain([0x5555555555555555] * 2 + [0x5555555555555554],
                              itertools.repeat(7))
     monkeypatch.setattr(cflab.cf, "mix64", lambda z: next(blocks))
-    x = DyadicStream(0, 192)
+    x = DyadicStream(0)
+    x._grow(2)
     assert x.certified() == (3,)
     with pytest.raises(QuotientCapExceeded):
         x.quotient(2)
@@ -210,11 +213,23 @@ def test_dyadic_tail_below_one_is_an_invariant_violation():
         x._grow(1)
 
 
-def test_dyadic_budget_exhausted():
+def test_dyadic_stream_starts_with_one_block():
+    assert DyadicStream(17).bits == 64
+
+
+def test_dyadic_budget_exhausted(monkeypatch):
+    twin = DyadicStream(17)
+    twin._grow((1 << 15) // 64)
+    lo = twin.interval()[0]  # x - lo < 2^-32768
+    monkeypatch.setattr(DyadicStream, "MAX_BITS", 1 << 14)
     x = DyadicStream(17)
     with pytest.raises(NeedsMoreBits):
-        x.quotient(10 ** 6, max_bits=1 << 14)
+        x.quotient(10 ** 6)
     assert x.bits == 1 << 14
+    y = DyadicStream(17)
+    with pytest.raises(NeedsMoreBits):
+        y.compare_fraction(lo)
+    assert y.bits == 1 << 14
 
 
 def test_dyadic_determinism_and_stability():
@@ -380,9 +395,10 @@ def test_parse_stream():
     p = parse_stream("periodic:[0;2|3,2]")
     assert isinstance(p, PeriodicStream)
     assert [quotient(p, n) for n in (1, 2, 3)] == [2, 3, 2]
-    d = parse_stream("dyadic:seed=9,bits=128")
-    assert isinstance(d, DyadicStream) and d.bits >= 128
-    for bad in ("nope", "periodic:[0;1,1]", "dyadic:seed=x", "rational:1/0"):
+    d = parse_stream("dyadic:seed=9")
+    assert isinstance(d, DyadicStream) and d.seed == 9
+    for bad in ("nope", "periodic:[0;1,1]", "dyadic:seed=x", "rational:1/0",
+                "dyadic:seed=9,bits=128"):
         with pytest.raises(ValueError):
             parse_stream(bad)
 

@@ -1,5 +1,6 @@
 """Command line behavior: output formats, exit codes, file artifacts."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -209,7 +210,8 @@ BAD_STREAMS = st.one_of(
               st.integers(-10, 0)),
     st.builds("dyadic:seed={},{}={}".format, st.integers(0, 2 ** 64 - 1),
               st.text(st.sampled_from("abcdeistz_"), max_size=6).filter(
-                  lambda k: k not in ("seed", "bits")), st.integers(1, 512)),
+                  lambda k: k != "seed"), st.integers(1, 512)),
+    st.sampled_from(["dyadic:seed=1,seed=2", "dyadic:seed=1,bits=64"]),
 )
 
 
@@ -292,7 +294,7 @@ def test_malformed_height_set_specs_exit_2(spec, tokens, tmp_path, capsys):
 
 @pytest.mark.parametrize("exc", [NeedsMoreBits, QuotientCapExceeded])
 def test_budget_errors_exit_2(exc, tmp_path, capsys, monkeypatch):
-    def exhausted(self, n, max_bits=1 << 20):
+    def exhausted(self, n):
         raise exc(f"quotient {n} out of budget")
 
     monkeypatch.setattr(DyadicStream, "quotient", exhausted)
@@ -390,6 +392,31 @@ def test_benchmark_tracer_finds_every_name_it_patches(experiment, flag, spans, t
     got = json.loads(report.read_text())
     assert got["rc"] == 0
     assert spans | {"cli.main", "harness.run", "harness.compute"} <= set(got["spans"])
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, which imports nothing from cflab, loaded by path
+    and registered first, since its dataclasses look their module up."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _perfbench_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.EXPERIMENTS))
+def test_benchmark_goldens_hold_at_the_frozen_seed(name, tmp_path):
+    # the benchmark checks each unit's CSV lines against these digests; four
+    # units per workload show a changed byte here, not only in a benchmark run
+    w = WORKLOADS.EXPERIMENTS[name]
+    out = tmp_path / "out.csv"
+    assert main(w.argv(w.frozen_seed, 4, 1, str(out))) == 0
+    units, errors = WORKLOADS.split_units(w, out.read_bytes(), 4)
+    golden = WORKLOADS.load_goldens(name)["units"][str(w.frozen_seed)]
+    assert errors == []
+    assert [WORKLOADS.unit_ok(w, units[i], golden[i]) for i in range(4)] == [True] * 4
 
 
 TRACED_REFERENCE = """
