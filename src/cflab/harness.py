@@ -187,17 +187,22 @@ def mq_value(counts: dict, g: WeightFunction, exact: bool):
         if not g.is_exact:
             raise ValueError("exact values need an exact weight family")
         return sum((c * g(m) for m, c in sorted(counts.items())), Fraction(0))
-    return math.fsum(c * float(g(m)) for m, c in sorted(counts.items()))
+    return math.fsum(c * g.float_at(m) for m, c in sorted(counts.items()))
 
 
-def _mq_counts(stream, Q: int, with_farey: bool):
-    """(farey, intermediates, closed, agree): the three count multisets
-    (farey None unless with_farey) and whether they are all equal."""
+def _mq_routes(stream, Q: int, with_farey: bool, g: WeightFunction, exact: bool):
+    """(farey, intermediates, closed, agree): the values under g of the three
+    count multisets (farey None unless with_farey) and whether the multisets
+    are all equal.  The closed multiset is valued once and a multiset equal
+    to it reuses that value; a differing one is valued on its own."""
     closed = mq_count_closed(stream, Q)
     inter = mq_count_intermediates(stream, Q)
     farey = mq_count_farey(stream, Q) if with_farey else None
     agree = inter == closed and (farey is None or farey == closed)
-    return farey, inter, closed, agree
+    value = mq_value(closed, g, exact)
+    farey_v, inter_v = (None if c is None else value if c == closed else mq_value(c, g, exact)
+                        for c in (farey, inter))
+    return farey_v, inter_v, value, agree
 
 
 def mq_all(x, Q: int, g: WeightFunction):
@@ -207,21 +212,14 @@ def mq_all(x, Q: int, g: WeightFunction):
     equality of the count multisets, for every weight family; the values are
     exact rationals exactly when g is an exact family.
     """
-    *counts, agree = _mq_counts(x, Q, Q <= ORACLE_LIMIT)
-    farey, inter, closed = (None if c is None else mq_value(c, g, g.is_exact)
-                            for c in counts)
-    return farey, inter, closed, agree
+    return _mq_routes(x, Q, Q <= ORACLE_LIMIT, g, g.is_exact)
 
 
 def _run_mq(stream, Q, p):
-    g, exact = p["weight"], p["exact"]
-    farey, inter, closed, agree = _mq_counts(stream, Q, p["with_farey"])
-    rows = [
-        ("mq_closed", mq_value(closed, g, exact)),
-        ("mq_intermediates", mq_value(inter, g, exact)),
-    ]
+    farey, inter, closed, agree = _mq_routes(stream, Q, p["with_farey"], p["weight"], p["exact"])
+    rows = [("mq_closed", closed), ("mq_intermediates", inter)]
     if farey is not None:
-        rows.append(("mq_farey", mq_value(farey, g, exact)))
+        rows.append(("mq_farey", farey))
     rows.append(("methods_agree", int(agree)))
     return rows
 

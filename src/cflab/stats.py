@@ -73,6 +73,15 @@ class WeightFunction:
             return self.table[i][1] if hit else Fraction(0)
         return np.longdouble(m) ** np.longdouble(-(0.5 + self.gamma))
 
+    def float_at(self, m: int) -> float:
+        """float(self(m)), without building a Fraction for harmonic and unit
+        weights: 1 / m is the same correctly rounded int division."""
+        if m < 1:
+            raise ValueError("weights are defined on positive integers")
+        if self.family == "harmonic":
+            return 1 / m
+        return 1.0 if self.family == "unit" else float(self(m))
+
     def sum_to(self, k: int, start: int = 2):
         """Prefix sum of g over start..k (empty when k < start)."""
         if k < start:
@@ -185,7 +194,7 @@ def weight_log_series(g: WeightFunction, start: int = 1, shift: int = 0,
     if shift not in (0, 1):
         raise ValueError("shift must be 0 or 1")
     s0 = 1.0 if g.family == "harmonic" else 0.5 + g.gamma
-    head_sum = math.fsum(float(g(m + shift)) * math.log1p(1.0 / m)
+    head_sum = math.fsum(g.float_at(m + shift) * math.log1p(1.0 / m)
                          for m in range(start, head + 1))
     tail, bound = _series_tail(s0, head, shift)
     return head_sum + tail, bound
@@ -202,7 +211,7 @@ def main_term(g: WeightFunction, Q: float, cutoff_m: int | None = None) -> float
     if cutoff_m is None:
         series, _ = weight_log_series(g, start=1)
     else:
-        series = math.fsum(float(g(m)) * math.log1p(1.0 / m)
+        series = math.fsum(g.float_at(m) * math.log1p(1.0 / m)
                            for m in range(2, cutoff_m + 1))
     return 12 / math.pi**2 * series * math.log(Q)
 

@@ -363,7 +363,9 @@ class RecordingStream:
         return self.inner.quotient(n)
 
 
-@pytest.mark.parametrize("x", [DyadicStream(3), DyadicStream(8), PeriodicStream(1, (2,), (1, 3)),
+@pytest.mark.parametrize("x", [pytest.param(DyadicStream(3), id="dyadic:seed=3"),
+                               pytest.param(DyadicStream(8), id="dyadic:seed=8"),
+                               PeriodicStream(1, (2,), (1, 3)),
                                PeriodicStream(0, (), (1,)), RationalStream(1393, 972),
                                RationalStream(355, 113), RationalStream(5, 1)],
                          ids=repr)

@@ -79,6 +79,13 @@ def test_mq_routes_agree_with_integer_part(capsys):
         "farey 14\nconv 14\nclosed 14\nagree 1\n"
 
 
+def test_mq_routes_that_disagree_keep_their_own_values(capsys):
+    # x = 1/3 lies on a neighbor endpoint, which counts 1/2 on the Farey route only
+    assert main(["mq", "--x", "rational:1/3", "--Q", "10", "--method", "all"]) == 3
+    assert capsys.readouterr().out == \
+        "farey 23/8\nconv 11/6\nclosed 11/6\nagree 0\n"
+
+
 def test_mq_single_method(capsys):
     assert main(["mq", "--x", "rational:2/5", "--Q", "5", "--method", "closed",
                  "--weight", "unit"]) == 0
@@ -379,7 +386,8 @@ with open(sys.argv[3], "w") as fh:
 
 
 @pytest.mark.parametrize("experiment, flag, spans", [
-    ("mq", "--Q", {"cf.cutoff", "cf.intermediates", "cf.quotient", "harness.mq_count_farey"}),
+    ("mq", "--Q", {"cf.cutoff", "cf.intermediates", "cf.quotient", "harness.mq_count_farey",
+                   "harness.mq_value"}),
     ("levy", "--n", {"cf.quotient", "stats.classical_stats"})], ids=["mq", "levy"])
 def test_benchmark_tracer_finds_every_name_it_patches(experiment, flag, spans, tmp_path):
     # perfbench/tracer.py patches cflab names by getattr, so a renamed one

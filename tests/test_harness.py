@@ -363,6 +363,41 @@ def test_mq_value_exact_vs_float():
         mq_value(counts, WeightFunction.power(0.5), exact=True)
 
 
+MULTISETS = st.dictionaries(
+    st.integers(1, 10**6),
+    st.integers(1, 10**4) | st.integers(1, 2 * 10**4).map(lambda k: Fraction(k, 2)),
+    max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(MULTISETS)
+def test_mq_value_float_is_fsum_of_rounded_weights(counts):
+    table = WeightFunction("table", table=((1, Fraction(1, 7)), (2, Fraction(2)),
+                                           (1000, Fraction(-5, 3))))
+    for g in (WeightFunction.harmonic(), WeightFunction.unit(), table,
+              WeightFunction.power(0.25)):
+        want = math.fsum(c * float(g(m)) for m, c in sorted(counts.items()))
+        assert mq_value(counts, g, exact=False) == want
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_run_mq_values_a_disagreeing_route_on_its_own(exact, monkeypatch):
+    count = harness.mq_count_intermediates
+
+    def drop_the_zero_class(stream, Q):  # the one class with terminal quotient 1
+        counts = count(stream, Q)
+        del counts[1]
+        return counts
+
+    monkeypatch.setattr(harness, "mq_count_intermediates", drop_the_zero_class)
+    p = {"weight": WeightFunction.harmonic(), "exact": exact, "with_farey": True}
+    rows = dict(harness._run_mq(sample_stream(9, 0), 300, p))
+    assert rows["methods_agree"] == 0
+    assert rows["mq_farey"] == rows["mq_closed"]
+    want = rows["mq_closed"] - 1  # g(1) = 1
+    assert rows["mq_intermediates"] == (want if exact else pytest.approx(want, rel=1e-15))
+
+
 def test_find_violations_flags_disagreement():
     ok = ResultRow("mq", 1, 0, 100, "methods_agree", 1)
     bad = ResultRow("mq", 1, 1, 100, "methods_agree", 0)

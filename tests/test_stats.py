@@ -43,6 +43,23 @@ def test_weight_families():
         HARMONIC(0)
 
 
+FLOAT_WEIGHTS = (HARMONIC, UNIT, WeightFunction.power(0.25),
+                 WeightFunction("table", table=((1, Fraction(1, 7)), (2, Fraction(2)),
+                                                (3, Fraction(1, 3)), (4096, Fraction(-5, 3)))))
+
+
+@pytest.mark.parametrize("g", FLOAT_WEIGHTS, ids=lambda g: g.family)
+def test_float_weight_is_the_rounded_exact_weight(g):
+    assert all(g.float_at(m) == float(g(m)) for m in range(1, 5001))
+    with pytest.raises(ValueError):
+        g.float_at(0)
+
+
+def test_harmonic_float_weight_rounds_large_m_once():
+    for m in (2**53 - 1, 2**53 + 1, 2**64 + 3, 10**30 + 7):
+        assert HARMONIC.float_at(m) == float(Fraction(1, m))
+
+
 def test_weight_table_parsing(tmp_path):
     f = tmp_path / "w.txt"
     f.write_text("2 1\n5 3/4\n")
