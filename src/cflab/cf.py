@@ -12,6 +12,7 @@ needs convergents consumes it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -39,7 +40,8 @@ class OutOfQuotients(Exception):
 
 
 class NeedsMoreBits(Exception):
-    """A comparison or certification ran out of its refinement budget."""
+    """A dyadic stream's certification ran out of its bit budget (a
+    comparison draws bits only by certifying quotients)."""
 
 
 class QuotientCapExceeded(Exception):
@@ -78,6 +80,13 @@ class ContinuedFraction:
         if not self.quotients:
             return f"[{self.a0}]"
         return f"[{self.a0};{','.join(str(a) for a in self.quotients)}]"
+
+    def quotient(self, n: int) -> int:
+        if n < 1:
+            raise ValueError("quotient index starts at 1")
+        if n > len(self.quotients):
+            raise OutOfQuotients(len(self.quotients))
+        return self.quotients[n - 1]
 
 
 def _euclid(p: int, q: int) -> tuple[int, list[int]]:
@@ -119,6 +128,26 @@ class PartialQuotientStream:
     def quotient(self, n: int) -> int:
         raise NotImplementedError
 
+    def compare_fraction(self, r: Fraction) -> int:
+        """Sign of x - r, read off the expansions (Khinchin, Continued
+        Fractions, section 1).  Euclid gives r's quotients only as far as
+        needed; the first index n where the quotients differ decides, an
+        ended expansion reading as +inf there, and the sign flips at odd n.
+        0 means both expansions end together."""
+        p, q = r.numerator, r.denominator
+        n, a = 0, self.a0
+        while True:
+            b = p // q if q else math.inf
+            if a != b:
+                return 1 if (a > b) == (n % 2 == 0) else -1
+            if a == math.inf:
+                return 0
+            p, q, n = q, p % q, n + 1
+            try:
+                a = self.quotient(n)
+            except OutOfQuotients:
+                a = math.inf
+
 
 class RationalStream(PartialQuotientStream):
     """Terminating stream for a rational number."""
@@ -127,16 +156,11 @@ class RationalStream(PartialQuotientStream):
         if q == 0:
             raise ValueError("invalid denominator: q = 0")
         self.value = Fraction(p, q)
-        cf = cf_of_rational(self.value)
-        self.a0 = cf.a0
-        self._qs = cf.quotients
+        self._cf = cf_of_rational(self.value)
+        self.a0 = self._cf.a0
 
     def quotient(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("quotient index starts at 1")
-        if n > len(self._qs):
-            raise OutOfQuotients(len(self._qs))
-        return self._qs[n - 1]
+        return self._cf.quotient(n)
 
     def __repr__(self):
         return f"RationalStream({self.value})"
@@ -174,9 +198,10 @@ class DyadicStream(PartialQuotientStream):
     blocks concatenated most significant first.  The stream keeps the dyadic
     interval [X/2^B, (X+1)/2^B] containing x; a partial quotient is certified
     once the canonical expansions of both endpoints agree through its index.
-    Construction draws block 0; quotient and compare_fraction append one
-    block at a time only when they need it, never altering earlier bits, so
-    certified quotients are stable.  Growing past MAX_BITS raises NeedsMoreBits.
+    Construction draws block 0; quotient appends one block at a time only
+    when it needs it, never altering earlier bits, so certified quotients are
+    stable, and a comparison draws bits only through it.  Growing past
+    MAX_BITS raises NeedsMoreBits.
 
     Certification is incremental (Gosper, HAKMEM item 101).  With a_1..a_k
     certified and s = (-1)^k, the stream holds the signed denominators
@@ -272,21 +297,6 @@ class DyadicStream(PartialQuotientStream):
     def certified(self) -> tuple[int, ...]:
         return tuple(self._certified)
 
-    def compare_fraction(self, r: Fraction) -> int:
-        """Sign of x - r.  The bit source is endless and not eventually
-        constant, so x is interior to every enclosing interval and the
-        comparison never returns 0; an r that MAX_BITS bits cannot tell
-        from x raises NeedsMoreBits."""
-        p, q = r.numerator, r.denominator
-        if q < 0:
-            p, q = -p, -q
-        while True:
-            if p * (1 << self._B) <= q * self._X:
-                return 1
-            if p * (1 << self._B) >= q * (self._X + 1):
-                return -1
-            self._grow(1)
-
     def __repr__(self):
         return f"DyadicStream(seed={self.seed:#x}, bits={self._B})"
 
@@ -324,12 +334,6 @@ def parse_stream(spec: str) -> Stream:
 
 def quotient(x, n: int) -> int:
     """Partial quotient a_n (n >= 1) of a stream or finite expansion."""
-    if isinstance(x, ContinuedFraction):
-        if n < 1:
-            raise ValueError("quotient index starts at 1")
-        if n > len(x.quotients):
-            raise OutOfQuotients(len(x.quotients))
-        return x.quotients[n - 1]
     return x.quotient(n)
 
 
@@ -376,27 +380,9 @@ def compare_real_rational(x, r) -> int:
         r = r.as_fraction()
     elif not isinstance(r, Fraction):
         r = Fraction(r)
-    if isinstance(x, RationalStream):
-        v = x.value
-        return (v > r) - (v < r)
-    if isinstance(x, DyadicStream):
-        return x.compare_fraction(r)
-    if isinstance(x, PeriodicStream):
-        return _compare_periodic(x, r)
-    raise TypeError(f"not a stream: {x!r}")
-
-
-def _compare_periodic(x: PeriodicStream, r: Fraction, max_terms: int = 20000) -> int:
-    # Consecutive convergents bracket the (irrational) value strictly, so
-    # walk until r leaves the bracket.
-    for n, _, p, q, pm1, qm1 in islice(_levels(x), 1, max_terms + 1):
-        lo_p, lo_q, hi_p, hi_q = (pm1, qm1, p, q) if n % 2 == 1 else (p, q, pm1, qm1)
-        # bracket is (lo, hi) open; compare r by cross multiplication
-        if r.numerator * lo_q <= lo_p * r.denominator:
-            return 1
-        if r.numerator * hi_q >= hi_p * r.denominator:
-            return -1
-    raise NeedsMoreBits(f"comparison undecided after {max_terms} convergents")
+    if not isinstance(x, PartialQuotientStream):
+        raise TypeError(f"not a stream: {x!r}")
+    return x.compare_fraction(r)
 
 
 @dataclass(frozen=True)

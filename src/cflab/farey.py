@@ -54,17 +54,9 @@ def chi(beta, x) -> Fraction:
     if q == 1:
         return Fraction(1)
     nb = farey_neighbors(beta)
-    c_lo = compare_real_rational(x, x.a0 + nb.lower)
-    if c_lo < 0:
-        return Fraction(0)
-    if c_lo == 0:
-        return Fraction(1, 2)
-    c_hi = compare_real_rational(x, x.a0 + nb.upper)
-    if c_hi > 0:
-        return Fraction(0)
-    if c_hi == 0:
-        return Fraction(1, 2)
-    return Fraction(1)
+    # sign(x - lower) - sign(x - upper): 2 inside, 1 on an endpoint, 0 outside
+    return Fraction(compare_real_rational(x, x.a0 + nb.lower)
+                    - compare_real_rational(x, x.a0 + nb.upper), 2)
 
 
 def expected_chi(beta) -> Fraction:

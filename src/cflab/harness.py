@@ -25,12 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from .cf import (GOLDEN64, M64, DyadicStream, InvariantViolation,
-                 compare_real_rational, convergents, cutoff, intermediates, mix64,
-                 quotient)
+from .cf import (GOLDEN64, M64, DyadicStream, InvariantViolation, convergents,
+                 cutoff, intermediates, mix64, quotient)
 # chi_mask and farey_table are unused here; perfbench/tracer.py patches them by name.
-from .farey import (CHI_MARGIN, HeightSet, check_order, chi_mask,  # noqa: F401
-                    farey_neighbors, farey_table, terminal_from_neighbors)
+from .farey import (CHI_MARGIN, HeightSet, check_order, chi, chi_mask,  # noqa: F401
+                    farey_table, terminal_from_neighbors)
 from .stats import (TruncationFn, WeightFunction, birkhoff_average,
                     classical_stats, double_exceedance, indicator_sum,
                     terminal_quotient, x_nf)
@@ -163,10 +162,7 @@ def mq_count_farey(stream, Q: int) -> dict:
     lo_f, hi_f = (a - 1 / q_lo) / q, (a + 1 / q_hi) / q  # the neighbors' values
     halves = 2 * ((lo_f < x_f - CHI_MARGIN) & (hi_f > x_f + CHI_MARGIN))
     for i in np.flatnonzero(np.minimum(abs(lo_f - x_f), abs(hi_f - x_f)) <= CHI_MARGIN):
-        nb = farey_neighbors((a[i], q[i]))
-        # sign(x - lower) - sign(x - upper): 2 inside, 1 on an endpoint, 0 outside
-        halves[i] = (compare_real_rational(stream, stream.a0 + nb.lower)
-                     - compare_real_rational(stream, stream.a0 + nb.upper))
+        halves[i] = int(2 * chi((a[i], q[i]), stream))
     term = terminal_from_neighbors(q, q_lo, q_hi)
     total = np.bincount(term, weights=halves, minlength=2).astype(np.int64)
     total[1] += 2  # the zero class, chi identically 1
@@ -296,6 +292,10 @@ def resolve_params(config: ExperimentConfig) -> tuple[tuple[int, ...], dict]:
     grid = tuple(p.pop("grid", exp.default_grid))
     if not grid or any(int(v) != v or v < 1 for v in grid):
         raise ValueError("parameter grid must be positive integers")
+    if p.get("n", 1) < 1:
+        raise ValueError("n must be >= 1")
+    if not math.isfinite(p.get("delta", 0.0)):
+        raise ValueError("delta must be finite")
     p["exact"] = config.exact
     if exp.name == "mq":
         # the oracle route is all-or-nothing per run so the stat set is uniform

@@ -15,6 +15,7 @@ from cflab.cf import (M64, ContinuedFraction, DyadicStream, InvariantViolation,
                       QuotientCapExceeded, RationalStream, cf_of_rational,
                       compare_real_rational, convergents, cutoff,
                       intermediates, parse_stream, quotient, value_of_cf)
+from cflab.farey import farey_neighbors
 from cflab.rationals import mediant, reduce_mod1
 
 
@@ -115,6 +116,12 @@ def test_quotient_streams():
         quotient(x, 3)
     y = PeriodicStream(0, (2,), (3, 2))
     assert [quotient(y, n) for n in range(1, 6)] == [2, 3, 2, 3, 2]
+    cf = ContinuedFraction(3, (7, 16))
+    assert [quotient(cf, n) for n in (1, 2)] == [7, 16]
+    with pytest.raises(OutOfQuotients, match="after 2 partial"):
+        cf.quotient(3)
+    with pytest.raises(ValueError):
+        cf.quotient(0)
 
 
 def test_periodic_validation():
@@ -267,6 +274,63 @@ def test_compare_real_rational():
     x = RationalStream(2, 5)
     assert compare_real_rational(x, Fraction(2, 5)) == 0
     assert compare_real_rational(x, Fraction(1, 3)) > 0
+    with pytest.raises(TypeError, match="not a stream"):
+        compare_real_rational(ContinuedFraction(0, (2, 2)), Fraction(1, 3))
+
+
+def prefix_value(x, n):
+    """[a0; a_1, ..., a_n] (n >= 1), evaluated from the back."""
+    v = Fraction(x.quotient(n))
+    for k in range(n - 1, 0, -1):
+        v = x.quotient(k) + 1 / v
+    return x.a0 + 1 / v
+
+
+def oracle_sign(x, r):
+    """Slow sign of x - r: the value of a rational stream; for a periodic
+    stream, consecutive convergents, which hold x strictly between them, until
+    r leaves their bracket; for a dyadic stream, a fresh twin's enclosing
+    interval, which holds x strictly inside, grown until r leaves it."""
+    if isinstance(x, RationalStream):
+        return (x.value > r) - (x.value < r)
+    if isinstance(x, PeriodicStream):
+        for n in itertools.count(1):
+            lo, hi = sorted((prefix_value(x, n), prefix_value(x, n + 1)))
+            if not lo < r < hi:
+                return 1 if r <= lo else -1
+    twin = DyadicStream(x.seed)
+    while True:
+        lo, hi = twin.interval()
+        if not lo < r < hi:
+            return 1 if r <= lo else -1
+        twin._grow(1)
+
+
+STREAMS = st.one_of(
+    st.fractions(-20, 20, max_denominator=10 ** 6).map(
+        lambda v: RationalStream(v.numerator, v.denominator)),
+    st.builds(PeriodicStream, st.integers(-5, 5), st.lists(st.integers(1, 50), max_size=4),
+              st.lists(st.integers(1, 50), min_size=1, max_size=4)),
+    st.integers(0, M64).map(DyadicStream))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=STREAMS, depth=st.integers(0, 12), data=st.data())
+def test_comparison_matches_slow_oracles(x, depth, data):
+    # r of either sign and integers, x's convergents (x itself when x is
+    # rational) and their Farey neighbors, and a dyadic x's interval endpoints
+    targets = [data.draw(st.fractions(-25, 25, max_denominator=10 ** 4)),
+               data.draw(st.integers(-25, 25)), x.a0, x.a0 + 1]
+    for c in convergents(x, depth):
+        r = c.as_fraction()
+        targets.append(r)
+        if c.q > 1:
+            nb = farey_neighbors(reduce_mod1(c.p, c.q))
+            targets += [math.floor(r) + nb.lower, math.floor(r) + nb.upper]
+    if isinstance(x, DyadicStream):
+        targets += x.interval()
+    for r in targets:
+        assert compare_real_rational(x, r) == oracle_sign(x, Fraction(r))
 
 
 def test_cutoff_examples():

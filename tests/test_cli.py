@@ -171,6 +171,18 @@ def test_montecarlo_exact_mode(tmp_path):
      "--n", "10", "--out", "."],
     ["montecarlo", "--experiment", "levy", "--samples", "1", "--seed", "1",
      "--n", "10", "--out", "blocked.csv", "--json"],
+    ["montecarlo", "--experiment", "gauss_kuzmin", "--samples", "1", "--seed", "1",
+     "--n", "0", "--out", "x.csv"],
+    ["montecarlo", "--experiment", "variance", "--samples", "1", "--seed", "1",
+     "--n", "0", "--out", "x.csv"],
+    ["montecarlo", "--experiment", "pairdep", "--samples", "1", "--seed", "1",
+     "--n", "0", "--out", "x.csv"],
+    ["montecarlo", "--experiment", "double_exceed", "--samples", "1", "--seed", "1",
+     "--delta", "nan", "--out", "x.csv"],
+    ["montecarlo", "--experiment", "xnf", "--samples", "1", "--seed", "1",
+     "--delta", "nan", "--out", "x.csv"],
+    ["montecarlo", "--experiment", "xnf", "--samples", "1", "--seed", "1",
+     "--delta", "inf", "--out", "x.csv"],
 ])
 def test_invalid_arguments_exit_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -400,6 +412,34 @@ def test_benchmark_tracer_finds_every_name_it_patches(experiment, flag, spans, t
     got = json.loads(report.read_text())
     assert got["rc"] == 0
     assert spans | {"cli.main", "harness.run", "harness.compute"} <= set(got["spans"])
+
+
+TRACED_CHI_MASK = """
+import json, sys
+sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
+from tracer import Tracer
+from cflab import harness
+from cflab.cf import DyadicStream
+tracer = Tracer()
+tracer.install_experiment("mq")
+harness.chi_mask(harness.farey_table(30), DyadicStream(7), margin=0.1)
+with open(sys.argv[2], "w") as fh:
+    json.dump({"guard": tracer.metrics([])["farey.guard_band_checks"][0],
+               "compares": [tracer.spans[s[3]][0] if s[3] >= 0 else None
+                            for s in tracer.spans if s[0] == "cf.compare_fraction"]}, fh)
+"""
+
+
+def test_benchmark_tracer_counts_guard_band_checks(tmp_path):
+    # chi_mask settles its guard band with DyadicStream.compare_fraction, which
+    # the stream inherits; the tracer patches it by name on DyadicStream
+    report = tmp_path / "guard.json"
+    subprocess.run([sys.executable, "-c", TRACED_CHI_MASK, str(ROOT), str(report)],
+                   check=True, capture_output=True, timeout=120)
+    got = json.loads(report.read_text())
+    assert len(got["compares"]) >= 2  # a 0.1 band holds many endpoints of F_30
+    assert set(got["compares"]) == {"farey.chi_mask"}
+    assert got["guard"] == len(got["compares"])
 
 
 def _perfbench_workloads():
