@@ -93,10 +93,8 @@ def _cmd_mq(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    exp = REGISTRY.get(args.experiment)
-    if exp is None:
-        raise ValueError(f"unknown experiment {args.experiment!r}")
-    setting_names = {name for name, _ in exp.defaults}
+    # flags to params only: resolve_params decides what the experiment takes
+    exp = REGISTRY.get(args.experiment)  # and rejects an unknown name
     params: dict = {}
     for flag in ("Q", "n", "k", "m"):
         raw = getattr(args, flag)
@@ -105,28 +103,21 @@ def _cmd_montecarlo(args) -> int:
         vals = [int(v) for v in raw.split(",") if v]
         if not vals:
             raise ValueError(f"empty value for --{flag}")
-        if flag == exp.param:
+        if exp is not None and flag == exp.param:
             params["grid"] = vals
-        elif flag in setting_names:
-            if len(vals) != 1:
-                raise ValueError(f"--{flag} takes a single value for {exp.name}")
-            params[flag] = vals[0]
+        elif len(vals) != 1:
+            raise ValueError(f"--{flag} takes a single value for {args.experiment}")
         else:
-            raise ValueError(f"--{flag} is not used by {exp.name}")
+            params[flag] = vals[0]
     if args.delta is not None:
-        if "delta" not in setting_names:
-            raise ValueError(f"--delta is not used by {exp.name}")
         params["delta"] = args.delta
-    if args.weight is not None or args.gamma is not None:
-        if "weight" not in setting_names:
-            raise ValueError(f"--weight is not used by {exp.name}")
-        if args.weight is not None and args.gamma is not None:
-            raise ValueError("give either --weight or --gamma, not both")
-        params["weight"] = (parse_weight(args.weight) if args.weight is not None
-                            else WeightFunction.power(args.gamma))
+    if args.weight is not None and args.gamma is not None:
+        raise ValueError("give either --weight or --gamma, not both")
+    if args.weight is not None:
+        params["weight"] = parse_weight(args.weight)
+    elif args.gamma is not None:
+        params["weight"] = WeightFunction.power(args.gamma)
     if args.set is not None:
-        if "heights" not in setting_names:
-            raise ValueError(f"--set is not used by {exp.name}")
         params["heights"] = parse_height_set(args.set)
 
     config = ExperimentConfig(args.experiment, args.samples, args.seed,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -284,10 +285,18 @@ REGISTRY: dict[str, Experiment] = {e.name: e for e in [
 
 
 def resolve_params(config: ExperimentConfig) -> tuple[tuple[int, ...], dict]:
+    """(grid, settings) of a run: the one check of what an experiment takes.
+
+    `config.params` may hold "grid" and the names in the experiment's
+    defaults; any other key is a ValueError naming it and the experiment.
+    """
     exp = REGISTRY.get(config.experiment)
     if exp is None:
         raise ValueError(f"unknown experiment {config.experiment!r}")
     p = dict(exp.defaults)
+    for key in config.params:
+        if key != "grid" and key not in p:
+            raise ValueError(f"{key} is not used by {exp.name}")
     p.update(config.params)
     grid = tuple(p.pop("grid", exp.default_grid))
     if not grid or any(int(v) != v or v < 1 for v in grid):
@@ -367,14 +376,6 @@ class Summary:
     count: int
 
 
-def _median(sorted_vals: list[float]) -> float:
-    n = len(sorted_vals)
-    mid = n // 2
-    if n % 2:
-        return sorted_vals[mid]
-    return (sorted_vals[mid - 1] + sorted_vals[mid]) / 2
-
-
 def aggregate(rows: list[ResultRow]) -> list[Summary]:
     """Deterministic summaries per (param, stat).
 
@@ -396,7 +397,7 @@ def aggregate(rows: list[ResultRow]) -> list[Summary]:
         core = sv[drop:n - drop]
         trimmed = math.fsum(core) / len(core) if core else mean
         var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1) if n > 1 else 0.0
-        out.append(Summary(key[0], key[1], mean, _median(sv), trimmed,
+        out.append(Summary(key[0], key[1], mean, statistics.median(sv), trimmed,
                            math.sqrt(var), n))
     return out
 

@@ -152,18 +152,18 @@ def terminal_quotient(beta) -> int:
     return _euclid(a, q)[1][-1]
 
 
-def _series_tail(s0: float, M: int, shift: int, kmax: int = 8) -> tuple[float, float]:
+def _series_tail(s0: float, M: int, shift: int) -> tuple[float, float]:
     """(tail, bound) for sum_{m>M} (m+shift)^-s0 log(1+1/m), shift 0 or 1.
 
     Expanding log(1+1/m) as sum_k (-1)^(k+1)/(k m^k) for shift 0, or as
     sum_k 1/(k (m+1)^k) for shift 1, turns the tail into the Hurwitz zeta
-    sum sum_k +-zeta(s0+k, M+1+shift)/k.  The alternating sum is bounded by
-    its first omitted term; the positive one by that term times
-    (M+2)/(M+1), since each term is at most 1/(M+2) of the one before.
+    sum sum_k +-zeta(s0+k, M+1+shift)/k, summed for k <= 8.  The alternating
+    sum is bounded by its first omitted term; the positive one by that term
+    times (M+2)/(M+1), since each term is at most 1/(M+2) of the one before.
     """
     import mpmath
 
-    a = M + 1 + shift
+    a, kmax = M + 1 + shift, 8
     with mpmath.workdps(30):
         tail = mpmath.mpf(0)
         for k in range(1, kmax + 1):
@@ -175,11 +175,11 @@ def _series_tail(s0: float, M: int, shift: int, kmax: int = 8) -> tuple[float, f
         return float(tail), float(bound)
 
 
-def weight_log_series(g: WeightFunction, start: int = 1, shift: int = 0,
-                      head: int = 4096) -> tuple[float, float]:
+def weight_log_series(g: WeightFunction, start: int = 1,
+                      shift: int = 0) -> tuple[float, float]:
     """(value, tail_bound) for sum_{m>=start} g(m+shift) log(1+1/m).
 
-    Power and harmonic weights sum a head of terms and get a Hurwitz-zeta
+    Power and harmonic weights sum the terms m <= 4096 and get a Hurwitz-zeta
     tail (bound far below 1e-30); they take shift 0 or 1 only.  Raises
     ValueError for unit weights (divergent).
     """
@@ -193,7 +193,7 @@ def weight_log_series(g: WeightFunction, start: int = 1, shift: int = 0,
         return total, 0.0
     if shift not in (0, 1):
         raise ValueError("shift must be 0 or 1")
-    s0 = 1.0 if g.family == "harmonic" else 0.5 + g.gamma
+    s0, head = (1.0 if g.family == "harmonic" else 0.5 + g.gamma), 4096
     head_sum = math.fsum(g.float_at(m + shift) * math.log1p(1.0 / m)
                          for m in range(start, head + 1))
     tail, bound = _series_tail(s0, head, shift)
@@ -246,7 +246,10 @@ class TruncationFn:
             raise ValueError("n must be >= 1")
         if n == 1:
             return 1
-        return int(n * math.log(n) ** (0.5 + self.delta))
+        try:
+            return int(n * math.log(n) ** (0.5 + self.delta))
+        except OverflowError:
+            raise ValueError(f"f({n}) overflows at delta = {self.delta}") from None
 
 
 def x_nf(x, n: int, g: WeightFunction, f: TruncationFn):
@@ -308,7 +311,10 @@ def double_exceedance(x, M: int, delta: float) -> int:
     """#{i <= M : a_i > M (log M)^(1/2+delta)}."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    threshold = M * math.log(M) ** (0.5 + delta) if M > 1 else 0.0
+    try:
+        threshold = M * math.log(M) ** (0.5 + delta) if M > 1 else 0.0
+    except OverflowError:
+        raise ValueError(f"the threshold at M = {M} overflows at delta = {delta}") from None
     return sum(1 for i in range(1, M + 1) if quotient(x, i) > threshold)
 
 

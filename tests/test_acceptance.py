@@ -94,7 +94,7 @@ def test_criterion_04_row_sum_formula_accuracy():
 
 
 def test_criterion_05_levy_median():
-    rows = run(ExperimentConfig("levy", samples=500, seed=7, params={"n": 100}))
+    rows = run(ExperimentConfig("levy", samples=500, seed=7, params={"grid": (100,)}))
     (s,) = [s for s in aggregate(rows) if s.stat == "levy_stat"]
     rel = abs(s.median / KL_CONSTANT - 1)
     line = _report(5, rel <= 0.02,

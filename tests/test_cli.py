@@ -183,6 +183,15 @@ def test_montecarlo_exact_mode(tmp_path):
      "--delta", "nan", "--out", "x.csv"],
     ["montecarlo", "--experiment", "xnf", "--samples", "1", "--seed", "1",
      "--delta", "inf", "--out", "x.csv"],
+    pytest.param(["montecarlo", "--experiment", "xnf", "--samples", "1", "--seed", "1",
+                  "--delta", "1e300", "--n", "5", "--out", "x.csv"],
+                 id="xnf-f-overflows"),
+    pytest.param(["montecarlo", "--experiment", "double_exceed", "--samples", "1",
+                  "--seed", "1", "--delta", "1e300", "--m", "5", "--out", "x.csv"],
+                 id="double_exceed-threshold-overflows"),
+    pytest.param(["montecarlo", "--experiment", "xnf", "--samples", "1", "--seed", "1",
+                  "--delta=-1e300", "--n", "2", "--out", "x.csv"],
+                 id="xnf-f-overflows-below-e"),
 ])
 def test_invalid_arguments_exit_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -192,6 +201,13 @@ def test_invalid_arguments_exit_2(argv, tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_a_flag_the_experiment_does_not_take_is_named_by_its_setting(tmp_path, capsys):
+    rc = main(["montecarlo", "--experiment", "nq", "--samples", "1", "--seed", "1",
+               "--set", "all", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: heights is not used by nq\n"
 
 
 # -- malformed specs: every one is a bad argument ---------------------------------
@@ -384,6 +400,20 @@ def test_missing_subcommand_is_a_usage_error():
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_experiment_table_matches_the_registry():
+    """One row per experiment: its name, grid flag and settings (params keys)."""
+    readme = (ROOT / "README.md").read_text("utf-8")
+    table = readme.split("## Experiments", 1)[1].split("\n\n")[2].splitlines()[2:]
+    rows = {}
+    for line in table:
+        name, grid, settings = (c.strip() for c in line.split("|")[1:4])
+        rows[name.strip("`")] = (grid, [s.strip(" `") for s in settings.split(",") if s])
+    assert rows == {name: (f"`--{exp.param}`", [k for k, _ in exp.defaults])
+                    for name, exp in REGISTRY.items()}
+
+
 TRACED_RUN = """
 import json, sys
 sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]

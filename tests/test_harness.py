@@ -73,8 +73,9 @@ def test_sample_stream_quotient_law():
 
 
 def test_run_levy_row_counts():
-    rows = run(ExperimentConfig("levy", samples=10, seed=1, params={"n": 50}))
+    rows = run(ExperimentConfig("levy", samples=10, seed=1, params={"grid": (50,)}))
     assert len(rows) == 30
+    assert {r.param for r in rows} == {50}
     assert sum(1 for r in rows if r.stat == "levy_stat") == 10
     assert {r.index for r in rows} == set(range(10))
 
@@ -213,6 +214,26 @@ def test_resolve_params_errors():
     with pytest.raises(ValueError):
         resolve_params(ExperimentConfig("nq", samples=1, seed=1,
                                         params={"grid": ()}))
+
+
+@pytest.mark.parametrize("name, key", [
+    ("levy", "n"), ("levy", "delta"), ("nq", "weight"), ("openproblem", "delta"),
+    ("mq", "exact"), ("mq", "with_farey"),
+])
+def test_resolve_params_rejects_a_setting_the_experiment_does_not_take(name, key):
+    value = {"n": 50, "delta": 0.5, "weight": WeightFunction.unit(),
+             "exact": True, "with_farey": False}[key]
+    with pytest.raises(ValueError, match=f"^{key} is not used by {name}$"):
+        resolve_params(ExperimentConfig(name, samples=1, seed=1, params={key: value}))
+
+
+@pytest.mark.parametrize("name", sorted(harness.REGISTRY))
+def test_resolve_params_takes_the_grid_and_each_own_setting(name):
+    exp = harness.REGISTRY[name]
+    params = {"grid": (7,), **dict(exp.defaults)}
+    grid, p = resolve_params(ExperimentConfig(name, samples=1, seed=1, params=params))
+    assert grid == (7,)
+    assert {k: p[k] for k, _ in exp.defaults} == dict(exp.defaults)
 
 
 # -- mq count tables -------------------------------------------------------------
