@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Union
+from typing import NamedTuple, Union
 
-from .rationals import FareyFraction, _pair, reduce_mod1
+from .rationals import FareyFraction, _pair
 
 M64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
@@ -89,27 +89,20 @@ class ContinuedFraction:
         return self.quotients[n - 1]
 
 
-def _euclid(p: int, q: int) -> tuple[int, list[int]]:
-    # Plain Euclidean algorithm; the final quotient is automatically >= 2
-    # whenever at least one division step happens.
-    a0, r = divmod(p, q)
-    qs = []
-    a, b = q, r
-    while b:
-        k, r2 = divmod(a, b)
-        qs.append(k)
-        a, b = b, r2
-    return a0, qs
-
-
 def cf_of_rational(x) -> ContinuedFraction:
-    """Canonical expansion of a rational via the Euclidean algorithm."""
+    """Canonical expansion of a rational via the Euclidean algorithm; the
+    final quotient is automatically >= 2 whenever a division step happens."""
     p, q = _pair(x)
     if q == 0:
         raise ValueError("invalid denominator: q = 0")
     if q < 0:
         p, q = -p, -q
-    a0, qs = _euclid(p, q)
+    a0, r = divmod(p, q)
+    qs = []
+    while r:
+        k, r2 = divmod(q, r)
+        qs.append(k)
+        q, r = r, r2
     return ContinuedFraction(a0, tuple(qs))
 
 
@@ -414,14 +407,21 @@ def cutoff(x, Q: int) -> CutoffData:
     return CutoffData(N=n, a=a if n else 0, terminated=True, quotients=tuple(read[1:-1]))
 
 
-@dataclass(frozen=True)
-class Intermediate:
-    """One member of the intermediate-fraction set: level n, index m."""
+class Intermediate(NamedTuple):
+    """One member of the intermediate-fraction set: level n, index m, num/den mod 1."""
 
-    fraction: FareyFraction
     level: int
     index: int
-    height: int
+    num: int
+    den: int
+
+    @property
+    def fraction(self) -> FareyFraction:
+        return FareyFraction(self.num, self.den)
+
+    @property
+    def height(self) -> int:
+        return self.den
 
 
 def intermediates(x, Q: int) -> list[Intermediate]:
@@ -430,9 +430,10 @@ def intermediates(x, Q: int) -> list[Intermediate]:
     Level n contributes (m p_{n-1} + p_{n-2}) / (m q_{n-1} + q_{n-2}) for
     m = 1..a_n, the cutoff level truncated at m = a(Q, x).  The enumeration
     order has strictly increasing heights; the m = 1 element of level 1 is
-    the zero class (stored 0/1, the class of the integer a0 + 1).  One pass
-    over the levels: it stops at the first height above Q, or after the
-    cutoff level, the first with Q < q_n + q_{n-1}.
+    the zero class (stored 0/1, the class of the integer a0 + 1).  Each is
+    reduced, having determinant +-1 with p_{n-1}/q_{n-1}, so num is only taken
+    mod den.  One pass over the levels: it stops at the first height above Q,
+    or after the cutoff level, the first with Q < q_n + q_{n-1}.
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
@@ -445,7 +446,7 @@ def intermediates(x, Q: int) -> list[Intermediate]:
                 return out
             assert den > last_height
             last_height = den
-            out.append(Intermediate(reduce_mod1(p - (a - m) * pm1, den), n, m, den))
+            out.append(Intermediate(n, m, (p - (a - m) * pm1) % den, den))
         if Q < q + qm1:
             break
     return out

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import statistics
 from dataclasses import dataclass, field
@@ -122,8 +123,8 @@ def mq_count_intermediates(stream, Q: int) -> dict:
     """The same multiset read off the materialized enumeration, each
     intermediate fraction classed through its own canonical expansion."""
     counts: dict[int, int] = {}
-    for rec in intermediates(stream, Q):
-        m = terminal_quotient(rec.fraction)
+    for _, _, num, den in intermediates(stream, Q):
+        m = terminal_quotient(num, den)
         counts[m] = counts.get(m, 0) + 1
     return counts
 
@@ -284,11 +285,16 @@ REGISTRY: dict[str, Experiment] = {e.name: e for e in [
 ]}
 
 
+def _is_number(v, kind=int) -> bool:
+    return isinstance(v, kind) and not isinstance(v, bool)  # a bool is no number here
+
+
 def resolve_params(config: ExperimentConfig) -> tuple[tuple[int, ...], dict]:
     """(grid, settings) of a run: the one check of what an experiment takes.
 
     `config.params` may hold "grid" and the names in the experiment's
-    defaults; any other key is a ValueError naming it and the experiment.
+    defaults; any other key is a ValueError naming it and the experiment,
+    and a grid, n or delta of the wrong type or range one naming it.
     """
     exp = REGISTRY.get(config.experiment)
     if exp is None:
@@ -299,12 +305,12 @@ def resolve_params(config: ExperimentConfig) -> tuple[tuple[int, ...], dict]:
             raise ValueError(f"{key} is not used by {exp.name}")
     p.update(config.params)
     grid = tuple(p.pop("grid", exp.default_grid))
-    if not grid or any(int(v) != v or v < 1 for v in grid):
+    if not grid or not all(_is_number(v) and v >= 1 for v in grid):
         raise ValueError("parameter grid must be positive integers")
-    if p.get("n", 1) < 1:
-        raise ValueError("n must be >= 1")
-    if not math.isfinite(p.get("delta", 0.0)):
-        raise ValueError("delta must be finite")
+    if "n" in p and not (_is_number(p["n"]) and p["n"] >= 1):
+        raise ValueError(f"n must be an integer >= 1, not {p['n']!r}")
+    if "delta" in p and not (_is_number(p["delta"], numbers.Real) and math.isfinite(p["delta"])):
+        raise ValueError(f"delta must be a finite real number, not {p['delta']!r}")
     p["exact"] = config.exact
     if exp.name == "mq":
         # the oracle route is all-or-nothing per run so the stat set is uniform

@@ -16,8 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cf import _euclid, quotient
-from .rationals import _pair
+from .cf import quotient
 
 LOG2 = math.log(2)
 
@@ -140,16 +139,19 @@ def parse_weight(spec: str) -> WeightFunction:
     raise ValueError(f"unknown weight spec {spec!r}")
 
 
-def terminal_quotient(beta) -> int:
-    """Last partial quotient of the canonical expansion of beta.
+def terminal_quotient(a: int, q: int) -> int:
+    """Last partial quotient of the canonical expansion of the class a/q, q >= 1.
 
     The zero class counts as the expansion [1] of the representative 1, so
-    its terminal quotient is 1; any other is the last Euclid quotient of a/q.
+    its terminal quotient is 1; any other is the last Euclid quotient of (q, a mod q).
     """
-    a, q = _pair(beta)
     if q == 1:
         return 1
-    return _euclid(a, q)[1][-1]
+    a %= q
+    r = q % a
+    while r:
+        q, a, r = a, r, a % r
+    return q // a
 
 
 def _series_tail(s0: float, M: int, shift: int) -> tuple[float, float]:

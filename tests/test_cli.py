@@ -429,7 +429,8 @@ with open(sys.argv[3], "w") as fh:
 
 @pytest.mark.parametrize("experiment, flag, spans", [
     ("mq", "--Q", {"cf.cutoff", "cf.intermediates", "cf.quotient", "harness.mq_count_farey",
-                   "harness.mq_value"}),
+                   "harness.mq_count_intermediates", "harness.mq_value",
+                   "stats.terminal_quotient"}),
     ("levy", "--n", {"cf.quotient", "stats.classical_stats"})], ids=["mq", "levy"])
 def test_benchmark_tracer_finds_every_name_it_patches(experiment, flag, spans, tmp_path):
     # perfbench/tracer.py patches cflab names by getattr, so a renamed one

@@ -280,7 +280,7 @@ def check_table_against_oracle(table, Q):
         assert lo == (nb.lower.numerator, nb.lower.denominator)
         assert hi == (nb.upper.numerator, nb.upper.denominator)
         assert table.lo_f[i] == lo[0] / lo[1] and table.hi_f[i] == hi[0] / hi[1]
-        assert table.terminal[i] == terminal_quotient(beta)
+        assert table.terminal[i] == terminal_quotient(beta.num, beta.den)
 
 
 def test_farey_table_fields_fresh_and_as_prefix():

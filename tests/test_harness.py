@@ -5,12 +5,13 @@ import itertools
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cflab.cf
 from cflab.cf import (DyadicStream, PeriodicStream, RationalStream,
@@ -22,6 +23,7 @@ from cflab.harness import (CSV_HEADER, ExperimentConfig, ResultRow, aggregate,
                            mq_count_farey, mq_count_intermediates, mq_value,
                            pairdep_tables, resolve_params, rows_to_csv, run,
                            sample_stream, write_csv, write_json)
+from cflab.rationals import reduce_mod1
 from cflab.stats import WeightFunction, gauss_kuzmin_prob, terminal_quotient
 
 
@@ -214,6 +216,27 @@ def test_resolve_params_errors():
     with pytest.raises(ValueError):
         resolve_params(ExperimentConfig("nq", samples=1, seed=1,
                                         params={"grid": ()}))
+    for grid in [(3.0,), (True,), (2, 3.0)]:  # would reach the CSV's param column as 3.0, True
+        with pytest.raises(ValueError, match="^parameter grid must be positive integers$"):
+            resolve_params(ExperimentConfig("gauss_kuzmin", samples=1, seed=1,
+                                            params={"grid": grid}))
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("gauss_kuzmin", "n", "50"), ("gauss_kuzmin", "n", 2.5), ("variance", "n", True),
+    ("pairdep", "n", 1.0), ("double_exceed", "delta", "0.5"), ("xnf", "delta", True),
+    ("xnf", "delta", None),
+])
+def test_resolve_params_rejects_a_setting_of_the_wrong_type(name, key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        resolve_params(ExperimentConfig(name, samples=1, seed=1, params={key: value}))
+
+
+def test_resolve_params_takes_any_finite_real_delta():
+    for delta in (1, Fraction(1, 3), np.float64(0.25), 0.5):
+        _, p = resolve_params(ExperimentConfig("xnf", samples=1, seed=1,
+                                               params={"delta": delta}))
+        assert p["delta"] == delta
 
 
 @pytest.mark.parametrize("name, key", [
@@ -298,7 +321,7 @@ def _scalar_farey_halves(x, Q):
     for beta in enumerate_farey(Q):
         h = int(2 * chi(beta, x))
         if h:
-            m = terminal_quotient(beta)
+            m = terminal_quotient(beta.num, beta.den)
             halves[m] = halves.get(m, 0) + h
     return halves
 
@@ -363,6 +386,49 @@ def test_mq_count_rational_property(q, p, Q):
     farey = mq_count_farey(x, Q)
     assert all((2 * c).denominator == 1 for c in farey.values())
     assert mq_count_farey(RationalStream(p, q), Q) == farey
+
+
+def _slow_intermediates(x, Q):
+    """(level, index, fraction, height) of each intermediate fraction of x with
+    height <= Q, from the convergent recurrence, each fraction reduced by a gcd."""
+    out = []
+    p1, q1, p2, q2 = x.a0, 1, 1, 0  # p_{n-1}, q_{n-1}, p_{n-2}, q_{n-2} at level n = 1
+    for n in itertools.count(1):
+        try:
+            a = quotient(x, n)
+        except cflab.cf.OutOfQuotients:
+            return out
+        for m in range(1, a + 1):
+            den = m * q1 + q2
+            if den > Q:
+                return out
+            out.append((n, m, reduce_mod1(m * p1 + p2, den), den))
+        p1, q1, p2, q2 = a * p1 + p2, a * q1 + q2, p1, q1
+
+
+def _slow_terminal_quotient(f):
+    """The last quotient of the canonical expansion; the zero class counts as [1]."""
+    return cflab.cf.cf_of_rational((f.num, f.den)).quotients[-1] if f.den > 1 else 1
+
+
+STREAMS = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(DyadicStream),
+    st.builds(RationalStream, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 3000)),
+    st.builds(PeriodicStream, st.integers(-3, 5), quotients, quotients.filter(bool)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=STREAMS, Q=st.integers(1, 10 ** 4))
+# rationals that end before the cutoff, an integer, and one cut inside its last level
+@example(x=RationalStream(3, 7), Q=100)
+@example(x=RationalStream(-355, 113), Q=10 ** 4)
+@example(x=RationalStream(5, 1), Q=10)
+@example(x=RationalStream(3, 7), Q=5)
+def test_intermediates_route_matches_the_slow_oracle(x, Q):
+    want = _slow_intermediates(x, Q)
+    assert [(r.level, r.index, r.fraction, r.height) for r in intermediates(x, Q)] == want
+    assert mq_count_intermediates(x, Q) == Counter(_slow_terminal_quotient(f)
+                                                   for _, _, f, _ in want)
 
 
 def test_mq_count_unit_value_is_enumeration_length():

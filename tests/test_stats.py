@@ -12,12 +12,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cflab.cf import (DyadicStream, PeriodicStream, RationalStream, cf_of_rational,
                       intermediates)
 from cflab.harness import (mq_all, mq_count_closed, mq_count_farey,
                            mq_count_intermediates, mq_value)
-from cflab.rationals import FareyFraction
 from cflab.stats import (TruncationFn, WeightFunction, birkhoff_average,
                          classical_stats, double_exceedance, gauss_kuzmin_prob,
                          hypothesis_check, indicator_sum, main_term,
@@ -146,9 +146,9 @@ def test_weight_prefix_sums_under_racing_threads():
 
 def test_weight_c_examples():
     # c(beta) = g(terminal quotient of beta); the zero class counts as [1]
-    assert HARMONIC(terminal_quotient(FareyFraction(2, 5))) == Fraction(1, 2)
-    assert HARMONIC(terminal_quotient(FareyFraction(3, 7))) == Fraction(1, 3)
-    assert terminal_quotient(FareyFraction(0, 1)) == 1
+    assert HARMONIC(terminal_quotient(2, 5)) == Fraction(1, 2)
+    assert HARMONIC(terminal_quotient(3, 7)) == Fraction(1, 3)
+    assert terminal_quotient(0, 1) == 1
 
 
 def test_terminal_quotient_matches_the_canonical_expansion():
@@ -156,8 +156,18 @@ def test_terminal_quotient_matches_the_canonical_expansion():
         for a in range(1, q):
             if math.gcd(a, q) == 1:
                 want = cf_of_rational((a, q)).quotients[-1]
-                assert terminal_quotient(FareyFraction(a, q)) == want
-                assert terminal_quotient(Fraction(a, q)) == want
+                assert terminal_quotient(a, q) == want
+                assert terminal_quotient(a - q, q) == want  # the same class mod 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(-2 ** 200, 2 ** 200),
+       q=st.one_of(st.just(1), st.integers(2, 2 ** 70), st.integers(2 ** 64, 2 ** 200)))
+def test_terminal_quotient_property(a, q):
+    g = math.gcd(a, q)
+    a, q = a // g, q // g  # a coprime pair; a = 0 leaves the zero class 0/1
+    want = cf_of_rational((a, q)).quotients
+    assert terminal_quotient(a, q) == (want[-1] if want else 1)
 
 
 def test_mq_examples_golden():
