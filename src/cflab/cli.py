@@ -86,9 +86,9 @@ def _cmd_mq(args) -> int:
         print(f"closed {_fmt(closed_v)}")
         print(f"agree {int(agree)}")
         return 0 if agree else 3
-    route = {"farey": mq_count_farey, "conv": mq_count_intermediates,
-             "closed": mq_count_closed}[args.method]
-    print(f"{args.method} {_fmt(mq_value(route(x, args.Q), g, g.is_exact))}")
+    grid_route = {"farey": mq_count_farey, "conv": mq_count_intermediates}.get(args.method)
+    counts = grid_route(x, (args.Q,))[args.Q] if grid_route else mq_count_closed(x, args.Q)
+    print(f"{args.method} {_fmt(mq_value(counts, g, g.is_exact))}")
     return 0
 
 

@@ -74,9 +74,14 @@ class ExperimentConfig:
 
 # -- per-experiment statistics ------------------------------------------------
 #
-# Each compute function maps (stream, param, settings) to a fixed list of
-# (stat name, value) pairs; the stat set may depend on settings but never on
-# the sample, so row counts are exactly samples * |grid| * |stats|.
+# An experiment's compute maps (stream, grid, settings), once per sample, to
+# (param, stat name, value) triples; the stat set may depend on settings but
+# never on the sample, so row counts are exactly samples * |grid| * |stats|.
+
+
+def _per_param(fn):
+    """compute(stream, grid, p) from fn(stream, param, p) -> (stat, value) pairs."""
+    return lambda stream, grid, p: [(v, stat, val) for v in grid for stat, val in fn(stream, v, p)]
 
 
 def _run_levy(stream, n, p):
@@ -95,11 +100,6 @@ def _run_nq(stream, Q, p):
     return [("N", cut.N), ("a", cut.a)]
 
 
-def _bump_range(counts: dict, lo: int, hi: int) -> None:
-    for m in range(lo, hi + 1):
-        counts[m] = counts.get(m, 0) + 1
-
-
 def mq_count_closed(stream, Q: int) -> dict:
     """Multiset {terminal quotient: multiplicity} implied by the closed form
     M_Q(x) = g(1) + sum_{n<N} sum_{m=2}^{a_n+1} g(m) + sum_{m=2}^{a(Q,x)} g(m).
@@ -109,24 +109,31 @@ def mq_count_closed(stream, Q: int) -> dict:
     cutoff the same form is used with the full terminal multiplicity.
     """
     cut = cutoff(stream, Q)
-    counts: dict[int, int] = {}
     if cut.N == 0:
-        return counts
-    counts[1] = 1
-    for a_n in cut.quotients:
-        _bump_range(counts, 2, a_n + 1)
-    _bump_range(counts, 2, cut.a)
+        return {}
+    counts = {1: 1}
+    for top in (*cut.quotients, cut.a - 1):  # the cutoff level's m run to a, not a_N + 1
+        for m in range(2, top + 2):
+            counts[m] = counts.get(m, 0) + 1
     return counts
 
 
-def mq_count_intermediates(stream, Q: int) -> dict:
-    """The same multiset read off the materialized enumeration, each
-    intermediate fraction classed through its own canonical expansion."""
-    counts: dict[int, int] = {}
-    for _, _, num, den in intermediates(stream, Q):
+def mq_count_intermediates(stream, grid) -> dict:
+    """{Q: the same multiset} for each Q in grid, read off one enumeration at
+    max(grid), each intermediate fraction classed through its own canonical
+    expansion.  Heights strictly increase, so the multiset at Q is the count
+    taken before the first height above Q."""
+    heights = sorted(grid)
+    out, counts = {}, {}
+    for _, _, num, den in intermediates(stream, heights[-1]):
+        while den > heights[0]:  # never the last height, which bounds every den
+            out[heights.pop(0)] = dict(counts)
         m = terminal_quotient(num, den)
         counts[m] = counts.get(m, 0) + 1
-    return counts
+    for Q in heights[:-1]:
+        out[Q] = dict(counts)
+    out[heights[-1]] = counts
+    return out
 
 
 def _euclid(a, q):
@@ -140,23 +147,29 @@ def _euclid(a, q):
     return r0 + r1, np.where(r1 == 0, t0, t1) % q
 
 
-def mq_count_farey(stream, Q: int) -> dict:
-    """The multiset from the definition, walking the heights: every class of
-    height <= Q whose neighbor interval holds x mod 1.
+def mq_count_farey(stream, grid) -> dict:
+    """{Q: the multiset from the definition} for each Q in grid, walking the
+    heights once up to max(grid): every class of height <= Q whose neighbor
+    interval holds x mod 1.
 
-    Both neighbor gaps of a/q are at most 1/q, so a/q can hold x only if
-    |q x - a| <= 1, which floor(q x) - 1 .. floor(q x) + 2 covers under float
-    error.  chi is tested in floats with the CHI_MARGIN guard band, and the
-    band is settled exactly.  Counts are kept in halves: an x on a neighbor
-    endpoint (a rational) gives its class 1/2.
+    a/q holds x only if q x - a lies in (-1/q_lo, 1/q_hi), q_lo and q_hi its
+    neighbors' heights, which are at least 2 unless a is 1 or q - 1; so
+    |q x - a| <= 1/2, or <= 1 for those two, which floor(q x) - 1 ..
+    floor(q x) + 2 covers under float error.  chi is tested in floats with the
+    CHI_MARGIN guard band, and the band is settled exactly.  The candidates
+    come sorted by q, so each Q counts a prefix.  Counts are kept in halves:
+    an x on a neighbor endpoint (a rational) gives its class 1/2.
     """
-    check_order(Q)
+    for Q in grid:
+        check_order(Q)
+    top = max(grid)
     # x mod 1 within float error (the 40th convergent is within 1e-16 of x)
     x_f = float(stream.interval()[0] if isinstance(stream, DyadicStream)
                 else convergents(stream, 40)[-1].as_fraction() - stream.a0)
-    q = np.repeat(np.arange(2, Q + 1, dtype=np.int64), 4)
-    a = np.floor(q * x_f).astype(np.int64) + np.tile(np.arange(-1, 3), Q - 1)
-    keep = (a >= 1) & (a < q) & (np.abs(q * x_f - a) <= 1 + CHI_MARGIN)
+    q = np.repeat(np.arange(2, top + 1, dtype=np.int64), 4)
+    a = np.floor(q * x_f).astype(np.int64) + np.tile(np.arange(-1, 3), top - 1)
+    near = np.where((a == 1) | (a == q - 1), 1, 0.5)  # the bound on |q x - a|
+    keep = (a >= 1) & (a < q) & (np.abs(q * x_f - a) <= near + CHI_MARGIN)
     gcd, q_lo = _euclid(a[keep], q[keep])  # q_lo = a^-1 mod q, as in farey_neighbors
     keep[keep] = gcd == 1
     a, q, q_lo = a[keep], q[keep], q_lo[gcd == 1]
@@ -166,11 +179,15 @@ def mq_count_farey(stream, Q: int) -> dict:
     for i in np.flatnonzero(np.minimum(abs(lo_f - x_f), abs(hi_f - x_f)) <= CHI_MARGIN):
         halves[i] = int(2 * chi((a[i], q[i]), stream))
     term = terminal_from_neighbors(q, q_lo, q_hi)
-    total = np.bincount(term, weights=halves, minlength=2).astype(np.int64)
-    total[1] += 2  # the zero class, chi identically 1
-    odd = bool((total % 2).any())
-    return {int(m): Fraction(int(total[m]), 2) if odd else int(total[m]) // 2
-            for m in np.flatnonzero(total)}
+    out = {}
+    for Q in grid:
+        n = np.searchsorted(q, Q, side="right")
+        total = np.bincount(term[:n], weights=halves[:n], minlength=2).astype(np.int64)
+        total[1] += 2  # the zero class, chi identically 1
+        odd = bool((total % 2).any())
+        out[Q] = {int(m): Fraction(int(total[m]), 2) if odd else int(total[m]) // 2
+                  for m in np.flatnonzero(total)}
+    return out
 
 
 def mq_value(counts: dict, g: WeightFunction, exact: bool):
@@ -188,19 +205,24 @@ def mq_value(counts: dict, g: WeightFunction, exact: bool):
     return math.fsum(c * g.float_at(m) for m, c in sorted(counts.items()))
 
 
-def _mq_routes(stream, Q: int, with_farey: bool, g: WeightFunction, exact: bool):
-    """(farey, intermediates, closed, agree): the values under g of the three
-    count multisets (farey None unless with_farey) and whether the multisets
+def _run_mq(stream, grid, p):
+    """Rows at each Q in grid: the values under p["weight"] of the three count
+    multisets (mq_farey only with p["with_farey"]) and whether the multisets
     are all equal.  The closed multiset is valued once and a multiset equal
     to it reuses that value; a differing one is valued on its own."""
-    closed = mq_count_closed(stream, Q)
-    inter = mq_count_intermediates(stream, Q)
-    farey = mq_count_farey(stream, Q) if with_farey else None
-    agree = inter == closed and (farey is None or farey == closed)
-    value = mq_value(closed, g, exact)
-    farey_v, inter_v = (None if c is None else value if c == closed else mq_value(c, g, exact)
-                        for c in (farey, inter))
-    return farey_v, inter_v, value, agree
+    g, exact = p["weight"], p["exact"]
+    inter = mq_count_intermediates(stream, grid)
+    farey = mq_count_farey(stream, grid) if p["with_farey"] else {}
+    rows = []
+    for Q in grid:
+        closed, i, f = mq_count_closed(stream, Q), inter[Q], farey.get(Q)
+        value = mq_value(closed, g, exact)
+        agree = i == closed and (f is None or f == closed)
+        rows += [(Q, "mq_closed", value), (Q, "methods_agree", int(agree)),
+                 (Q, "mq_intermediates", value if i == closed else mq_value(i, g, exact))]
+        if f is not None:
+            rows.append((Q, "mq_farey", value if f == closed else mq_value(f, g, exact)))
+    return rows
 
 
 def mq_all(x, Q: int, g: WeightFunction):
@@ -210,16 +232,9 @@ def mq_all(x, Q: int, g: WeightFunction):
     equality of the count multisets, for every weight family; the values are
     exact rationals exactly when g is an exact family.
     """
-    return _mq_routes(x, Q, Q <= ORACLE_LIMIT, g, g.is_exact)
-
-
-def _run_mq(stream, Q, p):
-    farey, inter, closed, agree = _mq_routes(stream, Q, p["with_farey"], p["weight"], p["exact"])
-    rows = [("mq_closed", closed), ("mq_intermediates", inter)]
-    if farey is not None:
-        rows.append(("mq_farey", farey))
-    rows.append(("methods_agree", int(agree)))
-    return rows
+    p = {"weight": g, "exact": g.is_exact, "with_farey": Q <= ORACLE_LIMIT}
+    row = {stat: v for _, stat, v in _run_mq(x, (Q,), p)}
+    return row.get("mq_farey"), row["mq_intermediates"], row["mq_closed"], row["methods_agree"] == 1
 
 
 def _run_count(stream, Q, p):
@@ -267,20 +282,20 @@ class Experiment:
 
 
 REGISTRY: dict[str, Experiment] = {e.name: e for e in [
-    Experiment("levy", "n", (100,), _run_levy),
-    Experiment("gauss_kuzmin", "k", (1, 2, 3), _run_gauss_kuzmin, (("n", 100),)),
-    Experiment("nq", "Q", (1000,), _run_nq),
+    Experiment("levy", "n", (100,), _per_param(_run_levy)),
+    Experiment("gauss_kuzmin", "k", (1, 2, 3), _per_param(_run_gauss_kuzmin), (("n", 100),)),
+    Experiment("nq", "Q", (1000,), _per_param(_run_nq)),
     Experiment("mq", "Q", (100,), _run_mq,
                (("weight", WeightFunction.harmonic()),)),
-    Experiment("count_intermediates", "Q", (1000,), _run_count),
-    Experiment("xnf", "n", (100,), _run_xnf,
+    Experiment("count_intermediates", "Q", (1000,), _per_param(_run_count)),
+    Experiment("xnf", "n", (100,), _per_param(_run_xnf),
                (("weight", WeightFunction.harmonic()), ("delta", 0.5))),
-    Experiment("variance", "m", (2, 5, 10), _run_variance, (("n", 100),)),
-    Experiment("pairdep", "k", (5, 10), _run_pairdep, (("n", 1),)),
-    Experiment("double_exceed", "m", (100,), _run_double_exceed, (("delta", 0.5),)),
-    Experiment("openproblem", "Q", (1000,), _run_openproblem,
+    Experiment("variance", "m", (2, 5, 10), _per_param(_run_variance), (("n", 100),)),
+    Experiment("pairdep", "k", (5, 10), _per_param(_run_pairdep), (("n", 1),)),
+    Experiment("double_exceed", "m", (100,), _per_param(_run_double_exceed), (("delta", 0.5),)),
+    Experiment("openproblem", "Q", (1000,), _per_param(_run_openproblem),
                (("heights", HeightSet("all", "all")),)),
-    Experiment("khinchin_avg", "n", (100,), _run_khinchin,
+    Experiment("khinchin_avg", "n", (100,), _per_param(_run_khinchin),
                (("weight", WeightFunction.harmonic()),)),
 ]}
 
@@ -294,7 +309,8 @@ def resolve_params(config: ExperimentConfig) -> tuple[tuple[int, ...], dict]:
 
     `config.params` may hold "grid" and the names in the experiment's
     defaults; any other key is a ValueError naming it and the experiment,
-    and a grid, n or delta of the wrong type or range one naming it.
+    and a setting of the wrong type or range, or a repeated grid value, one
+    naming it.
     """
     exp = REGISTRY.get(config.experiment)
     if exp is None:
@@ -307,10 +323,15 @@ def resolve_params(config: ExperimentConfig) -> tuple[tuple[int, ...], dict]:
     grid = tuple(p.pop("grid", exp.default_grid))
     if not grid or not all(_is_number(v) and v >= 1 for v in grid):
         raise ValueError("parameter grid must be positive integers")
+    if len(set(grid)) < len(grid):
+        raise ValueError(f"parameter grid repeats {max(grid, key=grid.count)}")
     if "n" in p and not (_is_number(p["n"]) and p["n"] >= 1):
         raise ValueError(f"n must be an integer >= 1, not {p['n']!r}")
     if "delta" in p and not (_is_number(p["delta"], numbers.Real) and math.isfinite(p["delta"])):
         raise ValueError(f"delta must be a finite real number, not {p['delta']!r}")
+    for key, kind in (("weight", WeightFunction), ("heights", HeightSet)):
+        if key in p and not isinstance(p[key], kind):
+            raise ValueError(f"{key} must be a {kind.__name__}, not {p[key]!r}")
     p["exact"] = config.exact
     if exp.name == "mq":
         # the oracle route is all-or-nothing per run so the stat set is uniform
@@ -324,9 +345,8 @@ def _run_chunk(config: ExperimentConfig, grid: tuple, p: dict, indices: range) -
     out = []
     for i in indices:
         stream = sample_stream(config.seed, i)
-        for param in grid:
-            for stat, val in compute(stream, param, p):
-                out.append(ResultRow(config.experiment, config.seed, i, param, stat, val))
+        for param, stat, val in compute(stream, grid, p):
+            out.append(ResultRow(config.experiment, config.seed, i, param, stat, val))
     return out
 
 

@@ -192,6 +192,8 @@ def test_montecarlo_exact_mode(tmp_path):
     pytest.param(["montecarlo", "--experiment", "xnf", "--samples", "1", "--seed", "1",
                   "--delta=-1e300", "--n", "2", "--out", "x.csv"],
                  id="xnf-f-overflows-below-e"),
+    ["montecarlo", "--experiment", "nq", "--samples", "3", "--seed", "1",
+     "--Q", "100,100", "--out", "x.csv"],
 ])
 def test_invalid_arguments_exit_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -380,8 +382,9 @@ def test_exact_mode_rejects_float_statistics(tmp_path, capsys):
 
 def test_methods_agree_failure_exits_3_after_writing(tmp_path, capsys,
                                                      monkeypatch):
-    def fake_compute(stream, Q, p):
-        return [("mq_closed", 1.0), ("methods_agree", 0)]
+    def fake_compute(stream, grid, p):
+        return [(Q, stat, v) for Q in grid
+                for stat, v in (("mq_closed", 1.0), ("methods_agree", 0))]
 
     monkeypatch.setitem(REGISTRY, "mq",
                         Experiment("mq", "Q", (100,), fake_compute))
@@ -427,18 +430,23 @@ with open(sys.argv[3], "w") as fh:
 """
 
 
-@pytest.mark.parametrize("experiment, flag, spans", [
-    ("mq", "--Q", {"cf.cutoff", "cf.intermediates", "cf.quotient", "harness.mq_count_farey",
-                   "harness.mq_count_intermediates", "harness.mq_value",
-                   "stats.terminal_quotient"}),
-    ("levy", "--n", {"cf.quotient", "stats.classical_stats"})], ids=["mq", "levy"])
-def test_benchmark_tracer_finds_every_name_it_patches(experiment, flag, spans, tmp_path):
+MQ_SPANS = {"cf.cutoff", "cf.intermediates", "cf.quotient", "harness.mq_count_farey",
+            "harness.mq_count_intermediates", "harness.mq_value", "stats.terminal_quotient"}
+
+
+@pytest.mark.parametrize("experiment, flag, grid, spans", [
+    ("mq", "--Q", "100", MQ_SPANS),
+    ("levy", "--n", "100", {"cf.quotient", "stats.classical_stats"}),
+    # one walk per sample over a nested grid still calls every patched name
+    ("mq", "--Q", "100,500", MQ_SPANS | {"harness.mq_count_closed"})],
+    ids=["mq", "levy", "mq-nested"])
+def test_benchmark_tracer_finds_every_name_it_patches(experiment, flag, grid, spans, tmp_path):
     # perfbench/tracer.py patches cflab names by getattr, so a renamed one
     # would only show as a missing span; a fresh process keeps the patches out
     report = tmp_path / "spans.json"
     subprocess.run([sys.executable, "-c", TRACED_RUN, str(ROOT), experiment, str(report),
                     "montecarlo", "--experiment", experiment, "--samples", "3", "--seed", "7",
-                    flag, "100", "--out", str(tmp_path / "out.csv")],
+                    flag, grid, "--out", str(tmp_path / "out.csv")],
                    check=True, capture_output=True, timeout=120)
     got = json.loads(report.read_text())
     assert got["rc"] == 0

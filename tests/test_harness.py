@@ -98,18 +98,17 @@ def test_run_mq_builds_no_farey_table(monkeypatch):
     build = farey._build_table
     monkeypatch.setattr(farey, "_build_table",
                         lambda Q: builds.append(Q) or build(Q))
-    grid = (100, 500, 2000)
     # samples 2 and 7 of seed 42 have a_1 > 2000, the heavy tail of a run
-    cfg = ExperimentConfig("mq", samples=8, seed=42, params={"grid": grid})
-    csv = rows_to_csv(run(cfg))
-    # the same bytes as one run per grid value
     parts = [rows_to_csv(run(ExperimentConfig("mq", samples=8, seed=42,
                                               params={"grid": (Q,)}))).split("\n", 1)[1]
-             for Q in grid]
+             for Q in (100, 500, 2000)]
+    for grid in [(100, 500, 2000), (2000, 100, 500)]:  # one walk per sample, at 2000
+        cfg = ExperimentConfig("mq", samples=8, seed=42, params={"grid": grid})
+        # the same bytes as one run per grid value
+        assert rows_to_csv(run(cfg)) == CSV_HEADER + "\n" + "".join(parts)
+        cfg.threads = 2  # and across worker processes, one chunk per sample
+        assert rows_to_csv(run(cfg)) == CSV_HEADER + "\n" + "".join(parts)
     assert builds == []
-    assert csv == CSV_HEADER + "\n" + "".join(parts)
-    cfg.threads = 2  # and across worker processes, one chunk per sample
-    assert rows_to_csv(run(cfg)) == csv
 
 
 def test_run_mq_large_q_drops_oracle_route():
@@ -220,12 +219,15 @@ def test_resolve_params_errors():
         with pytest.raises(ValueError, match="^parameter grid must be positive integers$"):
             resolve_params(ExperimentConfig("gauss_kuzmin", samples=1, seed=1,
                                             params={"grid": grid}))
+    for grid in [(100, 100), (5, 7, 6, 7)]:  # would write each of its rows twice
+        with pytest.raises(ValueError, match=f"^parameter grid repeats {grid[-1]}$"):
+            resolve_params(ExperimentConfig("nq", samples=1, seed=1, params={"grid": grid}))
 
 
 @pytest.mark.parametrize("name, key, value", [
     ("gauss_kuzmin", "n", "50"), ("gauss_kuzmin", "n", 2.5), ("variance", "n", True),
     ("pairdep", "n", 1.0), ("double_exceed", "delta", "0.5"), ("xnf", "delta", True),
-    ("xnf", "delta", None),
+    ("xnf", "delta", None), ("mq", "weight", "harmonic"), ("openproblem", "heights", "all"),
 ])
 def test_resolve_params_rejects_a_setting_of_the_wrong_type(name, key, value):
     with pytest.raises(ValueError, match=f"^{key} must be "):
@@ -266,8 +268,8 @@ def test_mq_count_routes_agree():
     for i in range(5):
         s = sample_stream(11, i)
         closed = mq_count_closed(s, 200)
-        assert closed == mq_count_intermediates(s, 200)
-        assert closed == mq_count_farey(s, 200)
+        assert closed == mq_count_intermediates(s, (200,))[200]
+        assert closed == mq_count_farey(s, (200,))[200]
 
 
 class Recording:
@@ -297,8 +299,8 @@ def test_closed_routes_read_each_quotient_once(route):
 def test_mq_count_routes_agree_dyadic_property(seed, Q):
     x = DyadicStream(seed)
     closed = mq_count_closed(x, Q)
-    assert mq_count_intermediates(x, Q) == closed
-    assert mq_count_farey(x, Q) == closed
+    assert mq_count_intermediates(x, (Q,))[Q] == closed
+    assert mq_count_farey(x, (Q,))[Q] == closed
 
 
 def _table_scan(x, Q):
@@ -312,7 +314,7 @@ def _table_scan(x, Q):
 @given(seed=st.integers(0, 2 ** 64 - 1), Q=st.integers(1, 600))
 def test_mq_count_farey_matches_table_scan(seed, Q):
     x = DyadicStream(seed)
-    assert mq_count_farey(x, Q) == _table_scan(x, Q)
+    assert mq_count_farey(x, (Q,))[Q] == _table_scan(x, Q)
 
 
 def _scalar_farey_halves(x, Q):
@@ -333,9 +335,13 @@ quotients = st.lists(st.integers(1, 20), max_size=3)
 @given(a0=st.integers(-3, 5), pre=quotients, per=quotients.filter(bool),
        q=st.integers(1, 60), p=st.integers(-300, 300), Q=st.integers(1, 80),
        periodic=st.booleans())
+# x just below 1/2 = [0; 2, 30, 30, ...], where 2/5 holds x at |5x - 2| = 0.459,
+# and x = 1/2 on the endpoint of each k/(2k + 1), at |qx - a| = 1/2
+@example(a0=0, pre=[2], per=[30], q=1, p=0, Q=80, periodic=True)
+@example(a0=0, pre=[], per=[1], q=2, p=1, Q=80, periodic=False)
 def test_mq_count_farey_matches_scalar_chi(a0, pre, per, q, p, Q, periodic):
     x = PeriodicStream(a0, pre, per) if periodic else RationalStream(p, q)
-    walk = {m: 2 * c for m, c in mq_count_farey(x, Q).items()}
+    walk = {m: 2 * c for m, c in mq_count_farey(x, (Q,))[Q].items()}
     assert walk == _scalar_farey_halves(x, Q)
 
 
@@ -348,22 +354,22 @@ def test_mq_count_farey_float_floor_guard(monkeypatch):
     x = DyadicStream(0)
     x._grow(1)
     assert float(x.interval()[0]) == 1.0
-    counts = mq_count_farey(x, 300)
+    counts = mq_count_farey(x, (300,))[300]
     assert counts == {1: 1, 2: 2, **dict.fromkeys(range(3, 300), 1)}
     assert counts == mq_count_closed(x, 300) == _table_scan(x, 300)
 
 
 def test_mq_count_farey_smallest_orders():
     x = sample_stream(3, 0)
-    assert mq_count_farey(x, 1) == {1: 1}
-    assert mq_count_farey(x, 2) == {1: 1, 2: 1}  # 1/2 holds all of (0, 1)
-    counts = mq_count_farey(RationalStream(-1, 2), 2)
+    assert mq_count_farey(x, (1,))[1] == {1: 1}
+    assert mq_count_farey(x, (2,))[2] == {1: 1, 2: 1}  # 1/2 holds all of (0, 1)
+    counts = mq_count_farey(RationalStream(-1, 2), (2,))[2]
     assert counts == {1: 1, 2: 1} and all(type(c) is int for c in counts.values())
-    assert mq_count_farey(RationalStream(3, 1), 1) == {1: 1}
-    assert mq_count_farey(RationalStream(3, 1), 2) == {1: 1, 2: Fraction(1, 2)}
+    assert mq_count_farey(RationalStream(3, 1), (1,))[1] == {1: 1}
+    assert mq_count_farey(RationalStream(3, 1), (2,))[2] == {1: 1, 2: Fraction(1, 2)}
     for Q in (0, farey.FAREY_TABLE_LIMIT + 1):
         with pytest.raises(ValueError):
-            mq_count_farey(x, Q)
+            mq_count_farey(x, (Q,))
 
 
 @settings(max_examples=30, deadline=None)
@@ -372,8 +378,8 @@ def test_mq_count_farey_smallest_orders():
 def test_mq_count_routes_agree_periodic_property(a0, pre, per, Q):
     x = PeriodicStream(a0, pre, per)
     closed = mq_count_closed(x, Q)
-    assert mq_count_intermediates(x, Q) == closed
-    assert mq_count_farey(x, Q) == closed
+    assert mq_count_intermediates(x, (Q,))[Q] == closed
+    assert mq_count_farey(x, (Q,))[Q] == closed
 
 
 @settings(max_examples=40, deadline=None)
@@ -382,10 +388,10 @@ def test_mq_count_rational_property(q, p, Q):
     # a rational x may sit on a neighbor-interval endpoint, where its class
     # counts 1/2 on the Farey route only
     x = RationalStream(p % q, q)
-    assert mq_count_intermediates(x, Q) == mq_count_closed(x, Q)
-    farey = mq_count_farey(x, Q)
+    assert mq_count_intermediates(x, (Q,))[Q] == mq_count_closed(x, Q)
+    farey = mq_count_farey(x, (Q,))[Q]
     assert all((2 * c).denominator == 1 for c in farey.values())
-    assert mq_count_farey(RationalStream(p, q), Q) == farey
+    assert mq_count_farey(RationalStream(p, q), (Q,))[Q] == farey
 
 
 def _slow_intermediates(x, Q):
@@ -427,8 +433,25 @@ STREAMS = st.one_of(
 def test_intermediates_route_matches_the_slow_oracle(x, Q):
     want = _slow_intermediates(x, Q)
     assert [(r.level, r.index, r.fraction, r.height) for r in intermediates(x, Q)] == want
-    assert mq_count_intermediates(x, Q) == Counter(_slow_terminal_quotient(f)
-                                                   for _, _, f, _ in want)
+    assert mq_count_intermediates(x, (Q,))[Q] == Counter(_slow_terminal_quotient(f)
+                                                         for _, _, f, _ in want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=STREAMS, grid=st.lists(st.integers(1, 3000), min_size=1, max_size=4, unique=True))
+# heights 2 and 3 always have a class holding an irrational x; 3/7 ends at level 2
+@example(x=DyadicStream(5), grid=[2000, 2, 500])
+@example(x=PeriodicStream(0, [], [1]), grid=[3, 1, 2])
+@example(x=RationalStream(3, 7), grid=[100, 5, 7, 6])
+@example(x=RationalStream(-355, 113), grid=[3000, 113, 112])
+def test_grid_routes_equal_one_height_calls(x, grid):
+    """One walk at max(grid) gives, at each Q, the multiset of a walk at Q,
+    and for an irrational x the closed route's."""
+    for route in (mq_count_farey, mq_count_intermediates):
+        got = route(x, grid)
+        assert got == {Q: route(x, (Q,))[Q] for Q in grid}
+        if not isinstance(x, RationalStream):  # only a rational sits on an endpoint
+            assert got == {Q: mq_count_closed(x, Q) for Q in grid}
 
 
 def test_mq_count_unit_value_is_enumeration_length():
@@ -471,14 +494,14 @@ def test_mq_value_float_is_fsum_of_rounded_weights(counts):
 def test_run_mq_values_a_disagreeing_route_on_its_own(exact, monkeypatch):
     count = harness.mq_count_intermediates
 
-    def drop_the_zero_class(stream, Q):  # the one class with terminal quotient 1
-        counts = count(stream, Q)
-        del counts[1]
+    def drop_the_zero_class(stream, grid):  # the one class with terminal quotient 1
+        counts = count(stream, grid)
+        del counts[300][1]
         return counts
 
     monkeypatch.setattr(harness, "mq_count_intermediates", drop_the_zero_class)
     p = {"weight": WeightFunction.harmonic(), "exact": exact, "with_farey": True}
-    rows = dict(harness._run_mq(sample_stream(9, 0), 300, p))
+    rows = {stat: v for _, stat, v in harness._run_mq(sample_stream(9, 0), (300,), p)}
     assert rows["methods_agree"] == 0
     assert rows["mq_farey"] == rows["mq_closed"]
     want = rows["mq_closed"] - 1  # g(1) = 1

@@ -28,7 +28,9 @@ GOLDEN = PeriodicStream(0, (), (1,))
 ALT23 = PeriodicStream(0, (2,), (3, 2))  # [0;2,3,2,3,...]
 HARMONIC = WeightFunction.harmonic()
 UNIT = WeightFunction.unit()
-ROUTES = (mq_count_farey, mq_count_intermediates, mq_count_closed)
+# each route's multiset at one height Q; two of them take a grid of heights
+ROUTES = (lambda x, Q: mq_count_farey(x, (Q,))[Q],
+          lambda x, Q: mq_count_intermediates(x, (Q,))[Q], mq_count_closed)
 
 
 def test_weight_families():
@@ -182,7 +184,7 @@ def test_mq_examples_alt():
 
 def test_mq_unit_q1():
     for x in (GOLDEN, ALT23, DyadicStream(5)):
-        assert mq_value(mq_count_farey(x, 1), UNIT, exact=True) == 1
+        assert mq_value(mq_count_farey(x, (1,))[1], UNIT, exact=True) == 1
         assert mq_value(mq_count_closed(x, 1), UNIT, exact=True) == 1
 
 
