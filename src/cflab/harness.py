@@ -84,9 +84,9 @@ def _per_param(fn):
     return lambda stream, grid, p: [(v, stat, val) for v in grid for stat, val in fn(stream, v, p)]
 
 
-def _run_levy(stream, n, p):
-    cs = classical_stats(stream, n)
-    return [("levy_stat", cs.levy_stat), ("pq_max", cs.pq_max), ("pq_sum", cs.pq_sum)]
+def _run_levy(stream, grid, p):
+    return [(cs.n, stat, value) for cs in classical_stats(stream, grid) for stat, value in
+            (("levy_stat", cs.levy_stat), ("pq_max", cs.pq_max), ("pq_sum", cs.pq_sum))]
 
 
 def _run_gauss_kuzmin(stream, k, p):
@@ -282,7 +282,7 @@ class Experiment:
 
 
 REGISTRY: dict[str, Experiment] = {e.name: e for e in [
-    Experiment("levy", "n", (100,), _per_param(_run_levy)),
+    Experiment("levy", "n", (100,), _run_levy),
     Experiment("gauss_kuzmin", "k", (1, 2, 3), _per_param(_run_gauss_kuzmin), (("n", 100),)),
     Experiment("nq", "Q", (1000,), _per_param(_run_nq)),
     Experiment("mq", "Q", (100,), _run_mq,

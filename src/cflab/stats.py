@@ -295,18 +295,23 @@ class ClassicalStats:
     q_n: int
 
 
-def classical_stats(x, n: int) -> ClassicalStats:
-    if n < 1:
+def classical_stats(x, ns: Sequence[int]) -> list[ClassicalStats]:
+    """The running statistics at each n in ns, in its order, from one pass."""
+    if min(ns) < 1:
         raise ValueError("n must be >= 1")
+    at = {}
     q_nm1, q_n = 0, 1
-    pq_sum = 0
-    pq_max = 0
-    for i in range(1, n + 1):
-        a = quotient(x, i)
-        pq_sum += a
-        pq_max = max(pq_max, a)
-        q_nm1, q_n = q_n, a * q_n + q_nm1
-    return ClassicalStats(n, math.log(q_n) / n, pq_sum, pq_max, q_n)
+    pq_sum = pq_max = done = 0
+    for n in sorted(set(ns)):
+        for i in range(done + 1, n + 1):
+            a = x.quotient(i)
+            pq_sum += a
+            if a > pq_max:
+                pq_max = a
+            q_nm1, q_n = q_n, a * q_n + q_nm1
+        done = n
+        at[n] = ClassicalStats(n, math.log(q_n) / n, pq_sum, pq_max, q_n)
+    return [at[n] for n in ns]
 
 
 def double_exceedance(x, M: int, delta: float) -> int:

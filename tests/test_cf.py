@@ -1,6 +1,7 @@
 """Canonical expansions, convergents, streams, cutoff and intermediate
 fraction enumeration."""
 
+import hashlib
 import itertools
 import math
 import pickle
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cflab.cf
-from cflab.cf import (M64, ContinuedFraction, DyadicStream, InvariantViolation,
+from cflab.cf import (GOLDEN64, M64, ContinuedFraction, DyadicStream, InvariantViolation,
                       NeedsMoreBits, OutOfQuotients, PeriodicStream,
                       QuotientCapExceeded, RationalStream, cf_of_rational,
                       compare_real_rational, convergents, cutoff,
-                      intermediates, parse_stream, quotient, value_of_cf)
+                      intermediates, mix64, parse_stream, quotient,
+                      value_of_cf)
 from cflab.farey import farey_neighbors
 from cflab.rationals import mediant, reduce_mod1
 
@@ -182,6 +184,65 @@ def test_dyadic_certifier_matches_restart_oracle_deep():
     x = DyadicStream(0x5EED)
     assert_grows_like_oracle(x, 105)
     assert len(x.certified()) >= 2000
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, M64), first=st.sampled_from([8, 20, 40]),
+       blocks=st.integers(1, 40))
+def test_dyadic_lehmer_batches_match_restart_oracle(seed, first, blocks):
+    # 8 or more blocks in one pass start it on a tail above 512 bits, so it
+    # certifies in leading-word batches, and tails stay that long from about
+    # 16 blocks on
+    x = DyadicStream(seed)
+    x._grow(first)
+    assert_grows_like_oracle(x, blocks)
+
+
+def test_dyadic_deep_golden():
+    # recorded with the certifier that took one full-width Euclid step per quotient
+    x = DyadicStream(7)
+    x.quotient(32000)
+    got = x.certified()
+    assert (len(got), x.bits) == (32008, 108544)
+    digest = hashlib.sha256(",".join(map(str, got)).encode()).hexdigest()
+    assert digest.startswith("54c1e1547d1e8d95")
+
+
+def deep_rational(seed):
+    """20 blocks of DyadicStream(seed), the last made odd, and the rational
+    r = X/2^1280 they spell: its height is 2^1280, so its expansion is about
+    750 quotients long and its tails there run to about 1,300 bits."""
+    words = [mix64((seed + k * GOLDEN64) & M64) for k in range(1, 21)]
+    words[-1] |= 1
+    return words, cf_of_rational(Fraction(int.from_bytes(
+        b"".join(w.to_bytes(8, "big") for w in words), "big"), 1 << 1280)).quotients
+
+
+def test_dyadic_certifier_at_a_deep_rational(monkeypatch):
+    # a run of zero words holds the lower endpoint on r; 20 of them and a
+    # small word put x a few 2^-2624 above r, just past r's expansion
+    cases = []
+    for seed, zeros, after in [(2, 24, []), (2, 20, [3]), (1, 20, [3])]:
+        words, ref = deep_rational(seed)
+        tail = [mix64((seed + 100 + k * GOLDEN64) & M64) for k in range(1, 21)] if after else []
+        blocks = iter(words + [0] * zeros + after + tail)
+        monkeypatch.setattr(cflab.cf, "mix64", lambda z: next(blocks))
+        x = DyadicStream(0)
+        assert_grows_like_oracle(x, 19 + zeros + len(after) + len(tail))
+        cases.append((x.certified(), x._tail[1], ref))
+    # seed 2, zeros only: the lower endpoint is r, its own last convergent, so b = 0
+    got, b, ref = cases[0]
+    assert got == ref and b == 0
+    # seed 2: x = [0; r's quotients, a_{L+1}, ...] with a_{L+1} in [2^62, 2^63),
+    # where a leading word of b or d is 0, so the exact step decides
+    got, _, ref = cases[1]
+    assert got[:len(ref)] == ref and 2 ** 62 <= got[len(ref)] < 2 ** 63
+    # seed 1: r's expansion has odd length, so x above r reads [..., a_L - 1,
+    # 1, huge]: r itself is that prefix with a tail of exactly 1, and x's tail
+    # at a_L - 1 lies within 2^-62 below the integer a_L
+    got, _, ref = cases[2]
+    assert got[:len(ref) + 1] == ref[:-1] + (ref[-1] - 1, 1)
+    assert got[len(ref) + 1] >= 2 ** 62
 
 
 @pytest.mark.parametrize("words", [

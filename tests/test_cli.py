@@ -438,8 +438,9 @@ MQ_SPANS = {"cf.cutoff", "cf.intermediates", "cf.quotient", "harness.mq_count_fa
     ("mq", "--Q", "100", MQ_SPANS),
     ("levy", "--n", "100", {"cf.quotient", "stats.classical_stats"}),
     # one walk per sample over a nested grid still calls every patched name
-    ("mq", "--Q", "100,500", MQ_SPANS | {"harness.mq_count_closed"})],
-    ids=["mq", "levy", "mq-nested"])
+    ("mq", "--Q", "100,500", MQ_SPANS | {"harness.mq_count_closed"}),
+    ("levy", "--n", "250,1000", {"cf.quotient", "stats.classical_stats"})],
+    ids=["mq", "levy", "mq-nested", "levy-nested"])
 def test_benchmark_tracer_finds_every_name_it_patches(experiment, flag, grid, spans, tmp_path):
     # perfbench/tracer.py patches cflab names by getattr, so a renamed one
     # would only show as a missing span; a fresh process keeps the patches out

@@ -82,6 +82,15 @@ def test_run_levy_row_counts():
     assert {r.index for r in rows} == set(range(10))
 
 
+def test_run_levy_grid_rows_equal_one_n_runs():
+    # one pass per sample over an unsorted grid labels each row with its own n
+    grid = (250, 1, 40)
+    rows = run(ExperimentConfig("levy", samples=4, seed=3, params={"grid": grid}))
+    assert rows == sorted((r for n in grid for r in run(
+        ExperimentConfig("levy", samples=4, seed=3, params={"grid": (n,)}))),
+        key=lambda r: (r.param, r.index, r.stat))
+
+
 def test_run_mq_all_methods_agree():
     cfg = ExperimentConfig("mq", samples=5, seed=9,
                            params={"grid": (1000,),

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cflab.cf import (DyadicStream, PeriodicStream, RationalStream, cf_of_rational,
-                      intermediates)
+                      intermediates, parse_stream, quotient)
 from cflab.harness import (mq_all, mq_count_closed, mq_count_farey,
                            mq_count_intermediates, mq_value)
-from cflab.stats import (TruncationFn, WeightFunction, birkhoff_average,
+from cflab.stats import (ClassicalStats, TruncationFn, WeightFunction, birkhoff_average,
                          classical_stats, double_exceedance, gauss_kuzmin_prob,
                          hypothesis_check, indicator_sum, main_term,
                          mq_level_expectation, parse_weight, terminal_quotient,
@@ -341,13 +341,36 @@ def test_birkhoff_average():
 
 
 def test_classical_stats():
-    cs = classical_stats(GOLDEN, 10)
+    (cs,) = classical_stats(GOLDEN, [10])
     assert cs.q_n == 89
     assert cs.levy_stat == pytest.approx(math.log(89) / 10)
     assert (cs.pq_sum, cs.pq_max) == (10, 1)
-    cs2 = classical_stats(ALT23, 4)
+    (cs2,) = classical_stats(ALT23, [4])
     assert (cs2.pq_sum, cs2.pq_max) == (10, 3)
     assert math.pi ** 2 / (12 * math.log(2)) == pytest.approx(1.186569, abs=1e-6)
+
+
+def classical_stats_at(x, n):
+    """Slow oracle: a fresh pass over a_1..a_n for one n."""
+    q_nm1, q_n = 0, 1
+    pq_sum = 0
+    pq_max = 0
+    for i in range(1, n + 1):
+        a = quotient(x, i)
+        pq_sum += a
+        pq_max = max(pq_max, a)
+        q_nm1, q_n = q_n, a * q_n + q_nm1
+    return ClassicalStats(n, math.log(q_n) / n, pq_sum, pq_max, q_n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(["periodic:[0;|1]", "periodic:[2;1,3|4,1,2]",
+                             "periodic:[0;7|100]", "dyadic:seed=7", "dyadic:seed=2026"]),
+       grid=st.lists(st.integers(2, 400), max_size=4, unique=True), at=st.integers(0, 4))
+def test_classical_stats_grid_matches_one_pass_per_n(spec, grid, at):
+    grid.insert(min(at, len(grid)), 1)  # unsorted, and n = 1 somewhere in it
+    got = classical_stats(parse_stream(spec), grid)
+    assert got == [classical_stats_at(parse_stream(spec), n) for n in grid]
 
 
 def test_double_exceedance():
