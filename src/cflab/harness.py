@@ -16,11 +16,15 @@ JSON) plus deterministic per-(param, stat) aggregate summaries.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
 import os
+import pickle
+import signal
 import statistics
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -339,15 +343,52 @@ def resolve_params(config: ExperimentConfig) -> tuple[tuple[int, ...], dict]:
     return grid, p
 
 
-def _run_chunk(config: ExperimentConfig, grid: tuple, p: dict, indices: range) -> list[ResultRow]:
-    """Rows of the samples in `indices`; module-level, so a worker process can run it."""
+def _run_chunk(config: ExperimentConfig, grid: tuple, p: dict, indices: range) -> list[tuple]:
+    """(index, param, stat, value) tuples of the samples in `indices`."""
     compute = REGISTRY[config.experiment].compute
-    out = []
-    for i in indices:
-        stream = sample_stream(config.seed, i)
-        for param, stat, val in compute(stream, grid, p):
-            out.append(ResultRow(config.experiment, config.seed, i, param, stat, val))
-    return out
+    return [(i, *row) for i in indices for row in compute(sample_stream(config.seed, i), grid, p)]
+
+
+def _fork_chunks(work: Callable, chunks: list, workers: int) -> list:
+    """work(chunk) for each chunk, from `workers` forked children that claim chunks from a pipe."""
+    claim, tokens = os.pipe()
+    os.write(tokens, b"".join(k.to_bytes(4, "little") for k in range(len(chunks))))
+    os.close(tokens)  # before any fork, so the drained pipe reads EOF
+    children, answers = [], {}  # (pid, its result pipe)
+    try:
+        for _ in range(workers):
+            results, out = os.pipe()
+            if (pid := os.fork()) == 0:  # the child
+                try:
+                    done = []
+                    while token := os.read(claim, 4):
+                        k = int.from_bytes(token, "little")
+                        try:
+                            done.append((k, work(chunks[k])))
+                        except Exception as exc:  # raised again by the parent, with this trace
+                            exc.__notes__ = [traceback.format_exc()]
+                            done.append((k, exc))
+                    with open(out, "wb") as fh:
+                        pickle.dump(done, fh, pickle.HIGHEST_PROTOCOL)
+                finally:  # whatever happened, never return into the caller
+                    os._exit(0)
+            os.close(out)
+            children.append((pid, open(results, "rb")))
+        for _, fh in children:  # a child that died wrote nothing or a truncated pickle
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                answers.update(pickle.loads(fh.read()))
+    finally:  # a child is reaped only here, so its pid cannot be reused before the kill
+        os.close(claim)
+        for pid, fh in children:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    lost = [f"{c.start}..{c.stop - 1}" for k, c in enumerate(chunks) if k not in answers]
+    died = InvariantViolation(f"a worker process died; samples {', '.join(lost)} were lost")
+    for got in (answers.get(k, died) for k in range(len(chunks))):
+        if isinstance(got, Exception):
+            raise got
+    return [row for k in range(len(chunks)) for row in answers[k]]
 
 
 def run(config: ExperimentConfig) -> list[ResultRow]:
@@ -363,25 +404,13 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
     grid, p = resolve_params(config)
     workers = min(config.threads, config.samples, len(os.sched_getaffinity(0)))
     if workers == 1:
-        rows = _run_chunk(config, grid, p, range(config.samples))
+        found = _run_chunk(config, grid, p, range(config.samples))
     else:  # eight contiguous chunks per worker even out the heavy-tailed samples
-        import multiprocessing  # imported here, so that serial runs never load it
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
         n = min(config.samples, 8 * workers)
-        bounds = [config.samples * k // n for k in range(n + 1)]
-        chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_run_chunk, config, grid, p, c) for c in chunks]
-            try:
-                rows = [r for f in futures for r in f.result()]
-            except BrokenProcessPool:  # a worker died, say killed for memory
-                lost = [f"{c.start}..{c.stop - 1}" for c, f in zip(chunks, futures)
-                        if isinstance(f.exception(), BrokenProcessPool)]
-                raise InvariantViolation(
-                    f"a worker process died; samples {', '.join(lost)} were lost") from None
-    rows.sort(key=lambda r: (r.param, r.index, r.stat))
-    return rows
+        chunks = [range(config.samples * k // n, config.samples * (k + 1) // n) for k in range(n)]
+        found = _fork_chunks(lambda c: _run_chunk(config, grid, p, c), chunks, workers)
+    found.sort(key=lambda t: (t[1], t[0], t[2]))  # (param, index, stat)
+    return [ResultRow(config.experiment, config.seed, *t) for t in found]
 
 
 def find_violations(rows: list[ResultRow]) -> list[ResultRow]:
@@ -473,9 +502,17 @@ def rows_to_csv(rows: list[ResultRow], exact: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_text(path: str, text: str) -> None:
+    # open(path, "w") minus O_TRUNC: emptying an existing file first can cost tens of ms on ext4
+    with open(path, "w", encoding="utf-8", newline="\n",
+              opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
+        fh.write(text)
+        if os.path.isfile(path):  # a device, pipe or terminal cannot be cut to length
+            fh.truncate()
+
+
 def write_csv(rows: list[ResultRow], path: str, exact: bool = False) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(rows_to_csv(rows, exact))
+    _write_text(path, rows_to_csv(rows, exact))
 
 
 def write_json(rows: list[ResultRow], path: str, exact: bool = False) -> None:
@@ -485,6 +522,4 @@ def write_json(rows: list[ResultRow], path: str, exact: bool = False) -> None:
          "param": r.param, "stat": r.stat, "value": format_value(r.value, exact)}
         for r in rows
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
-        fh.write("\n")
+    _write_text(path, json.dumps(payload, separators=(",", ":")) + "\n")

@@ -14,7 +14,8 @@ from cflab import cli
 from cflab.cf import (DyadicStream, InvariantViolation, NeedsMoreBits,
                       QuotientCapExceeded)
 from cflab.cli import main
-from cflab.harness import Experiment, ExperimentConfig, REGISTRY, rows_to_csv, run
+from cflab.harness import (Experiment, ExperimentConfig, REGISTRY, rows_to_csv, run,
+                           sample_stream)
 
 
 def test_cf_prints_expansion(capsys):
@@ -372,12 +373,47 @@ def test_worker_process_errors_keep_their_exit_code(exc, code, prefix, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exc, code, prefix", [
+    (ValueError, 2, "error"), (InvariantViolation, 3, "invariant violation"),
+    (None, 3, "invariant violation")])
+def test_one_failing_sample_among_workers(exc, code, prefix, tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+    bad = sample_stream(1, 2).seed  # only sample 2 fails; its chunk is 2..2
+
+    def levy(stream, grid, p):
+        assert os.getpid() != parent
+        if stream.seed == bad:
+            if exc is None:
+                os._exit(9)
+            raise exc("sample 2 failed")
+        return [(n, "levy_stat", 0.0) for n in grid]
+
+    monkeypatch.setitem(REGISTRY, "levy", Experiment("levy", "n", (10,), levy))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "levy.csv"
+    rc = main(["montecarlo", "--experiment", "levy", "--samples", "4",
+               "--seed", "1", "--threads", "2", "--out", str(out)])
+    assert rc == code
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert not out.exists()
+    if exc:
+        assert err == f"{prefix}: sample 2 failed\n"
+    else:  # the dead child's earlier chunks are lost with it
+        lost = err.removeprefix(f"{prefix}: a worker process died; samples ")
+        lost = lost.removesuffix(" were lost\n").split(", ")
+        assert "2..2" in lost and set(lost) <= {"0..0", "1..1", "2..2", "3..3"}
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_exact_mode_rejects_float_statistics(tmp_path, capsys):
     out = tmp_path / "levy.csv"
     rc = main(["montecarlo", "--experiment", "levy", "--samples", "1",
                "--seed", "1", "--n", "10", "--exact", "--out", str(out)])
     assert rc == 2
     assert "not exact" in capsys.readouterr().err
+    assert not out.exists()  # formatted before the file is opened
 
 
 def test_methods_agree_failure_exits_3_after_writing(tmp_path, capsys,
@@ -554,3 +590,26 @@ def test_serial_montecarlo_never_loads_the_process_pool(tmp_path):
                            "--seed", "7", "--Q", "100", "--out", str(tmp_path / "out.csv")],
                           check=True, capture_output=True, text=True, timeout=120)
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+FORKED_RUN = """
+import os
+import sys
+sys.path.insert(0, sys.argv[1] + "/src")
+from cflab import cli
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any machine
+rc = cli.main(sys.argv[2:])
+print(rc, len(forks), sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules))
+"""
+
+
+def test_forked_montecarlo_never_loads_the_process_pool(tmp_path):
+    # the workers are bare forked children, so no pool module joins the peak RSS
+    done = subprocess.run([sys.executable, "-c", FORKED_RUN, str(ROOT),
+                           "montecarlo", "--experiment", "mq", "--samples", "3",
+                           "--seed", "7", "--Q", "100", "--threads", "2",
+                           "--out", str(tmp_path / "out.csv")],
+                          check=True, capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "0 2 []"

@@ -1,12 +1,10 @@
 """Monte Carlo driver tests: seeding, row contracts, aggregation, serialization."""
 
-import concurrent.futures
 import itertools
 import json
 import math
 import os
 from collections import Counter
-from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -160,27 +158,21 @@ def test_run_threads_do_not_change_output():
 
 
 def test_run_caps_the_pool_at_the_sample_count(monkeypatch):
-    sizes, chunks = [], []
+    forks, chunks = [], []
+    fork, fork_chunks = os.fork, harness._fork_chunks
 
-    class SerialPool:  # records the requested size and starts no process
-        def __init__(self, max_workers, mp_context=None):
-            sizes.append(max_workers)
+    def counted_fork():  # counted in the parent, before the child exists
+        forks.append(1)
+        return fork()
 
-        def __enter__(self):
-            return self
+    def recorded(work, parts, workers):
+        chunks.extend(parts)
+        return fork_chunks(work, parts, workers)
 
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            chunks.append(args[-1])
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(harness, "_fork_chunks", recorded)
     cfg = ExperimentConfig("nq", samples=1, seed=4, params={"grid": (50,)})
-    # (usable CPUs, threads, samples, expected pool size or None for no pool)
+    # (usable CPUs, threads, samples, expected worker processes or None for none)
     for cpus, threads, samples, size in [(64, 5000, 40, 40), (64, 5000, 3, 3),
                                          (4, 5000, 40, 4), (4, 3, 40, 3),
                                          (1, 5000, 40, None), (64, 5000, 1, None),
@@ -188,14 +180,16 @@ def test_run_caps_the_pool_at_the_sample_count(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
         cfg.threads, cfg.samples = 1, samples
         serial = rows_to_csv(run(cfg))
-        sizes.clear()
+        forks.clear()
         chunks.clear()
         cfg.threads = threads
         assert rows_to_csv(run(cfg)) == serial
-        assert sizes == ([] if size is None else [size])
+        assert len(forks) == (size or 0)
         if size is not None:  # contiguous chunks, in order, a few per worker
             assert [i for c in chunks for i in c] == list(range(samples))
             assert len(chunks) == min(samples, 8 * size)
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_run_exact_mode_emits_rationals():
@@ -628,6 +622,21 @@ def test_write_csv_and_json_mirror(tmp_path):
     assert len(mirrored) == len(body) - 1
     for line, rec in zip(body[1:], mirrored):
         assert line.split(",")[5] == rec["value"]
+
+
+def test_write_csv_and_json_rewrite_in_place(tmp_path):
+    long = run(ExperimentConfig("nq", samples=6, seed=14, params={"grid": (50, 60)}))
+    short = long[:3]
+    for write in (write_csv, write_json):
+        path, link, fresh = (tmp_path / f"{name}.{write.__name__}" for name in ("out", "link", "new"))
+        link.symlink_to(path)
+        write(long, str(path))
+        write(short, str(link))  # overwrites the target, as open(path, "w") does
+        write(short, str(fresh))
+        assert link.is_symlink() and path.read_bytes() == fresh.read_bytes()
+        with pytest.raises(IsADirectoryError):
+            write(short, str(tmp_path))
+        write(short, os.devnull)  # a device is written, not cut to length
 
 
 NAMES = st.from_regex(r"[a-z_]{1,12}", fullmatch=True)
