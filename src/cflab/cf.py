@@ -412,17 +412,6 @@ def convergents(x, n_max: int) -> list[ConvergentPair]:
     return [ConvergentPair(n, p, q) for n, _, p, q, _, _ in islice(_levels(x), n_max + 1)]
 
 
-def compare_real_rational(x, r) -> int:
-    """Sign of x - r for a stream x and rational r (0 means equal)."""
-    if isinstance(r, FareyFraction):
-        r = r.as_fraction()
-    elif not isinstance(r, Fraction):
-        r = Fraction(r)
-    if not isinstance(x, PartialQuotientStream):
-        raise TypeError(f"not a stream: {x!r}")
-    return x.compare_fraction(r)
-
-
 @dataclass(frozen=True)
 class CutoffData:
     """Level cutoff N(Q, x), final multiplicity a(Q, x), and the quotients

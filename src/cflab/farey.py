@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .cf import DyadicStream, compare_real_rational
+from .cf import DyadicStream
 from .rationals import FareyFraction, _pair
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ def chi(beta, x) -> Fraction:
         return Fraction(1)
     nb = farey_neighbors(beta)
     # sign(x - lower) - sign(x - upper): 2 inside, 1 on an endpoint, 0 outside
-    return Fraction(compare_real_rational(x, x.a0 + nb.lower)
-                    - compare_real_rational(x, x.a0 + nb.upper), 2)
+    return Fraction(x.compare_fraction(x.a0 + nb.lower)
+                    - x.compare_fraction(x.a0 + nb.upper), 2)
 
 
 def expected_chi(beta) -> Fraction:
@@ -320,24 +320,6 @@ class HeightSet:
     kind: str
     payload: tuple = ()
 
-    def mask_up_to(self, X: int) -> np.ndarray:
-        """Boolean mask over q = 0..X."""
-        m = np.zeros(X + 1, dtype=bool)
-        if self.kind == "all":
-            m[1:] = True
-        elif self.kind == "primes":
-            m = _prime_mask(X)
-        elif self.kind == "mod":
-            d, r = self.payload
-            idx = np.arange(X + 1)
-            m = (idx % d) == r
-            m[0] = False
-        elif self.kind == "set":
-            for q in self.payload:
-                if 0 < q <= X:
-                    m[q] = True
-        return m
-
     def __contains__(self, q: int) -> bool:
         if self.kind == "all":
             return q >= 1
@@ -372,13 +354,3 @@ def parse_height_set(spec: str) -> HeightSet:
         qs = tuple(sorted({int(tok) for tok in text.split()}))
         return HeightSet(spec, "set", qs)
     raise ValueError(f"unknown height set spec {spec!r}")
-
-
-def divergence_functional(heights: HeightSet, X: int) -> float:
-    """sum over q <= X in the set of phi(q) log q / q^2."""
-    if X < 1:
-        raise ValueError("X must be >= 1")
-    phi = totients_up_to(X)[2:].astype(np.float64)
-    q = np.arange(2, X + 1, dtype=np.float64)
-    mask = heights.mask_up_to(X)[2:]
-    return float((phi[mask] * np.log(q[mask]) / q[mask] ** 2).sum())

@@ -27,7 +27,7 @@ import statistics
 import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ def sample_stream(master_seed: int, index: int) -> DyadicStream:
     return DyadicStream(mix64((master_seed + (index + 1) * GOLDEN64) & M64))
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     experiment: str
     seed: int
     index: int

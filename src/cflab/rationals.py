@@ -1,8 +1,7 @@
-"""Reduced fractions mod 1: representatives, mediants, heights.
+"""Reduced fractions mod 1 and their representatives.
 
 A fraction is stored as a coprime pair (num, den) with 0 <= num < den,
-the zero class as 0/1.  Mediants come back as raw integer pairs so that
-hot loops can defer reduction to the caller.
+the zero class as 0/1.
 """
 
 from __future__ import annotations
@@ -10,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-Pair = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -32,7 +29,7 @@ class FareyFraction:
         return f"{self.num}/{self.den}"
 
 
-def _pair(f) -> Pair:
+def _pair(f) -> tuple[int, int]:
     """(num, den) of a FareyFraction, Fraction, (num, den) tuple or int."""
     if isinstance(f, FareyFraction):
         return f.num, f.den
@@ -62,18 +59,3 @@ def reduce_mod1(a: int, q: int) -> FareyFraction:
     if a == 0:
         return FareyFraction(0, 1)
     return FareyFraction(a, q)
-
-
-def mediant(x, y) -> Pair:
-    """Mediant of two fractions, returned as an unreduced integer pair."""
-    a, q = _pair(x)
-    b, r = _pair(y)
-    return a + b, q + r
-
-
-def height(f) -> int:
-    """Denominator of the reduced representative."""
-    if isinstance(f, FareyFraction):
-        return f.den
-    a, q = _pair(f)
-    return reduce_mod1(a, q).den

@@ -81,18 +81,17 @@ class WeightFunction:
             return 1 / m
         return 1.0 if self.family == "unit" else float(self(m))
 
-    def sum_to(self, k: int, start: int = 2):
-        """Prefix sum of g over start..k (empty when k < start)."""
-        if k < start:
+    def sum_to(self, k: int):
+        """Prefix sum of g over 2..k (empty when k < 2)."""
+        if k < 2:
             return self._zero()
-        cache = _PREFIX_CACHE.get((self, start), [self._zero()])
-        if len(cache) < k - start + 2:
+        cache = _PREFIX_CACHE.get(self, [self._zero()] * 2)  # cache[k] = g(2) + ... + g(k)
+        if len(cache) <= k:
             cache = cache.copy()  # grown privately: a racing thread never sees it half built
-            while len(cache) < k - start + 2:
-                m = start + len(cache) - 1
+            for m in range(len(cache), k + 1):
                 cache.append(cache[-1] + self(m))
-            _PREFIX_CACHE[(self, start)] = cache
-        return cache[k - start + 1]
+            _PREFIX_CACHE[self] = cache
+        return cache[k]
 
     def _zero(self):
         return Fraction(0) if self.is_exact else np.longdouble(0)
@@ -125,14 +124,14 @@ def parse_weight(spec: str) -> WeightFunction:
             line = line.strip()
             if not line:
                 continue
-            m_s, val_s = line.split()
-            m = int(m_s)
-            if m < 1 or m in entries:
-                raise ValueError(f"bad weight table line {line!r}")
             try:
-                entries[m] = Fraction(val_s)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in weight table line {line!r}") from None
+                m_s, val_s = line.split()
+                m, val = int(m_s), Fraction(val_s)
+                if m < 1 or m in entries:
+                    raise ValueError
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"bad weight table line {line!r}") from None
+            entries[m] = val
         if not entries:
             raise ValueError(f"empty weight table {path!r}")
         return WeightFunction("table", table=tuple(sorted(entries.items())))
@@ -323,36 +322,3 @@ def double_exceedance(x, M: int, delta: float) -> int:
     except OverflowError:
         raise ValueError(f"the threshold at M = {M} overflows at delta = {delta}") from None
     return sum(1 for i in range(1, M + 1) if quotient(x, i) > threshold)
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Summability and growth diagnostics for a weight function."""
-
-    sum_g_over_m: float | None
-    divergent: bool
-    trajectory: tuple[float, ...]
-
-
-def hypothesis_check(g: WeightFunction, delta: float, n_max: int) -> HypothesisReport:
-    """Check sum_m g(m)/m (closed form per family) and the growth ratios
-    G_f(n) = sum_{m<=f((n+1)^2)} g / sum_{m<=f(n^2)} g for n = 1..n_max; a
-    ratio whose lower sum is 0 (a table weight zero at the start) is nan."""
-    if g.family == "unit":
-        value, divergent = None, True
-    elif g.family == "harmonic":
-        value, divergent = math.pi**2 / 6, False
-    elif g.family == "power":
-        import mpmath
-
-        value, divergent = float(mpmath.zeta(1.5 + g.gamma)), False
-    else:
-        value = float(sum(v / m for m, v in g.table))
-        divergent = False
-    f = TruncationFn(delta)
-    traj = []
-    for n in range(1, n_max + 1):
-        hi = float(g.sum_to(f((n + 1) ** 2), start=1))
-        lo = float(g.sum_to(f(n ** 2), start=1))
-        traj.append(hi / lo if lo else math.nan)
-    return HypothesisReport(value, divergent, tuple(traj))

@@ -14,11 +14,10 @@ import cflab.cf
 from cflab.cf import (GOLDEN64, M64, ContinuedFraction, DyadicStream, InvariantViolation,
                       NeedsMoreBits, OutOfQuotients, PeriodicStream,
                       QuotientCapExceeded, RationalStream, cf_of_rational,
-                      compare_real_rational, convergents, cutoff,
-                      intermediates, mix64, parse_stream, quotient,
-                      value_of_cf)
+                      convergents, cutoff, intermediates, mix64, parse_stream,
+                      quotient, value_of_cf)
 from cflab.farey import farey_neighbors
-from cflab.rationals import mediant, reduce_mod1
+from cflab.rationals import reduce_mod1
 
 
 def euclid_expansion(p, q):
@@ -330,13 +329,11 @@ def test_compare_fraction_never_equal():
 
 def test_compare_real_rational():
     g = PeriodicStream(0, (), (1,))
-    assert compare_real_rational(g, Fraction(1, 2)) > 0
-    assert compare_real_rational(g, Fraction(2, 3)) < 0
+    assert g.compare_fraction(Fraction(1, 2)) > 0
+    assert g.compare_fraction(Fraction(2, 3)) < 0
     x = RationalStream(2, 5)
-    assert compare_real_rational(x, Fraction(2, 5)) == 0
-    assert compare_real_rational(x, Fraction(1, 3)) > 0
-    with pytest.raises(TypeError, match="not a stream"):
-        compare_real_rational(ContinuedFraction(0, (2, 2)), Fraction(1, 3))
+    assert x.compare_fraction(Fraction(2, 5)) == 0
+    assert x.compare_fraction(Fraction(1, 3)) > 0
 
 
 def prefix_value(x, n):
@@ -391,7 +388,7 @@ def test_comparison_matches_slow_oracles(x, depth, data):
     if isinstance(x, DyadicStream):
         targets += x.interval()
     for r in targets:
-        assert compare_real_rational(x, r) == oracle_sign(x, Fraction(r))
+        assert x.compare_fraction(Fraction(r)) == oracle_sign(x, Fraction(r))
 
 
 def test_cutoff_examples():
@@ -461,8 +458,8 @@ def test_intermediates_are_iterated_mediants():
     for n, rs in by_level.items():
         prev = pq[n - 2]
         for r in sorted(rs, key=lambda r: r.index):
-            prev = mediant(prev, pq[n - 1])
-            num, den = prev
+            (a, q), (b, s) = prev, pq[n - 1]
+            prev = num, den = a + b, q + s  # the mediant of prev and p_{n-1}/q_{n-1}
             assert den == r.height
             assert reduce_mod1(num, den) == r.fraction
 

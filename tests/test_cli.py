@@ -314,6 +314,22 @@ def test_malformed_weight_specs_exit_2(spec, lines, tmp_path, capsys):
     assert_bad_argument(["mq", "--x", "rational:1/3", "--Q", "10", f"--weight={spec}"], capsys)
 
 
+@pytest.mark.parametrize("lines, bad", [
+    (["2 1", "0 1"], "0 1"),              # m < 1
+    (["2 1", "3 1/0"], "3 1/0"),          # zero denominator
+    (["x 1", "2 1"], "x 1"),              # m not an integer
+    (["2 1", "3 abc"], "3 abc"),          # value not a number
+    (["2 1", " 4 "], "4"),                # one field
+    (["2 1 5"], "2 1 5"),                 # three fields
+    (["2 1", "3 1/2", "2 1/3"], "2 1/3"),  # m twice
+])
+def test_bad_weight_table_line_is_named(lines, bad, tmp_path, capsys):
+    path = tmp_path / "weights.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["mq", "--x", "rational:1/3", "--Q", "10", f"--weight=table:{path}"]) == 2
+    assert capsys.readouterr() == ("", f"error: bad weight table line {bad!r}\n")
+
+
 @NO_WORKERS
 @given(spec=BAD_HEIGHT_SETS, tokens=st.none() | st.lists(TOKEN | INT.map(str), max_size=4))
 def test_malformed_height_set_specs_exit_2(spec, tokens, tmp_path, capsys):

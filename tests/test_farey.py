@@ -11,11 +11,10 @@ import pytest
 
 from cflab import farey
 from cflab.cf import DyadicStream, PeriodicStream, RationalStream, intermediates
-from cflab.farey import (HeightSet, chi, chi_mask, cumulative_expected_count,
-                         divergence_functional, enumerate_farey,
-                         expected_chi, farey_neighbors, farey_size,
-                         farey_table, parse_height_set, row_sum_exact,
-                         row_sum_formula, totients_up_to)
+from cflab.farey import (chi, chi_mask, cumulative_expected_count,
+                         enumerate_farey, expected_chi, farey_neighbors,
+                         farey_size, farey_table, parse_height_set,
+                         row_sum_exact, row_sum_formula, totients_up_to)
 from cflab.rationals import FareyFraction
 from cflab.stats import terminal_quotient
 
@@ -102,10 +101,9 @@ def test_totients():
 def test_sieves_match_trial_division():
     phi = [sum(math.gcd(u, q) == 1 for u in range(1, q + 1)) for q in range(501)]
     prime = [q >= 2 and all(q % p for p in range(2, q)) for q in range(501)]
-    primes = parse_height_set("primes")
     for n in range(501):
         assert list(totients_up_to(n)[1:]) == phi[1:n + 1]
-        assert list(primes.mask_up_to(n)) == prime[:n + 1]
+        assert list(farey._prime_mask(n)) == prime[:n + 1]
 
 
 def test_lcm_up_to_matches_math_lcm():
@@ -355,18 +353,6 @@ def test_chi_membership_equivalence_small():
         assert got == members
 
 
-def test_divergence_functional():
-    all_q = HeightSet("all", "all")
-    want = math.log(2) / 4 + 2 * math.log(3) / 9
-    assert divergence_functional(all_q, 3) == pytest.approx(want)
-    assert divergence_functional(all_q, 3) == pytest.approx(0.4174, abs=5e-5)
-    only4 = HeightSet("{4}", "set", (4,))
-    assert divergence_functional(only4, 10) == pytest.approx(2 * math.log(4) / 16)
-    assert divergence_functional(only4, 10) == pytest.approx(0.1733, abs=5e-5)
-    empty = HeightSet("empty", "set", ())
-    assert divergence_functional(empty, 100) == 0.0
-
-
 def test_parse_height_set(tmp_path):
     assert 7 in parse_height_set("primes")
     assert 9 not in parse_height_set("primes")
@@ -382,8 +368,9 @@ def test_parse_height_set(tmp_path):
 
 
 def test_height_set_mask_agrees_with_contains():
-    for spec in ("all", "primes", "mod:3,2"):
+    prime = [q >= 2 and all(q % p for p in range(2, q)) for q in range(41)]
+    want = {"all": [q >= 1 for q in range(41)], "primes": prime,
+            "mod:3,2": [q >= 1 and q % 3 == 2 for q in range(41)]}
+    for spec, member in want.items():
         hs = parse_height_set(spec)
-        mask = hs.mask_up_to(40)
-        for q in range(41):
-            assert bool(mask[q]) == (q in hs)
+        assert [q in hs for q in range(41)] == member
