@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-import numpy as np
-
 from .cf import DyadicStream
 from .rationals import FareyFraction, _pair
 
@@ -81,6 +79,8 @@ def enumerate_farey(Q: int) -> Iterator[FareyFraction]:
 
 def _prime_mask(n: int) -> np.ndarray:
     """Boolean mask over 0..n, True at the primes (sieve of Eratosthenes)."""
+    import numpy as np
+
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(n) + 1):
@@ -91,6 +91,8 @@ def _prime_mask(n: int) -> np.ndarray:
 
 def totients_up_to(Q: int) -> np.ndarray:
     """phi(q) for q = 0..Q by sieve (index 0 unused)."""
+    import numpy as np
+
     phi = np.arange(Q + 1, dtype=np.int64)
     for p in np.flatnonzero(_prime_mask(Q)):
         phi[p::p] -= phi[p::p] // p
@@ -156,6 +158,8 @@ def terminal_from_neighbors(den, lo_den, hi_den):
     heights, elementwise (1 for the zero class): for beta = [0; a1, ..., an],
     den = an q_{n-1} + q_{n-2} with q_{n-1} the smaller neighbor height,
     except for (q-1)/q = [0; 1, q-1]."""
+    import numpy as np
+
     return den // np.minimum(lo_den, hi_den) - ((hi_den == 1) & (den > 2))
 
 
@@ -164,6 +168,8 @@ def _build_table(Q: int) -> FareyTable:
 
     A fraction's parents in the tree are its Farey neighbors.
     """
+    import numpy as np
+
     rows = np.empty((6, farey_size(Q)), dtype=np.int64)  # num, den, lo, hi
     rows[:, 0] = 0, 1, 0, 1, 1, 1
     lo, hi = np.array([[0], [1]]), np.array([[1], [1]])  # next level's parents
@@ -198,6 +204,8 @@ def chi_mask(table: FareyTable, x: DyadicStream, margin: float = CHI_MARGIN) -> 
     infinite endpoints of entry 0 keep it in the mask.  Exact for any
     margin >= a few ulps since endpoint floats are within 2^-52 relative.
     """
+    import numpy as np
+
     lo, hi = x.interval()
     x_lo = float(lo)
     x_hi = float(hi)
@@ -295,6 +303,8 @@ def cumulative_expected_count(Q: int) -> tuple[Fraction, float]:
     (H_n^2 - H_n^(2)) with n = Q // d, one integer over L^2 for L = lcm(1..Q),
     since every L/(dk) with k <= n is an integer.
     """
+    import numpy as np
+
     if not 2 <= Q <= FAREY_TABLE_LIMIT:
         raise ValueError(f"Q = {Q} outside 2..{FAREY_TABLE_LIMIT}")
     mu = np.ones(Q + 1, dtype=np.int64)

@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .cf import (GOLDEN64, M64, DyadicStream, InvariantViolation, convergents,
                  cutoff, intermediates, mix64, quotient)
 # chi_mask and farey_table are unused here; perfbench/tracer.py patches them by name.
@@ -142,6 +140,8 @@ def mq_count_intermediates(stream, grid) -> dict:
 def _euclid(a, q):
     """(gcd(a, q), t) with t a = gcd mod q, for arrays 1 <= a < q.  A finished
     pair (g, 0) divides by zero, which numpy makes k = 0, so it swaps till all end."""
+    import numpy as np
+
     r0, r1, t0, t1 = q, a, np.zeros_like(a), np.ones_like(a)
     with np.errstate(divide="ignore"):
         while (r0 * r1).any():
@@ -163,6 +163,8 @@ def mq_count_farey(stream, grid) -> dict:
     come sorted by q, so each Q counts a prefix.  Counts are kept in halves:
     an x on a neighbor endpoint (a rational) gives its class 1/2.
     """
+    import numpy as np
+
     for Q in grid:
         check_order(Q)
     top = max(grid)
@@ -405,6 +407,8 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
     if workers == 1:
         found = _run_chunk(config, grid, p, range(config.samples))
     else:  # eight contiguous chunks per worker even out the heavy-tailed samples
+        if p.get("with_farey") or ("weight" in p and not p["weight"].is_exact):
+            import numpy  # noqa: F401  (the Farey route and power weights: once, not per child)
         n = min(config.samples, 8 * workers)
         chunks = [range(config.samples * k // n, config.samples * (k + 1) // n) for k in range(n)]
         found = _fork_chunks(lambda c: _run_chunk(config, grid, p, c), chunks, workers)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .cf import quotient
 
 LOG2 = math.log(2)
@@ -70,6 +68,8 @@ class WeightFunction:
             i = bisect.bisect_left(self.table, (m,))
             hit = i < len(self.table) and self.table[i][0] == m
             return self.table[i][1] if hit else Fraction(0)
+        import numpy as np
+
         return np.longdouble(m) ** np.longdouble(-(0.5 + self.gamma))
 
     def float_at(self, m: int) -> float:
@@ -94,7 +94,11 @@ class WeightFunction:
         return cache[k]
 
     def _zero(self):
-        return Fraction(0) if self.is_exact else np.longdouble(0)
+        if self.is_exact:
+            return Fraction(0)
+        import numpy as np
+
+        return np.longdouble(0)
 
 
 _PREFIX_CACHE: dict = {}  # per process: forked workers each grow their own

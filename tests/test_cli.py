@@ -599,8 +599,8 @@ print(rc, sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sy
 
 
 def test_serial_montecarlo_never_loads_the_process_pool(tmp_path):
-    # harness.run imports the pool only for worker processes; the serial
-    # workloads' peak RSS counts every module a run loads
+    # no run imports a pool module (worker runs fork bare children); the
+    # serial workloads' peak RSS counts every module a run loads
     done = subprocess.run([sys.executable, "-c", SERIAL_RUN, str(ROOT),
                            "montecarlo", "--experiment", "mq", "--samples", "3",
                            "--seed", "7", "--Q", "100", "--out", str(tmp_path / "out.csv")],
@@ -629,3 +629,44 @@ def test_forked_montecarlo_never_loads_the_process_pool(tmp_path):
                            "--out", str(tmp_path / "out.csv")],
                           check=True, capture_output=True, text=True, timeout=120)
     assert done.stdout.splitlines()[-1] == "0 2 []"
+
+
+LAZY_IMPORTS_RUN = """
+import os
+import sys
+sys.path.insert(0, sys.argv[1] + "/src")
+import cflab
+from cflab import cli, harness
+def loaded():
+    return " ".join(m for m in ("mpmath", "numpy") if m in sys.modules) or "-"
+forks, fork, chunk = [], os.fork, harness._run_chunk
+os.fork = lambda: forks.append(loaded()) or fork()
+os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any machine
+def logged_chunk(*args):  # a forked child's modules die with it, so it writes them down
+    rows = chunk(*args)
+    with open(sys.argv[2], "a") as fh:
+        fh.write(loaded() + "\\n")
+    return rows
+harness._run_chunk = logged_chunk
+rc = cli.main(sys.argv[3:])
+with open(sys.argv[2]) as fh:
+    print(rc, forks, sorted(set(fh.read().split())), loaded())
+"""
+
+
+# (exit code, modules at each fork, modules after any chunk, modules at the end)
+@pytest.mark.parametrize("argv, expected", [
+    (["levy", "--n", "100", "--threads", "1"], "0 [] ['-'] -"),
+    (["mq", "--Q", "10000", "--threads", "2"], "0 ['-', '-'] ['-'] -"),  # no Farey route
+    (["mq", "--Q", "100", "--threads", "2"], "0 ['numpy', 'numpy'] ['numpy'] numpy"),
+    (["mq", "--Q", "10000", "--weight", "power:0.25", "--threads", "2"],
+     "0 ['numpy', 'numpy'] ['numpy'] numpy"),
+], ids=["levy", "mq-harmonic", "mq-farey", "mq-power"])
+def test_montecarlo_loads_numpy_only_for_arrays_and_before_forking(tmp_path, argv, expected):
+    # numpy and mpmath load on first use; the Farey route and power weights
+    # need numpy, which the parent imports before forking, not each child
+    done = subprocess.run([sys.executable, "-c", LAZY_IMPORTS_RUN, str(ROOT),
+                           str(tmp_path / "chunks.txt"), "montecarlo", "--experiment", *argv,
+                           "--samples", "4", "--seed", "7", "--out", str(tmp_path / "out.csv")],
+                          check=True, capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == expected

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -113,6 +114,14 @@ def test_weight_prefix_sums():
     assert 1 + HARMONIC.sum_to(5) == Fraction(137, 60)
     p = WeightFunction.power(0.5)
     assert float(p.sum_to(3)) == pytest.approx(1 / 2 + 1 / 3)
+
+
+def test_power_weights_stay_long_double():
+    # the power family is evaluated and summed in extended precision; a float
+    # anywhere on the way would round it to 53 bits
+    p = WeightFunction.power(0.25)
+    values = (p(3), p.sum_to(4), p._zero(), x_nf(ALT23, 4, p, TruncationFn(0.5)))
+    assert [type(v) for v in values] == [np.longdouble] * 4
 
 
 def test_weight_prefix_sums_under_racing_threads():
