@@ -458,8 +458,9 @@ class Intermediate(NamedTuple):
         return self.den
 
 
-def intermediates(x, Q: int) -> list[Intermediate]:
-    """All intermediate fractions of x with height at most Q.
+def intermediate_tuples(x, Q: int) -> list[tuple[int, int, int, int]]:
+    """(level, index, num, den) of each intermediate fraction of x with height
+    at most Q, as plain tuples.
 
     Level n contributes (m p_{n-1} + p_{n-2}) / (m q_{n-1} + q_{n-2}) for
     m = 1..a_n, the cutoff level truncated at m = a(Q, x).  The enumeration
@@ -471,16 +472,23 @@ def intermediates(x, Q: int) -> list[Intermediate]:
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    out: list[Intermediate] = []
+    out = []
     last_height = 0
     for n, a, p, q, pm1, qm1 in islice(_levels(x), 1, None):
+        num, den = p - a * pm1, q - a * qm1  # p_{n-2}, q_{n-2}
         for m in range(1, a + 1):
-            den = q - (a - m) * qm1
+            num, den = num + pm1, den + qm1
             if den > Q:
                 return out
-            assert den > last_height
+            if den <= last_height:
+                raise InvariantViolation(f"height {den} at level {n} does not exceed {last_height}")
             last_height = den
-            out.append(Intermediate(n, m, (p - (a - m) * pm1) % den, den))
+            out.append((n, m, num % den, den))
         if Q < q + qm1:
             break
     return out
+
+
+def intermediates(x, Q: int) -> list[Intermediate]:
+    """intermediate_tuples(x, Q) as Intermediate records."""
+    return [Intermediate(*t) for t in intermediate_tuples(x, Q)]

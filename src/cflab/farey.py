@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .cf import DyadicStream
+from .cf import DyadicStream, InvariantViolation
 from .rationals import FareyFraction, _pair
 
 @dataclass(frozen=True)
@@ -181,7 +181,8 @@ def _build_table(Q: int) -> FareyTable:
         rows[:, i:i + mid.shape[1]] = np.vstack((mid, lo, hi))
         i += mid.shape[1]
         lo, hi = np.hstack((lo, mid)), np.hstack((mid, hi))
-    assert i == rows.shape[1]
+    if i != rows.shape[1]:
+        raise InvariantViolation(f"F_{Q} has {rows.shape[1]} classes, the tree gave {i}")
     order = np.argsort(rows[1] * (Q + 1) + rows[0])  # unique keys: num <= Q
     for row in rows:
         row[:] = row[order]

@@ -29,8 +29,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .cf import (GOLDEN64, M64, DyadicStream, InvariantViolation, convergents,
-                 cutoff, intermediates, mix64, quotient)
+# intermediates is the walk of plain tuples, not records, which the routes only
+# unpack; perfbench/tracer.py patches this name as cf.intermediates and counts its len().
+from .cf import (GOLDEN64, M64, DyadicStream, InvariantViolation, convergents, cutoff,
+                 intermediate_tuples as intermediates, mix64, quotient)
 # chi_mask and farey_table are unused here; perfbench/tracer.py patches them by name.
 from .farey import (CHI_MARGIN, HeightSet, check_order, chi, chi_mask,  # noqa: F401
                     farey_table, terminal_from_neighbors)
@@ -267,7 +269,7 @@ def _run_double_exceed(stream, M, p):
 
 def _run_openproblem(stream, Q, p):
     heights: HeightSet = p["heights"]
-    hits = sum(1 for rec in intermediates(stream, Q) if rec.height in heights)
+    hits = sum(1 for _, _, _, den in intermediates(stream, Q) if den in heights)
     return [("hits", hits)]
 
 

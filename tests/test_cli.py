@@ -1,6 +1,7 @@
 """Command line behavior: output formats, exit codes, file artifacts."""
 
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -10,9 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import cflab.cf
 from cflab import cli
 from cflab.cf import (DyadicStream, InvariantViolation, NeedsMoreBits,
-                      QuotientCapExceeded)
+                      QuotientCapExceeded, intermediates)
 from cflab.cli import main
 from cflab.harness import (Experiment, ExperimentConfig, REGISTRY, rows_to_csv, run,
                            sample_stream)
@@ -448,6 +450,50 @@ def test_methods_agree_failure_exits_3_after_writing(tmp_path, capsys,
     assert ",methods_agree,0" in out.read_text("utf-8")  # CSV written first
 
 
+def _stuck_levels(x):
+    """Level 1 of [0; 1] read twice, so the walk's height 1 comes again."""
+    yield 0, 0, 0, 1, 1, 0
+    yield 1, 1, 1, 1, 0, 1
+    yield 1, 1, 1, 1, 0, 1
+
+
+MQ_RUN = ["montecarlo", "--experiment", "mq", "--samples", "2", "--seed", "7", "--Q", "10000"]
+
+
+def test_a_height_that_does_not_rise_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cflab.cf, "_levels", _stuck_levels)
+    for walk in (cflab.cf.intermediate_tuples, intermediates):
+        with pytest.raises(InvariantViolation, match="height 1 at level 1 does not exceed 1"):
+            walk(DyadicStream(7), 10 ** 4)
+    assert main([*MQ_RUN, "--out", str(tmp_path / "mq.csv")]) == 3
+    assert capsys.readouterr().err.startswith("invariant violation: height 1")
+
+
+STUCK_RUN = inspect.getsource(_stuck_levels) + """
+import sys
+sys.path.insert(0, sys.argv[1] + "/src")
+import cflab.cf
+from cflab.cli import main
+cflab.cf._levels = _stuck_levels
+raised = []
+for walk in (cflab.cf.intermediate_tuples, cflab.cf.intermediates):
+    try:
+        walk(cflab.cf.DyadicStream(7), 10 ** 4)
+    except cflab.cf.InvariantViolation:
+        raised.append(walk.__name__)
+print(sys.flags.optimize, *raised, main(sys.argv[2:]))
+"""
+
+
+def test_a_height_that_does_not_rise_exits_3_under_python_O(tmp_path):
+    # python -O strips assert statements but not the walk's InvariantViolation
+    done = subprocess.run([sys.executable, "-O", "-c", STUCK_RUN, str(ROOT), *MQ_RUN,
+                           "--out", str(tmp_path / "mq.csv")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout == "1 intermediate_tuples intermediates 3\n"
+    assert done.stderr.startswith("invariant violation: height 1")
+
+
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -504,6 +550,34 @@ def test_benchmark_tracer_finds_every_name_it_patches(experiment, flag, grid, sp
     got = json.loads(report.read_text())
     assert got["rc"] == 0
     assert spans | {"cli.main", "harness.run", "harness.compute"} <= set(got["spans"])
+
+
+TRACED_COUNTS = """
+import json, sys
+sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
+from tracer import Tracer
+from cflab import cli
+tracer = Tracer()
+tracer.install_experiment("mq")
+rc = cli.main(["montecarlo", "--experiment", "mq", "--samples", "3", "--seed", "7",
+               "--Q", "10000", "--out", sys.argv[3]])
+got = tracer.metrics([])
+with open(sys.argv[2], "w") as fh:
+    json.dump({"rc": rc, "intermediates": got["cf.intermediates_count"][0],
+               "terminal_quotients": got["stats.terminal_quotient_calls"][0]}, fh)
+"""
+
+
+def test_benchmark_tracer_counts_the_intermediates_route(tmp_path):
+    # the tracer counts the len() of what harness.intermediates returns, and
+    # the route classes each fraction with one terminal_quotient call; a name
+    # drifted off the route's walk would count 0
+    want = sum(len(intermediates(sample_stream(7, i), 10 ** 4)) for i in range(3))
+    report = tmp_path / "counts.json"
+    subprocess.run([sys.executable, "-c", TRACED_COUNTS, str(ROOT), str(report),
+                    str(tmp_path / "out.csv")], check=True, capture_output=True, timeout=120)
+    assert json.loads(report.read_text()) == {
+        "rc": 0, "intermediates": want, "terminal_quotients": want}
 
 
 TRACED_CHI_MASK = """

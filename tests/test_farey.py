@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from cflab import farey
-from cflab.cf import DyadicStream, PeriodicStream, RationalStream, intermediates
+from cflab.cf import (DyadicStream, InvariantViolation, PeriodicStream, RationalStream,
+                      intermediates)
 from cflab.farey import (chi, chi_mask, cumulative_expected_count,
                          enumerate_farey, expected_chi, farey_neighbors,
                          farey_size, farey_table, parse_height_set,
@@ -292,6 +293,15 @@ def test_farey_table_rejects_bad_q():
             farey_table(Q)
     with pytest.raises(ValueError, match="limit"):
         farey_table(farey.FAREY_TABLE_LIMIT + 1)
+
+
+def test_farey_table_short_tree_is_an_invariant_violation(monkeypatch):
+    # one column too many for the tree to fill: an exception, not an assert
+    # that python -O would strip
+    size = farey.farey_size
+    monkeypatch.setattr(farey, "farey_size", lambda Q: size(Q) + 1)
+    with pytest.raises(InvariantViolation, match="F_10 has 33 classes, the tree gave 32"):
+        farey_table(10)
 
 
 def test_farey_table_concurrent_growth():

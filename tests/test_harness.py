@@ -15,7 +15,7 @@ import cflab.cf
 from cflab.cf import (DyadicStream, PeriodicStream, RationalStream,
                       intermediates, quotient)
 from cflab import farey, harness
-from cflab.farey import HeightSet, chi, enumerate_farey
+from cflab.farey import HeightSet, chi, enumerate_farey, parse_height_set
 from cflab.harness import (CSV_HEADER, ExperimentConfig, ResultRow, aggregate,
                            find_violations, format_value, mq_count_closed,
                            mq_count_farey, mq_count_intermediates, mq_value,
@@ -455,6 +455,25 @@ def test_grid_routes_equal_one_height_calls(x, grid):
         assert got == {Q: route(x, (Q,))[Q] for Q in grid}
         if not isinstance(x, RationalStream):  # only a rational sits on an endpoint
             assert got == {Q: mq_count_closed(x, Q) for Q in grid}
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=STREAMS, grid=st.lists(st.integers(1, 3000), min_size=1, max_size=4, unique=True))
+@example(x=RationalStream(3, 7), grid=[100, 5, 7, 6])
+@example(x=RationalStream(-355, 113), grid=[3000, 113, 112])
+@example(x=RationalStream(5, 1), grid=[10, 1])
+def test_tuple_walk_matches_the_record_path(x, grid):
+    """The plain tuples the routes count against the Intermediate records:
+    the same fractions, the same multisets and the same openproblem hits."""
+    assert mq_count_intermediates(x, grid) == {
+        Q: Counter(terminal_quotient(r.num, r.den) for r in intermediates(x, Q)) for Q in grid}
+    for Q in grid:
+        recs = intermediates(x, Q)
+        assert cflab.cf.intermediate_tuples(x, Q) == [tuple(r) for r in recs]
+        for spec in ("all", "primes", "mod:3,1"):
+            heights = parse_height_set(spec)
+            assert harness._run_openproblem(x, Q, {"heights": heights}) == [
+                ("hits", sum(1 for r in recs if r.height in heights))]
 
 
 def test_mq_count_unit_value_is_enumeration_length():

@@ -1,5 +1,6 @@
-"""The suite's own pytest settings in pyproject.toml."""
+"""The suite's own settings: pytest's in pyproject.toml, and a lint of the library."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,13 @@ def test_a_failing_property_test_does_not_end_the_session(tmp_path):
                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout.splitlines()[-1]
+
+
+def test_the_library_has_no_assert_statement():
+    # python -O strips assert statements, so a check in src/cflab raises
+    # InvariantViolation instead, which the CLI turns into exit 3
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "cflab").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the library: {', '.join(found)}"
