@@ -3,8 +3,8 @@
 Exact utilities (expansions, convergents, intermediate fractions, indicator
 and row-sum queries, multi-method weighted counts) plus the seeded
 `montecarlo` experiment driver.  Exit codes: 0 success, 2 bad arguments or
-an exhausted refinement budget, 3 internal invariant violation or a worker
-process that died.
+an exhausted refinement budget, 3 internal invariant violation or a forked
+worker process that died.
 """
 
 from __future__ import annotations
@@ -196,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", help="height set: all | primes | mod:d,r | file:<path>")
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes, capped at the usable CPUs; same output for any")
+                   help="workers: the caller and THREADS - 1 forked children, capped "
+                        "at the usable CPUs (1 forks nothing); same output for any")
     p.add_argument("--exact", action="store_true",
                    help="emit exact rationals (num/den) in the CSV")
     p.add_argument("--json", action="store_true",

@@ -229,8 +229,8 @@ def _harmonic_prefix(k: int) -> tuple[list[int], list[int]]:
     N_m = N_{m-1} (L_m / L_{m-1}) + L_m / m.  row_sum_exact and
     cumulative_expected_count ask for at most k = FAREY_TABLE_LIMIT, so it
     holds at most FAREY_TABLE_LIMIT + 1 entries (about 5 MB).  It is grown
-    on a private copy and published by one assignment, so a thread that
-    shares the module never reads it half built.
+    on private copies and published by one assignment, so a growth that is
+    interrupted between the two appends never leaves N and L unequal in length.
     """
     global _harmonic
     N, L = _harmonic

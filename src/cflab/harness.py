@@ -352,41 +352,52 @@ def _run_chunk(config: ExperimentConfig, grid: tuple, p: dict, indices: range) -
     return [(i, *row) for i in indices for row in compute(sample_stream(config.seed, i), grid, p)]
 
 
+def _claim(work: Callable, chunks: list, claim: int) -> list:
+    """(k, work(chunks[k]) or its exception) for each k read from `claim`, up to the first raise."""
+    done = []
+    while token := os.read(claim, 4):
+        k = int.from_bytes(token, "little")
+        try:
+            done.append((k, work(chunks[k])))
+        except Exception as exc:  # raised again by the caller, after every worker is done
+            done.append((k, exc))
+            break
+    return done
+
+
 def _fork_chunks(work: Callable, chunks: list, workers: int) -> list:
-    """work(chunk) for each chunk, from `workers` forked children that claim chunks from a pipe."""
+    """work(chunk) for each chunk, from the caller and `workers` - 1 forked children that
+    claim chunks from one pipe; the lowest failing chunk's exception is raised."""
     claim, tokens = os.pipe()
     os.write(tokens, b"".join(k.to_bytes(4, "little") for k in range(len(chunks))))
     os.close(tokens)  # before any fork, so the drained pipe reads EOF
     children, answers = [], {}  # (pid, its result pipe)
     try:
-        for _ in range(workers):
+        for _ in range(workers - 1):
             results, out = os.pipe()
             if (pid := os.fork()) == 0:  # the child
                 try:
-                    done = []
-                    while token := os.read(claim, 4):
-                        k = int.from_bytes(token, "little")
-                        try:
-                            done.append((k, work(chunks[k])))
-                        except Exception as exc:  # raised again by the parent, with this trace
-                            exc.__notes__ = [traceback.format_exc()]
-                            done.append((k, exc))
+                    done = _claim(work, chunks, claim)  # a trace is not pickled; a note is
+                    if done and isinstance(exc := done[-1][1], Exception):
+                        exc.__notes__ = ["".join(traceback.format_exception(exc))]
                     with open(out, "wb") as fh:
                         pickle.dump(done, fh, pickle.HIGHEST_PROTOCOL)
                 finally:  # whatever happened, never return into the caller
                     os._exit(0)
             os.close(out)
             children.append((pid, open(results, "rb")))
+        answers.update(_claim(work, chunks, claim))
         for _, fh in children:  # a child that died wrote nothing or a truncated pickle
             with contextlib.suppress(EOFError, pickle.UnpicklingError):
                 answers.update(pickle.loads(fh.read()))
+        claimed = len(chunks) - len(os.read(claim, 4 * len(chunks))) // 4  # unread: never claimed
     finally:  # a child is reaped only here, so its pid cannot be reused before the kill
         os.close(claim)
         for pid, fh in children:
             fh.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    lost = [f"{c.start}..{c.stop - 1}" for k, c in enumerate(chunks) if k not in answers]
+    lost = [f"{c.start}..{c.stop - 1}" for k, c in enumerate(chunks[:claimed]) if k not in answers]
     died = InvariantViolation(f"a worker process died; samples {', '.join(lost)} were lost")
     for got in (answers.get(k, died) for k in range(len(chunks))):
         if isinstance(got, Exception):
@@ -397,8 +408,9 @@ def _fork_chunks(work: Callable, chunks: list, workers: int) -> list:
 def run(config: ExperimentConfig) -> list[ResultRow]:
     """Execute the experiment; rows come back sorted by (param, index, stat).
 
-    `threads` counts forked worker processes (pure Python gains nothing from
-    threads), capped at the samples and usable CPUs; each has its own caches.
+    `threads` counts worker processes, the caller and threads - 1 forked children
+    (pure Python gains nothing from threads), capped at the samples and usable
+    CPUs; each has its own caches.  One worker forks nothing.
     """
     if config.samples < 1:
         raise ValueError("samples must be >= 1")
@@ -406,14 +418,11 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
         raise ValueError("threads must be >= 1")
     grid, p = resolve_params(config)
     workers = min(config.threads, config.samples, len(os.sched_getaffinity(0)))
-    if workers == 1:
-        found = _run_chunk(config, grid, p, range(config.samples))
-    else:  # eight contiguous chunks per worker even out the heavy-tailed samples
-        if p.get("with_farey") or ("weight" in p and not p["weight"].is_exact):
-            import numpy  # noqa: F401  (the Farey route and power weights: once, not per child)
-        n = min(config.samples, 8 * workers)
-        chunks = [range(config.samples * k // n, config.samples * (k + 1) // n) for k in range(n)]
-        found = _fork_chunks(lambda c: _run_chunk(config, grid, p, c), chunks, workers)
+    if p.get("with_farey") or ("weight" in p and not p["weight"].is_exact):
+        import numpy  # noqa: F401  (the Farey route and power weights: once, before any fork)
+    n = min(config.samples, 8 * workers)  # eight contiguous chunks per worker even out heavy tails
+    chunks = [range(config.samples * k // n, config.samples * (k + 1) // n) for k in range(n)]
+    found = _fork_chunks(lambda c: _run_chunk(config, grid, p, c), chunks, workers)
     found.sort(key=lambda t: (t[1], t[0], t[2]))  # (param, index, stat)
     return [ResultRow(config.experiment, config.seed, *t) for t in found]
 

@@ -85,12 +85,10 @@ class WeightFunction:
         """Prefix sum of g over 2..k (empty when k < 2)."""
         if k < 2:
             return self._zero()
-        cache = _PREFIX_CACHE.get(self, [self._zero()] * 2)  # cache[k] = g(2) + ... + g(k)
-        if len(cache) <= k:
-            cache = cache.copy()  # grown privately: a racing thread never sees it half built
-            for m in range(len(cache), k + 1):
-                cache.append(cache[-1] + self(m))
-            _PREFIX_CACHE[self] = cache
+        if (cache := _PREFIX_CACHE.get(self)) is None:
+            cache = _PREFIX_CACHE[self] = [self._zero()] * 2  # cache[k] = g(2) + ... + g(k)
+        while (m := len(cache)) <= k:  # in place; a racing grower sets slot m to the same value
+            cache[m:m + 1] = [cache[m - 1] + self(m)]
         return cache[k]
 
     def _zero(self):

@@ -364,31 +364,60 @@ def test_budget_errors_exit_2(exc, tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def caller_waits_for_the_child(monkeypatch) -> int:
+    """The write end of a pipe on which the caller waits, right after forking
+    its one child, for a byte (or the child's end): the caller claims no chunk
+    before the child writes, so the child's share is fixed without sleeps."""
+    r, w = os.pipe()
+    fork = os.fork
+
+    def fork_then_wait():
+        pid = fork()
+        if pid:  # the caller; the child keeps its copy of w
+            os.close(w)
+            os.read(r, 1)
+            os.close(r)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_then_wait)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two workers anywhere
+    return w
+
+
+def sample_index(stream, samples=16, seed=1) -> int:
+    return [sample_stream(seed, i).seed for i in range(samples)].index(stream.seed)
+
+
 @pytest.mark.parametrize("exc, code, prefix", [
     (NeedsMoreBits, 2, "error"), (QuotientCapExceeded, 2, "error"),
     (InvariantViolation, 3, "invariant violation"), (None, 3, "invariant violation")])
 def test_worker_process_errors_keep_their_exit_code(exc, code, prefix, tmp_path,
                                                      capsys, monkeypatch):
     parent = os.getpid()
+    w = caller_waits_for_the_child(monkeypatch)
 
-    def failing(stream, n, p):  # the forked workers inherit this registry entry
-        if exc is None:  # the worker dies, as when it is killed for memory
-            assert os.getpid() != parent
+    def failing(stream, n, p):  # the forked child inherits this registry entry
+        if os.getpid() == parent:  # chunk 1, claimed after the child's chunk 0
+            raise (exc or ValueError)("raised in the parent")
+        os.write(w, b"!")
+        if exc is None:  # the child dies, as when it is killed for memory
             os._exit(9)
-        raise exc("raised in a worker" if os.getpid() != parent else "raised in the parent")
+        raise exc("raised in a worker")
 
     monkeypatch.setitem(REGISTRY, "levy", Experiment("levy", "n", (10,), failing))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two workers anywhere
     out = tmp_path / "levy.csv"
     rc = main(["montecarlo", "--experiment", "levy", "--samples", "4",
                "--seed", "1", "--threads", "2", "--out", str(out)])
     assert rc == code
     stdout, err = capsys.readouterr()
     assert stdout == ""
-    message = ("raised in a worker" if exc else  # every chunk of one sample dies
-               "a worker process died; samples 0..0, 1..1, 2..2, 3..3 were lost")
+    # the lowest failing chunk wins, and chunks 2 and 3, never claimed, are not lost
+    message = ("raised in a worker" if exc else
+               "a worker process died; samples 0..0 were lost")
     assert err == f"{prefix}: {message}\n"
     assert not out.exists()
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("exc, code, prefix", [
@@ -396,22 +425,26 @@ def test_worker_process_errors_keep_their_exit_code(exc, code, prefix, tmp_path,
     (None, 3, "invariant violation")])
 def test_one_failing_sample_among_workers(exc, code, prefix, tmp_path, capsys, monkeypatch):
     parent = os.getpid()
-    bad = sample_stream(1, 2).seed  # only sample 2 fails; its chunk is 2..2
+    w = caller_waits_for_the_child(monkeypatch)
+    in_caller = []
 
     def levy(stream, grid, p):
-        assert os.getpid() != parent
-        if stream.seed == bad:
+        i = sample_index(stream)
+        if os.getpid() == parent:
+            in_caller.append(i)
+        elif i == 2:  # only sample 2 fails, in the child, which claimed 0..2 alone
+            os.write(w, b"!")
             if exc is None:
                 os._exit(9)
             raise exc("sample 2 failed")
         return [(n, "levy_stat", 0.0) for n in grid]
 
     monkeypatch.setitem(REGISTRY, "levy", Experiment("levy", "n", (10,), levy))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     out = tmp_path / "levy.csv"
     rc = main(["montecarlo", "--experiment", "levy", "--samples", "4",
                "--seed", "1", "--threads", "2", "--out", str(out)])
     assert rc == code
+    assert in_caller == [3]
     stdout, err = capsys.readouterr()
     assert stdout == ""
     assert not out.exists()
@@ -421,6 +454,82 @@ def test_one_failing_sample_among_workers(exc, code, prefix, tmp_path, capsys, m
         lost = err.removeprefix(f"{prefix}: a worker process died; samples ")
         lost = lost.removesuffix(" were lost\n").split(", ")
         assert "2..2" in lost and set(lost) <= {"0..0", "1..1", "2..2", "3..3"}
+        assert lost == ["0..0", "1..1", "2..2"]
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_dead_child_loses_only_the_chunks_it_claimed(tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+    w = caller_waits_for_the_child(monkeypatch)
+    in_caller = []
+
+    def levy(stream, grid, p):
+        if os.getpid() != parent:  # the child's first chunk, 0..0, is its last
+            os.write(w, b"!")
+            os._exit(9)
+        in_caller.append(sample_index(stream))
+        return [(n, "levy_stat", 0.0) for n in grid]
+
+    monkeypatch.setitem(REGISTRY, "levy", Experiment("levy", "n", (10,), levy))
+    out = tmp_path / "levy.csv"
+    rc = main(["montecarlo", "--experiment", "levy", "--samples", "16",
+               "--seed", "1", "--threads", "2", "--out", str(out)])
+    assert rc == 3
+    assert in_caller == list(range(1, 16))  # the caller finished every other chunk
+    assert capsys.readouterr() == ("", "invariant violation: a worker process died; "
+                                       "samples 0..0 were lost\n")
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (NeedsMoreBits, 2, "error"), (InvariantViolation, 3, "invariant violation")])
+def test_a_serial_run_stops_at_its_first_failing_sample(exc, code, prefix, tmp_path,
+                                                        capsys, monkeypatch):
+    calls = []
+
+    def failing(stream, n, p):
+        calls.append(os.getpid())
+        raise exc("sample 0 failed")
+
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1))  # never called
+    monkeypatch.setitem(REGISTRY, "levy", Experiment("levy", "n", (10,), failing))
+    out = tmp_path / "levy.csv"
+    rc = main(["montecarlo", "--experiment", "levy", "--samples", "4",
+               "--seed", "1", "--threads", "1", "--out", str(out)])
+    assert rc == code
+    assert capsys.readouterr() == ("", f"{prefix}: sample 0 failed\n")
+    assert calls == [os.getpid()] and forks == []
+    assert not out.exists()
+
+
+def test_only_an_exception_from_a_child_carries_its_traceback(monkeypatch):
+    # a child's exception is pickled without its frames, so it brings them as a
+    # note; the caller's own exception keeps its real traceback and gets none
+    cfg = ExperimentConfig("levy", samples=4, seed=1, threads=1)
+    parent = os.getpid()
+    w = caller_waits_for_the_child(monkeypatch)  # a serial run forks nothing
+
+    def failing(stream, n, p):
+        if os.getpid() != parent:
+            os.write(w, b"!")
+        if os.getpid() != parent or sample_index(stream) == 1:
+            raise ValueError(f"raised in {'the caller' if os.getpid() == parent else 'a child'}")
+        return [(v, "levy_stat", 0.0) for v in n]
+
+    monkeypatch.setitem(REGISTRY, "levy", Experiment("levy", "n", (10,), failing))
+    with pytest.raises(ValueError, match="raised in the caller") as serial:
+        run(cfg)
+    assert not hasattr(serial.value, "__notes__")
+    cfg.threads = 2  # the child fails at chunk 0, before the caller's chunk 1
+    with pytest.raises(ValueError, match="raised in a child") as forked:
+        run(cfg)
+    assert len(forked.value.__notes__) == 1
+    assert forked.value.__notes__[0].startswith("Traceback (most recent call last):")
+    assert "in failing" in forked.value.__notes__[0]
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
 
@@ -702,7 +811,7 @@ def test_forked_montecarlo_never_loads_the_process_pool(tmp_path):
                            "--seed", "7", "--Q", "100", "--threads", "2",
                            "--out", str(tmp_path / "out.csv")],
                           check=True, capture_output=True, text=True, timeout=120)
-    assert done.stdout.splitlines()[-1] == "0 2 []"
+    assert done.stdout.splitlines()[-1] == "0 1 []"
 
 
 LAZY_IMPORTS_RUN = """
@@ -731,10 +840,10 @@ with open(sys.argv[2]) as fh:
 # (exit code, modules at each fork, modules after any chunk, modules at the end)
 @pytest.mark.parametrize("argv, expected", [
     (["levy", "--n", "100", "--threads", "1"], "0 [] ['-'] -"),
-    (["mq", "--Q", "10000", "--threads", "2"], "0 ['-', '-'] ['-'] -"),  # no Farey route
-    (["mq", "--Q", "100", "--threads", "2"], "0 ['numpy', 'numpy'] ['numpy'] numpy"),
+    (["mq", "--Q", "10000", "--threads", "2"], "0 ['-'] ['-'] -"),  # no Farey route
+    (["mq", "--Q", "100", "--threads", "2"], "0 ['numpy'] ['numpy'] numpy"),
     (["mq", "--Q", "10000", "--weight", "power:0.25", "--threads", "2"],
-     "0 ['numpy', 'numpy'] ['numpy'] numpy"),
+     "0 ['numpy'] ['numpy'] numpy"),
 ], ids=["levy", "mq-harmonic", "mq-farey", "mq-power"])
 def test_montecarlo_loads_numpy_only_for_arrays_and_before_forking(tmp_path, argv, expected):
     # numpy and mpmath load on first use; the Farey route and power weights

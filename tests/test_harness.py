@@ -172,11 +172,11 @@ def test_run_caps_the_pool_at_the_sample_count(monkeypatch):
     monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(harness, "_fork_chunks", recorded)
     cfg = ExperimentConfig("nq", samples=1, seed=4, params={"grid": (50,)})
-    # (usable CPUs, threads, samples, expected worker processes or None for none)
+    # (usable CPUs, threads, samples, expected workers: the caller and size - 1 children)
     for cpus, threads, samples, size in [(64, 5000, 40, 40), (64, 5000, 3, 3),
                                          (4, 5000, 40, 4), (4, 3, 40, 3),
-                                         (1, 5000, 40, None), (64, 5000, 1, None),
-                                         (64, 1, 40, None)]:
+                                         (1, 5000, 40, 1), (64, 5000, 1, 1),
+                                         (64, 1, 40, 1)]:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
         cfg.threads, cfg.samples = 1, samples
         serial = rows_to_csv(run(cfg))
@@ -184,12 +184,36 @@ def test_run_caps_the_pool_at_the_sample_count(monkeypatch):
         chunks.clear()
         cfg.threads = threads
         assert rows_to_csv(run(cfg)) == serial
-        assert len(forks) == (size or 0)
-        if size is not None:  # contiguous chunks, in order, a few per worker
-            assert [i for c in chunks for i in c] == list(range(samples))
-            assert len(chunks) == min(samples, 8 * size)
+        assert len(forks) == size - 1
+        # contiguous chunks, in order, a few per worker
+        assert [i for c in chunks for i in c] == list(range(samples))
+        assert len(chunks) == min(samples, 8 * size)
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("samples", [1, 3, 8, 20])
+def test_a_serial_run_forks_nothing_and_runs_every_chunk_in_the_caller(samples, monkeypatch):
+    parent, forks, chunks, callers = os.getpid(), [], [], []
+    fork_chunks, run_chunk = harness._fork_chunks, harness._run_chunk
+
+    def recorded(work, parts, workers):
+        chunks.extend(parts)
+        return fork_chunks(work, parts, workers)
+
+    def in_caller(config, grid, p, indices):
+        callers.append(os.getpid())
+        return run_chunk(config, grid, p, indices)
+
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1))  # never called
+    monkeypatch.setattr(harness, "_fork_chunks", recorded)
+    monkeypatch.setattr(harness, "_run_chunk", in_caller)
+    rows = run(ExperimentConfig("nq", samples=samples, seed=4, params={"grid": (50,)}))
+    assert [r.index for r in rows if r.stat == "N"] == list(range(samples))
+    assert forks == []
+    assert [i for c in chunks for i in c] == list(range(samples))
+    assert len(chunks) == min(samples, 8)
+    assert callers == [parent] * len(chunks)
 
 
 def test_run_exact_mode_emits_rationals():

@@ -1,4 +1,4 @@
-"""The suite's own settings: pytest's in pyproject.toml, and a lint of the library."""
+"""The suite's own settings: pytest's in pyproject.toml, and lints of the library."""
 
 import ast
 import subprocess
@@ -41,3 +41,27 @@ def test_the_library_has_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the library: {', '.join(found)}"
+
+
+POOL_MODULES = ("threading", "multiprocessing", "concurrent.futures")
+
+
+def _imported(node) -> list[str]:
+    """The dotted modules an import statement names, with `from a import b` as
+    both a and a.b, since b may be a submodule."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_the_library_imports_no_thread_or_process_pool():
+    # workers are the caller and bare forked children; the static twin of the
+    # check that no montecarlo run loads a pool module
+    found = [f"{path.relative_to(ROOT)}:{node.lineno} imports {name}"
+             for path in sorted((ROOT / "src" / "cflab").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             for name in _imported(node)
+             if any(name == m or name.startswith(m + ".") for m in POOL_MODULES)]
+    assert not found, f"pool imports in the library: {', '.join(found)}"
