@@ -31,6 +31,7 @@ QUOTIENT_CAP = 1 << 63
 # leading _WORD bits, so each batch quotient is below 2^63 <= QUOTIENT_CAP.
 # Against no batches, a_1..a_n per stream (2 vCPU) took within 2% for n <= 250,
 # -15 to -19% at n = 1000, -33 to -35% at 2000; a 128-bit threshold +10% at 100.
+# Those timings were taken when quotient drew one block per certification pass.
 _WORD = 63
 _LEHMER_MIN_BITS = 512
 
@@ -127,6 +128,10 @@ class PartialQuotientStream:
 
     def quotient(self, n: int) -> int:
         raise NotImplementedError
+
+    def quotients(self, lo: int, hi: int) -> list[int]:
+        """[a_lo, ..., a_{hi-1}]."""
+        return [self.quotient(i) for i in range(lo, hi)]
 
     def compare_fraction(self, r: Fraction) -> int:
         """Sign of x - r, read off the expansions (Khinchin, Continued
@@ -225,20 +230,24 @@ class DyadicStream(PartialQuotientStream):
     blocks concatenated most significant first.  The stream keeps the dyadic
     interval [X/2^B, (X+1)/2^B] containing x; a partial quotient is certified
     once the canonical expansions of both endpoints agree through its index.
-    Construction draws block 0; quotient appends one block at a time only
-    when it needs it, never altering earlier bits, so certified quotients are
-    stable, and a comparison draws bits only through it.  Growing past
-    MAX_BITS raises NeedsMoreBits.
+    Construction draws block 0; quotient(n), with k < n certified, appends in
+    one pass the blocks a lower bound says a_n needs: both endpoints lie in the
+    rank-n cylinder, of length 1/(q_n (q_n + q_{n-1})) < q_n^-2, and q_n >=
+    q_k phi^(n-k-1) (Khinchin, Continued Fractions, sections 2-4), so fewer
+    bits never certify a_n and it draws the bits of a walk one block at a
+    time (only a QuotientCapExceeded may be raised after more).  Earlier bits
+    never change, so certified quotients are stable, and a comparison draws
+    bits only through quotient.  Growing past MAX_BITS raises NeedsMoreBits.
 
     Certification is incremental (Gosper, HAKMEM item 101).  With a_1..a_k
     certified and s = (-1)^k, the stream holds the signed denominators
     s q_{k-1}, s q_k and the tail t = a/b of the lower endpoint, so that
     X/2^B = [0; a_1, ..., a_k, t].  Here a = s (p_{k-1} 2^B - q_{k-1} X) and
     b = s (q_k X - p_k 2^B) are the two remainders Euclid reaches after k
-    steps on X/2^B.  A block w maps them to 2^64 a - s q_{k-1} w and
-    2^64 b + s q_k w; the upper endpoint's tail is (a - s q_{k-1}) /
-    (b + s q_k).  Euclid then runs on both tails in lockstep and certifies
-    each quotient on which they agree.  Past _LEHMER_MIN_BITS a block's ~18
+    steps on X/2^B.  New blocks, one m-bit integer w, map them to
+    2^m a - s q_{k-1} w and 2^m b + s q_k w; the upper endpoint's tail is
+    (a - s q_{k-1}) / (b + s q_k).  Euclid then runs on both tails in
+    lockstep and certifies each quotient on which they agree.  Past _LEHMER_MIN_BITS a block's ~18
     quotients come in a batch of about 17 read off the tails' leading words
     (_lehmer_batch) and one or two small ones, each one full-width matrix
     product, not O(B) per quotient; a short tail, or an empty batch, takes
@@ -274,16 +283,14 @@ class DyadicStream(PartialQuotientStream):
     def _grow(self, nblocks: int):
         if self._B + nblocks * self.BLOCK > self.MAX_BITS:
             raise NeedsMoreBits(f"{self!r} would exceed its budget of {self.MAX_BITS} bits")
-        sq0, sq1 = self._sq
-        a, b = self._tail
+        w = 0  # the new blocks as one integer, so each big int shifts once
         for _ in range(nblocks):
             self._blocks += 1
-            word = mix64((self.seed + self._blocks * GOLDEN64) & M64)
-            self._X = (self._X << self.BLOCK) | word
-            self._B += self.BLOCK
-            a = (a << self.BLOCK) - sq0 * word
-            b = (b << self.BLOCK) + sq1 * word
-        self._tail = a, b
+            w = (w << self.BLOCK) | mix64((self.seed + self._blocks * GOLDEN64) & M64)
+        bits = nblocks * self.BLOCK
+        (sq0, sq1), (a, b) = self._sq, self._tail
+        self._X, self._B = (self._X << bits) | w, self._B + bits
+        self._tail = (a << bits) - sq0 * w, (b << bits) + sq1 * w
         self._certify()
 
     def _certify(self):
@@ -328,9 +335,19 @@ class DyadicStream(PartialQuotientStream):
     def quotient(self, n: int) -> int:
         if n < 1:
             raise ValueError("quotient index starts at 1")
-        while len(self._certified) < n:
-            self._grow(1)
+        while (k := len(self._certified)) < n:
+            # B > 2 log2 q_n > 2 log2 q_k + 1.388 (n - k - 1); at least one block,
+            # at most the room left, so _grow raises only once none is left
+            need = 2 * (abs(self._sq[1]).bit_length() - 1) + (n - k - 1) * 1388 // 1000
+            room = (self.MAX_BITS - self._B) // self.BLOCK
+            self._grow(max(1, min(-((self._B - need) // self.BLOCK), room)))
         return self._certified[n - 1]
+
+    def quotients(self, lo: int, hi: int) -> list[int]:
+        if not 1 <= lo < hi:
+            return super().quotients(lo, hi)  # [] or quotient(lo)'s ValueError
+        self.quotient(hi - 1)  # through the attribute, which perfbench/tracer.py patches
+        return self._certified[lo - 1:hi - 1]
 
     def certified(self) -> tuple[int, ...]:
         return tuple(self._certified)

@@ -94,7 +94,7 @@ def _run_levy(stream, grid, p):
 
 def _run_gauss_kuzmin(stream, k, p):
     n = p["n"]
-    hits = sum(1 for i in range(1, n + 1) if quotient(stream, i) == k)
+    hits = stream.quotients(1, n + 1).count(k)
     return [("freq", Fraction(hits, n))]
 
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cf import quotient
-
 LOG2 = math.log(2)
 
 
@@ -235,7 +233,7 @@ def indicator_sum(x, m: int, n: int) -> int:
     """Number of indices i <= n with a_i(x) >= m."""
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
-    return sum(1 for i in range(1, n + 1) if quotient(x, i) >= m)
+    return sum(1 for a in x.quotients(1, n + 1) if a >= m)
 
 
 @dataclass(frozen=True)
@@ -262,9 +260,8 @@ def x_nf(x, n: int, g: WeightFunction, f: TruncationFn):
     """
     top = f(n)
     total = g._zero()
-    for i in range(1, n + 1):
-        a_i = quotient(x, i)
-        total = total + g.sum_to(min(a_i, top))
+    for a in x.quotients(1, n + 1):
+        total = total + g.sum_to(min(a, top))
     return total
 
 
@@ -280,8 +277,8 @@ def birkhoff_average(x, fvals: Callable[[int], object], n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     total = 0
-    for k in range(1, n + 1):
-        total = total + fvals(quotient(x, k))
+    for a in x.quotients(1, n + 1):
+        total = total + fvals(a)
     return total / n
 
 
@@ -304,11 +301,10 @@ def classical_stats(x, ns: Sequence[int]) -> list[ClassicalStats]:
     q_nm1, q_n = 0, 1
     pq_sum = pq_max = done = 0
     for n in sorted(set(ns)):
-        for i in range(done + 1, n + 1):
-            a = x.quotient(i)
-            pq_sum += a
-            if a > pq_max:
-                pq_max = a
+        run = x.quotients(done + 1, n + 1)
+        pq_sum += sum(run)
+        pq_max = max(pq_max, max(run))
+        for a in run:
             q_nm1, q_n = q_n, a * q_n + q_nm1
         done = n
         at[n] = ClassicalStats(n, math.log(q_n) / n, pq_sum, pq_max, q_n)
@@ -323,4 +319,4 @@ def double_exceedance(x, M: int, delta: float) -> int:
         threshold = M * math.log(M) ** (0.5 + delta) if M > 1 else 0.0
     except OverflowError:
         raise ValueError(f"the threshold at M = {M} overflows at delta = {delta}") from None
-    return sum(1 for i in range(1, M + 1) if quotient(x, i) > threshold)
+    return sum(1 for a in x.quotients(1, M + 1) if a > threshold)

@@ -299,6 +299,65 @@ def test_dyadic_budget_exhausted(monkeypatch):
     assert y.bits == 1 << 14
 
 
+def read_outcome(read):
+    """('ok', value) or (exception type, message) of one read."""
+    try:
+        return "ok", read()
+    except (NeedsMoreBits, OutOfQuotients, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def grow_one_block_at_a_time(twin, n):
+    while len(twin.certified()) < n:
+        twin._grow(1)
+    return twin.certified()[n - 1]
+
+
+def assert_reads_like_one_block_growth(seed, reads):
+    """Each (lo, hi) read (hi = None for quotient(lo)) leaves the stream where
+    a twin grown one block at a time to the same index leaves its twin."""
+    x, twin = DyadicStream(seed), DyadicStream(seed)
+    for lo, hi in reads:
+        if hi is None:
+            got = read_outcome(lambda: x.quotient(lo))
+            want = read_outcome(lambda: grow_one_block_at_a_time(twin, lo))
+        else:
+            got = read_outcome(lambda: x.quotients(lo, hi))
+            want = read_outcome(lambda: [grow_one_block_at_a_time(twin, i) for i in range(lo, hi)])
+        assert got == want
+        assert (x.certified(), x.bits) == (twin.certified(), twin.bits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, M64), first=st.integers(0, 5000), n=st.integers(1, 5000),
+       lo=st.none() | st.integers(1, 5000))
+def test_bulk_growth_draws_what_one_block_growth_draws(seed, first, n, lo):
+    reads = [(first, None)] if first else []  # an earlier read leaves k > 0 certified
+    reads.append((n, None) if lo is None else (min(lo, n + 1), n + 1))
+    assert_reads_like_one_block_growth(seed, reads)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, M64), n=st.integers(900, 1600), lo=st.none() | st.integers(1, 1600))
+def test_bulk_growth_stops_where_one_block_growth_stops(seed, n, lo):
+    # 2^12 bits certify about 1,200 quotients, so n falls on both sides of it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DyadicStream, "MAX_BITS", 1 << 12)
+        assert_reads_like_one_block_growth(seed, [(n, None) if lo is None
+                                                  else (min(lo, n + 1), n + 1)])
+
+
+@pytest.mark.parametrize("x", [DyadicStream(11), PeriodicStream(2, (5,), (1, 2, 3)),
+                               RationalStream(355, 113), RationalStream(3, 1)],
+                         ids=["dyadic", "periodic", "rational", "integer"])
+@pytest.mark.parametrize("lo, hi", [(1, 1), (4, 4), (1, 3), (2, 4), (3, 40), (0, 0), (0, 2)])
+def test_quotients_are_the_quotient_reads(x, lo, hi):
+    # the rational 355/113 = [3;7,16] ends after 2 quotients, so every read
+    # from 3 on (and 3/1 from 1 on) is past its end
+    assert read_outcome(lambda: x.quotients(lo, hi)) == read_outcome(
+        lambda: [x.quotient(i) for i in range(lo, hi)])
+
+
 def test_dyadic_determinism_and_stability():
     x1 = DyadicStream(999)
     x2 = DyadicStream(999)

@@ -360,7 +360,7 @@ def test_budget_errors_exit_2(exc, tmp_path, capsys, monkeypatch):
     assert rc == 2
     stdout, err = capsys.readouterr()
     assert stdout == ""
-    assert err == "error: quotient 1 out of budget\n"
+    assert err == "error: quotient 10 out of budget\n"  # levy reads a_n at its grid n first
     assert not out.exists()
 
 

@@ -162,6 +162,9 @@ def test_row_sum_exact_any_call_order(monkeypatch):
 
 
 def test_row_sum_exact_threads_racing_on_a_cold_prefix(monkeypatch):
+    """README: "A caller may still call the library from its own threads: the
+    per-process caches (...) grow so that a racing grower writes the same value."
+    """
     orders = [[4000, 12, 2500], [7, 3001, 4000], [2500, 4000, 7], [3001, 12, 2310]]
     want = {}
     for order in orders:

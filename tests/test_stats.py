@@ -125,6 +125,9 @@ def test_power_weights_stay_long_double():
 
 
 def test_weight_prefix_sums_under_racing_threads():
+    """README: "A caller may still call the library from its own threads: the
+    per-process caches (...) grow so that a racing grower writes the same value."
+    """
     # more threads than cores grow one unguarded prefix cache at once, in
     # small steps; a fresh table per round gives a fresh cache
     errors = []

@@ -65,3 +65,16 @@ def test_the_library_imports_no_thread_or_process_pool():
              for name in _imported(node)
              if any(name == m or name.startswith(m + ".") for m in POOL_MODULES)]
     assert not found, f"pool imports in the library: {', '.join(found)}"
+
+
+CERTIFIER_STATE = ("_certified", "_grow", "_certify")
+
+
+def test_only_cf_touches_the_certifier_state():
+    # every certification goes through DyadicStream.quotient, the span and
+    # index perfbench/tracer.py reads
+    found = [f"{path.relative_to(ROOT)}:{node.lineno} uses {node.attr}"
+             for path in sorted((ROOT / "src" / "cflab").rglob("*.py")) if path.name != "cf.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in CERTIFIER_STATE]
+    assert not found, f"certifier state used outside cf.py: {', '.join(found)}"
