@@ -25,8 +25,12 @@ import pickle
 import signal
 import statistics
 import traceback
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 # intermediates is the walk of plain tuples, not records, which the routes only
@@ -346,10 +350,23 @@ def resolve_params(config: ExperimentConfig) -> tuple[tuple[int, ...], dict]:
     return grid, p
 
 
-def _run_chunk(config: ExperimentConfig, grid: tuple, p: dict, indices: range) -> list[tuple]:
-    """(index, param, stat, value) tuples of the samples in `indices`."""
-    compute = REGISTRY[config.experiment].compute
-    return [(i, *row) for i in indices for row in compute(sample_stream(config.seed, i), grid, p)]
+def _run_chunk(config: ExperimentConfig, grid: tuple, p: dict, indices: range) -> tuple:
+    """(rows, text, floats, bad) of the samples in `indices`: per param, its rows as
+    ResultRow fields in (index, stat) order and their CSV lines; per (param, stat),
+    its float values sorted; and the count of methods_agree values other than 1."""
+    compute, rows, floats, bad = REGISTRY[config.experiment].compute, {}, {}, 0
+    e, seed = config.experiment, config.seed
+    for i in indices:
+        for param, stat, value in compute(sample_stream(seed, i), grid, p):
+            rows.setdefault(param, []).append((e, seed, i, param, stat, value))
+            floats.setdefault((param, stat), []).append(float(value))
+            bad += stat == "methods_agree" and value != 1
+    for group in rows.values():
+        group.sort(key=itemgetter(2, 4))  # stable, as the frozen (param, index, stat) sort
+    for vals in floats.values():
+        vals.sort()
+    text = {param: _csv_lines(group, config.exact) for param, group in rows.items()}
+    return rows, text, floats, bad
 
 
 def _claim(work: Callable, chunks: list, claim: int) -> list:
@@ -366,8 +383,8 @@ def _claim(work: Callable, chunks: list, claim: int) -> list:
 
 
 def _fork_chunks(work: Callable, chunks: list, workers: int) -> list:
-    """work(chunk) for each chunk, from the caller and `workers` - 1 forked children that
-    claim chunks from one pipe; the lowest failing chunk's exception is raised."""
+    """[work(chunk) for chunk in chunks], from the caller and `workers` - 1 forked children
+    that claim chunks from one pipe; the lowest failing chunk's exception is raised."""
     claim, tokens = os.pipe()
     os.write(tokens, b"".join(k.to_bytes(4, "little") for k in range(len(chunks))))
     os.close(tokens)  # before any fork, so the drained pipe reads EOF
@@ -402,11 +419,36 @@ def _fork_chunks(work: Callable, chunks: list, workers: int) -> list:
     for got in (answers.get(k, died) for k in range(len(chunks))):
         if isinstance(got, Exception):
             raise got
-    return [row for k in range(len(chunks)) for row in answers[k]]
+    return [answers[k] for k in range(len(chunks))]
 
 
-def run(config: ExperimentConfig) -> list[ResultRow]:
-    """Execute the experiment; rows come back sorted by (param, index, stat).
+class RunRows(Sequence):
+    """The rows of a run as its workers left them: the parts of its chunks (see
+    _run_chunk), in chunk order.  rows_to_csv, aggregate and find_violations read
+    the parts; as a sequence it is the list of ResultRows sorted by (param, index,
+    stat), built on first use.  Chunks are contiguous index ranges, so the parts
+    taken in chunk order, param by param, are in that order with no sort.
+    """
+
+    def __init__(self, exact: bool, parts: list):
+        self.exact, self.parts = exact, parts
+        self.params = sorted({param for rows, *_ in parts for param in rows})
+
+    def __len__(self) -> int:
+        return sum(len(group) for rows, *_ in self.parts for group in rows.values())
+
+    def __getitem__(self, i):
+        return self._rows[i]
+
+    @cached_property
+    def _rows(self) -> list[ResultRow]:
+        return [ResultRow._make(row) for param in self.params
+                for rows, *_ in self.parts for row in rows.get(param, ())]
+
+
+def run(config: ExperimentConfig) -> RunRows:
+    """Execute the experiment; returns its rows as a RunRows: the parts the workers
+    ordered and formatted, and on demand the ResultRows sorted by (param, index, stat).
 
     `threads` counts worker processes, the caller and threads - 1 forked children
     (pure Python gains nothing from threads), capped at the samples and usable
@@ -422,12 +464,13 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
         import numpy  # noqa: F401  (the Farey route and power weights: once, before any fork)
     n = min(config.samples, 8 * workers)  # eight contiguous chunks per worker even out heavy tails
     chunks = [range(config.samples * k // n, config.samples * (k + 1) // n) for k in range(n)]
-    found = _fork_chunks(lambda c: _run_chunk(config, grid, p, c), chunks, workers)
-    found.sort(key=lambda t: (t[1], t[0], t[2]))  # (param, index, stat)
-    return [ResultRow(config.experiment, config.seed, *t) for t in found]
+    parts = _fork_chunks(lambda c: _run_chunk(config, grid, p, c), chunks, workers)
+    return RunRows(config.exact, parts)
 
 
-def find_violations(rows: list[ResultRow]) -> list[ResultRow]:
+def find_violations(rows) -> list[ResultRow]:
+    if isinstance(rows, RunRows) and not any(bad for *_, bad in rows.parts):
+        return []  # the workers counted none
     return [r for r in rows if r.stat == "methods_agree" and r.value != 1]
 
 
@@ -445,27 +488,29 @@ class Summary:
     count: int
 
 
-def aggregate(rows: list[ResultRow]) -> list[Summary]:
+def aggregate(rows) -> list[Summary]:
     """Deterministic summaries per (param, stat).
 
-    Rows are ordered by sample index before reduction; the trimmed mean drops
+    A run's sorted values per chunk are merged; math.fsum rounds exactly, so
+    no sum depends on the order of the rows.  The trimmed mean drops
     ceil(0.05 * count) values at each end of the sorted sample (falling back
     to the plain mean when that would empty the list).
     """
-    groups: dict[tuple, list[ResultRow]] = {}
-    for r in rows:
-        groups.setdefault((r.param, r.stat), []).append(r)
+    if isinstance(rows, RunRows):
+        runs = [floats for _, _, floats, _ in rows.parts]
+    else:
+        runs = [{}]
+        for r in rows:
+            runs[0].setdefault((r.param, r.stat), []).append(float(r.value))
     out = []
-    for key in sorted(groups):
-        rs = sorted(groups[key], key=lambda r: r.index)
-        vals = [float(r.value) for r in rs]
-        n = len(vals)
-        mean = math.fsum(vals) / n
-        sv = sorted(vals)
+    for key in sorted({key for run in runs for key in run}):
+        sv = sorted([v for run in runs for v in run.get(key, ())])  # merges sorted runs
+        n = len(sv)
+        mean = math.fsum(sv) / n
         drop = math.ceil(0.05 * n)
         core = sv[drop:n - drop]
         trimmed = math.fsum(core) / len(core) if core else mean
-        var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1) if n > 1 else 0.0
+        var = math.fsum((v - mean) ** 2 for v in sv) / (n - 1) if n > 1 else 0.0
         out.append(Summary(key[0], key[1], mean, statistics.median(sv), trimmed,
                            math.sqrt(var), n))
     return out
@@ -496,44 +541,55 @@ CSV_HEADER = "experiment,seed,index,param,stat,value"
 
 def format_value(v, exact: bool) -> str:
     """Frozen text form: exact mode writes num/den, otherwise ints verbatim
-    and everything else as 12-significant-digit decimals."""
+    and everything else as 12-significant-digit decimals.  Exact integers are
+    written through Decimal, which has no limit on digits; str(int) has."""
     if exact:
         if isinstance(v, Fraction):
-            return f"{v.numerator}/{v.denominator}"
+            return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
         if isinstance(v, int):
-            return f"{v}/1"
+            return f"{Decimal(v)}/1"
         raise ValueError(f"value {v!r} is not exact")
     if isinstance(v, int):
         return str(v)
     return format(float(v), ".12g")
 
 
-def rows_to_csv(rows: list[ResultRow], exact: bool = False) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(f"{r.experiment},{r.seed},{r.index},{r.param},{r.stat},"
-                     f"{format_value(r.value, exact)}")
-    return "\n".join(lines) + "\n"
+def _csv_lines(rows, exact: bool) -> str:
+    """CSV lines, each ending in a newline, of ResultRow-shaped tuples."""
+    return "".join([f"{e},{seed},{i},{param},{stat},{format_value(v, exact)}\n"
+                    for e, seed, i, param, stat, v in rows])
 
 
-def _write_text(path: str, text: str) -> None:
+def _csv_pieces(rows, exact: bool) -> list[str]:
+    """The CSV text in pieces, which write_csv writes without joining them."""
+    if isinstance(rows, RunRows) and rows.exact == exact:  # the workers' lines
+        return [CSV_HEADER + "\n", *(text.get(param, "") for param in rows.params
+                                     for _, text, *_ in rows.parts)]
+    return [CSV_HEADER + "\n", _csv_lines(rows, exact)]
+
+
+def rows_to_csv(rows, exact: bool = False) -> str:
+    return "".join(_csv_pieces(rows, exact))
+
+
+def _write_text(path: str, pieces: list) -> None:
     # open(path, "w") minus O_TRUNC: emptying an existing file first can cost tens of ms on ext4
     with open(path, "w", encoding="utf-8", newline="\n",
               opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
-        fh.write(text)
+        fh.writelines(pieces)
         if os.path.isfile(path):  # a device, pipe or terminal cannot be cut to length
             fh.truncate()
 
 
-def write_csv(rows: list[ResultRow], path: str, exact: bool = False) -> None:
-    _write_text(path, rows_to_csv(rows, exact))
+def write_csv(rows, path: str, exact: bool = False) -> None:
+    _write_text(path, _csv_pieces(rows, exact))
 
 
-def write_json(rows: list[ResultRow], path: str, exact: bool = False) -> None:
-    """JSON mirror of the CSV: same rows, same value strings."""
-    payload = [
-        {"experiment": r.experiment, "seed": r.seed, "index": r.index,
-         "param": r.param, "stat": r.stat, "value": format_value(r.value, exact)}
-        for r in rows
-    ]
-    _write_text(path, json.dumps(payload, separators=(",", ":")) + "\n")
+def write_json(rows, path: str, exact: bool = False) -> None:
+    """JSON mirror of the CSV, read off its lines: same rows, same value strings."""
+    payload = []
+    for line in rows_to_csv(rows, exact).split("\n")[1:-1]:
+        e, seed, i, param, stat, value = line.split(",")
+        payload.append({"experiment": e, "seed": int(seed), "index": int(i),
+                        "param": int(param), "stat": stat, "value": value})
+    _write_text(path, [json.dumps(payload, separators=(",", ":")) + "\n"])

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from cflab.cf import (DyadicStream, InvariantViolation, NeedsMoreBits,
 from cflab.cli import main
 from cflab.harness import (Experiment, ExperimentConfig, REGISTRY, rows_to_csv, run,
                            sample_stream)
+from cflab.stats import TruncationFn, WeightFunction, classical_stats, x_nf
 
 
 def test_cf_prints_expansion(capsys):
@@ -534,13 +536,63 @@ def test_only_an_exception_from_a_child_carries_its_traceback(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_exact_mode_rejects_float_statistics(tmp_path, capsys):
+def test_exact_mode_rejects_float_statistics(tmp_path, capsys, monkeypatch):
+    # the workers format the rows; at --threads 2 the child formats chunk 0, and
+    # fails, before the caller claims a chunk, and its error is the serial one
+    caller_waits_for_the_child(monkeypatch)
+    levy_stat = classical_stats(sample_stream(1, 0), [10])[0].levy_stat
     out = tmp_path / "levy.csv"
-    rc = main(["montecarlo", "--experiment", "levy", "--samples", "1",
-               "--seed", "1", "--n", "10", "--exact", "--out", str(out)])
-    assert rc == 2
-    assert "not exact" in capsys.readouterr().err
-    assert not out.exists()  # formatted before the file is opened
+    for threads in ("1", "2"):
+        rc = main(["montecarlo", "--experiment", "levy", "--samples", "2", "--seed", "1",
+                   "--n", "10", "--exact", "--json", "--threads", threads, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: value {levy_stat!r} is not exact\n")
+        assert list(tmp_path.iterdir()) == []  # formatted before any file is opened
+
+
+def test_exact_values_past_the_interpreters_digit_limit_are_written(tmp_path, monkeypatch):
+    # x_nf at n = 2000 (seed 1, sample 0) has terms of more than 4300 digits, where
+    # str(int) stops by default; format_value writes them through Decimal, which
+    # has no limit, in the caller and in a forked child alike
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two workers anywhere
+    want = x_nf(sample_stream(1, 0), 2000, WeightFunction.harmonic(), TruncationFn(0.5))
+    written = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"xnf{threads}.csv"
+        assert main(["montecarlo", "--experiment", "xnf", "--samples", "2", "--seed", "1",
+                     "--n", "2000", "--exact", "--threads", threads, "--out", str(out)]) == 0
+        written.add(out.read_bytes())
+        num, den = out.read_text("utf-8").split("\n")[1].split(",")[5].split("/")
+        assert max(len(num), len(den)) > 4300
+        assert (Decimal(num), Decimal(den)) == (want.numerator, want.denominator)
+    assert len(written) == 1
+
+
+MERGE_RUNS = {
+    "mq": ["--experiment", "mq", "--Q", "100,500", "--samples", "13"],
+    "gauss_kuzmin": ["--experiment", "gauss_kuzmin", "--samples", "19"],
+    "pairdep": ["--experiment", "pairdep", "--samples", "11"],
+    "khinchin_avg-exact": ["--experiment", "khinchin_avg", "--n", "30,60", "--samples", "7",
+                           "--exact"],
+}
+
+
+@pytest.mark.parametrize("argv", MERGE_RUNS.values(), ids=MERGE_RUNS)
+def test_forked_runs_merge_to_the_serial_output(argv, tmp_path, capsys, monkeypatch):
+    # 1, 2 and 3 workers cut the samples into differently sized chunks
+    # (min(samples, 8 workers) of them); the caller concatenates the workers'
+    # lines and merges their sorted values, and every output is the same
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    outputs = set()
+    for threads in ("1", "2", "3"):
+        out = tmp_path / f"run{threads}.csv"
+        assert main(["montecarlo", *argv, "--seed", "3", "--json", "--threads", threads,
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr()
+        outputs.add((out.read_bytes(), out.with_suffix(".json").read_bytes(), printed))
+    (_, _, (stdout, stderr)), = outputs
+    assert stderr == "" and " mean=" in stdout
+    assert ("k=10 r=2 s=2 joint=" in stdout) == ("pairdep" in argv)
 
 
 def test_methods_agree_failure_exits_3_after_writing(tmp_path, capsys,
@@ -633,7 +685,8 @@ tracer = Tracer()
 tracer.install_experiment(sys.argv[2])
 rc = cli.main(sys.argv[4:])
 with open(sys.argv[3], "w") as fh:
-    json.dump({"rc": rc, "spans": sorted({s[0] for s in tracer.spans})}, fh)
+    json.dump({"rc": rc, "spans": sorted({s[0] for s in tracer.spans}),
+               "rows": tracer.metrics([])["harness.rows"][0]}, fh)
 """
 
 
@@ -641,16 +694,19 @@ MQ_SPANS = {"cf.cutoff", "cf.intermediates", "cf.quotient", "harness.mq_count_fa
             "harness.mq_count_intermediates", "harness.mq_value", "stats.terminal_quotient"}
 
 
-@pytest.mark.parametrize("experiment, flag, grid, spans", [
-    ("mq", "--Q", "100", MQ_SPANS),
-    ("levy", "--n", "100", {"cf.quotient", "stats.classical_stats"}),
+@pytest.mark.parametrize("experiment, flag, grid, spans, rows_per_unit", [
+    ("mq", "--Q", "100", MQ_SPANS, 4),
+    ("levy", "--n", "100", {"cf.quotient", "stats.classical_stats"}, 3),
     # one walk per sample over a nested grid still calls every patched name
-    ("mq", "--Q", "100,500", MQ_SPANS | {"harness.mq_count_closed"}),
-    ("levy", "--n", "250,1000", {"cf.quotient", "stats.classical_stats"})],
+    ("mq", "--Q", "100,500", MQ_SPANS | {"harness.mq_count_closed"}, 8),
+    ("levy", "--n", "250,1000", {"cf.quotient", "stats.classical_stats"}, 6)],
     ids=["mq", "levy", "mq-nested", "levy-nested"])
-def test_benchmark_tracer_finds_every_name_it_patches(experiment, flag, grid, spans, tmp_path):
+def test_benchmark_tracer_finds_every_name_it_patches(experiment, flag, grid, spans,
+                                                      rows_per_unit, tmp_path):
     # perfbench/tracer.py patches cflab names by getattr, so a renamed one
-    # would only show as a missing span; a fresh process keeps the patches out
+    # would only show as a missing span; a fresh process keeps the patches out.
+    # It patches run, aggregate and write_csv where cflab.cli imports them, and
+    # reads harness.rows as the len() of what run returns
     report = tmp_path / "spans.json"
     subprocess.run([sys.executable, "-c", TRACED_RUN, str(ROOT), experiment, str(report),
                     "montecarlo", "--experiment", experiment, "--samples", "3", "--seed", "7",
@@ -658,7 +714,9 @@ def test_benchmark_tracer_finds_every_name_it_patches(experiment, flag, grid, sp
                    check=True, capture_output=True, timeout=120)
     got = json.loads(report.read_text())
     assert got["rc"] == 0
-    assert spans | {"cli.main", "harness.run", "harness.compute"} <= set(got["spans"])
+    assert spans | {"cli.main", "harness.run", "harness.compute", "harness.aggregate",
+                    "harness.write_csv"} <= set(got["spans"])
+    assert got["rows"] == 3 * rows_per_unit
 
 
 TRACED_COUNTS = """

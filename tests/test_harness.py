@@ -84,7 +84,7 @@ def test_run_levy_grid_rows_equal_one_n_runs():
     # one pass per sample over an unsorted grid labels each row with its own n
     grid = (250, 1, 40)
     rows = run(ExperimentConfig("levy", samples=4, seed=3, params={"grid": grid}))
-    assert rows == sorted((r for n in grid for r in run(
+    assert list(rows) == sorted((r for n in grid for r in run(
         ExperimentConfig("levy", samples=4, seed=3, params={"grid": (n,)}))),
         key=lambda r: (r.param, r.index, r.stat))
 
@@ -155,6 +155,24 @@ def test_run_threads_do_not_change_output():
                                params={"n": 40}, threads=t)
         texts.add(rows_to_csv(run(cfg)))
     assert len(texts) == 1
+
+
+def test_run_rows_read_like_the_list_of_its_rows(monkeypatch):
+    # run() returns the workers' parts; the caller's CSV text, summaries and
+    # violations read off them equal those of the plain list of the same rows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    for threads in (1, 3):
+        cfg = ExperimentConfig("mq", samples=13, seed=3, params={"grid": (500, 100)},
+                               threads=threads)
+        rows = run(cfg)
+        listed = list(rows)
+        assert len(rows) == len(listed) == 13 * 2 * 4
+        assert rows[-1] == listed[-1] and rows[3:5] == listed[3:5]
+        assert aggregate(rows) == aggregate(listed)
+        assert rows_to_csv(rows) == rows_to_csv(listed)
+        assert find_violations(rows) == find_violations(listed) == []
+        with pytest.raises(ValueError, match="not exact"):  # formatted anew, not the workers' text
+            rows_to_csv(rows, exact=True)
 
 
 def test_run_caps_the_pool_at_the_sample_count(monkeypatch):
@@ -635,6 +653,9 @@ def test_format_value():
     assert format_value(Fraction(1, 3), exact=False) == "0.333333333333"
     with pytest.raises(ValueError):
         format_value(0.1, exact=True)
+    # past the 4300 digits at which str(int) stops by default
+    assert format_value(10 ** 5000, exact=True) == "1" + "0" * 5000 + "/1"
+    assert format_value(Fraction(-7, 10 ** 5000), exact=True) == "-7/1" + "0" * 5000
 
 
 def test_csv_golden_bytes():
