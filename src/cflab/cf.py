@@ -265,7 +265,6 @@ class DyadicStream(PartialQuotientStream):
         self.seed = seed
         self._X = 0
         self._B = 0
-        self._blocks = 0
         self._certified: list[int] = []
         self._sq = (0, 1)    # s q_{k-1}, s q_k
         self._tail = (1, 0)  # a, b with X/2^B = [0; a_1, ..., a_k, a/b]
@@ -283,10 +282,9 @@ class DyadicStream(PartialQuotientStream):
     def _grow(self, nblocks: int):
         if self._B + nblocks * self.BLOCK > self.MAX_BITS:
             raise NeedsMoreBits(f"{self!r} would exceed its budget of {self.MAX_BITS} bits")
-        w = 0  # the new blocks as one integer, so each big int shifts once
-        for _ in range(nblocks):
-            self._blocks += 1
-            w = (w << self.BLOCK) | mix64((self.seed + self._blocks * GOLDEN64) & M64)
+        w, k = 0, self._B // self.BLOCK  # the new blocks as one integer: each big int shifts once
+        for j in range(k + 1, k + nblocks + 1):
+            w = (w << self.BLOCK) | mix64((self.seed + j * GOLDEN64) & M64)
         bits = nblocks * self.BLOCK
         (sq0, sq1), (a, b) = self._sq, self._tail
         self._X, self._B = (self._X << bits) | w, self._B + bits

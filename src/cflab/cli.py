@@ -124,9 +124,9 @@ def _cmd_montecarlo(args) -> int:
                               params, threads=args.threads, exact=args.exact)
     rows = run(config)
     try:
-        write_csv(rows, args.out, exact=args.exact)
+        write_csv(rows, args.out)
         if args.json:
-            write_json(rows, os.path.splitext(args.out)[0] + ".json", exact=args.exact)
+            write_json(rows, os.path.splitext(args.out)[0] + ".json")
     except OSError as exc:
         raise ValueError(f"cannot write {exc.filename!r}: {exc.strerror}") from exc
     for s in aggregate(rows):

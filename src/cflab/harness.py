@@ -25,11 +25,9 @@ import pickle
 import signal
 import statistics
 import traceback
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -350,23 +348,29 @@ def resolve_params(config: ExperimentConfig) -> tuple[tuple[int, ...], dict]:
     return grid, p
 
 
-def _run_chunk(config: ExperimentConfig, grid: tuple, p: dict, indices: range) -> tuple:
-    """(rows, text, floats, bad) of the samples in `indices`: per param, its rows as
-    ResultRow fields in (index, stat) order and their CSV lines; per (param, stat),
-    its float values sorted; and the count of methods_agree values other than 1."""
-    compute, rows, floats, bad = REGISTRY[config.experiment].compute, {}, {}, 0
-    e, seed = config.experiment, config.seed
-    for i in indices:
-        for param, stat, value in compute(sample_stream(seed, i), grid, p):
-            rows.setdefault(param, []).append((e, seed, i, param, stat, value))
-            floats.setdefault((param, stat), []).append(float(value))
-            bad += stat == "methods_agree" and value != 1
-    for group in rows.values():
+def _reduce(rows, exact: bool) -> tuple:
+    """(rows, text, floats, bad) of ResultRow-shaped tuples: per param, its rows in
+    (index, stat) order and their CSV lines; per (param, stat), its float values
+    sorted; and the count of methods_agree values other than 1."""
+    groups, floats, bad = {}, {}, 0
+    for row in rows:
+        _, _, _, param, stat, value = row
+        groups.setdefault(param, []).append(row)
+        floats.setdefault((param, stat), []).append(float(value))
+        bad += stat == "methods_agree" and value != 1
+    for group in groups.values():
         group.sort(key=itemgetter(2, 4))  # stable, as the frozen (param, index, stat) sort
     for vals in floats.values():
         vals.sort()
-    text = {param: _csv_lines(group, config.exact) for param, group in rows.items()}
-    return rows, text, floats, bad
+    text = {param: _csv_lines(group, exact) for param, group in groups.items()}
+    return groups, text, floats, bad
+
+
+def _run_chunk(config: ExperimentConfig, grid: tuple, p: dict, indices: range) -> tuple:
+    """The samples in `indices`, computed and reduced (see _reduce) in one pass."""
+    compute, e, seed = REGISTRY[config.experiment].compute, config.experiment, config.seed
+    return _reduce(((e, seed, i, *row) for i in indices
+                    for row in compute(sample_stream(seed, i), grid, p)), config.exact)
 
 
 def _claim(work: Callable, chunks: list, claim: int) -> list:
@@ -422,33 +426,29 @@ def _fork_chunks(work: Callable, chunks: list, workers: int) -> list:
     return [answers[k] for k in range(len(chunks))]
 
 
-class RunRows(Sequence):
-    """The rows of a run as its workers left them: the parts of its chunks (see
-    _run_chunk), in chunk order.  rows_to_csv, aggregate and find_violations read
-    the parts; as a sequence it is the list of ResultRows sorted by (param, index,
-    stat), built on first use.  Chunks are contiguous index ranges, so the parts
-    taken in chunk order, param by param, are in that order with no sort.
+class RunRows:
+    """The rows of a run as its workers left them: the parts (see _reduce) of its
+    chunks, in chunk order.  rows_to_csv, aggregate and find_violations read the
+    parts; iterating yields the ResultRows sorted by (param, index, stat), built
+    one at a time.  Chunks are contiguous index ranges, so the parts taken in
+    chunk order, param by param, are in that order with no sort.
     """
 
-    def __init__(self, exact: bool, parts: list):
-        self.exact, self.parts = exact, parts
+    def __init__(self, parts: list):
+        self.parts = parts
         self.params = sorted({param for rows, *_ in parts for param in rows})
 
     def __len__(self) -> int:
         return sum(len(group) for rows, *_ in self.parts for group in rows.values())
 
-    def __getitem__(self, i):
-        return self._rows[i]
-
-    @cached_property
-    def _rows(self) -> list[ResultRow]:
-        return [ResultRow._make(row) for param in self.params
-                for rows, *_ in self.parts for row in rows.get(param, ())]
+    def __iter__(self):
+        return (ResultRow._make(row) for param in self.params
+                for rows, *_ in self.parts for row in rows.get(param, ()))
 
 
 def run(config: ExperimentConfig) -> RunRows:
     """Execute the experiment; returns its rows as a RunRows: the parts the workers
-    ordered and formatted, and on demand the ResultRows sorted by (param, index, stat).
+    ordered and formatted, and on iteration the ResultRows sorted by (param, index, stat).
 
     `threads` counts worker processes, the caller and threads - 1 forked children
     (pure Python gains nothing from threads), capped at the samples and usable
@@ -458,6 +458,8 @@ def run(config: ExperimentConfig) -> RunRows:
         raise ValueError("samples must be >= 1")
     if config.threads < 1:
         raise ValueError("threads must be >= 1")
+    if not 0 <= config.seed <= M64:  # as DyadicStream: no two seeds name the same samples
+        raise ValueError("seed must fit in 64 bits")
     grid, p = resolve_params(config)
     workers = min(config.threads, config.samples, len(os.sched_getaffinity(0)))
     if p.get("with_farey") or ("weight" in p and not p["weight"].is_exact):
@@ -465,11 +467,11 @@ def run(config: ExperimentConfig) -> RunRows:
     n = min(config.samples, 8 * workers)  # eight contiguous chunks per worker even out heavy tails
     chunks = [range(config.samples * k // n, config.samples * (k + 1) // n) for k in range(n)]
     parts = _fork_chunks(lambda c: _run_chunk(config, grid, p, c), chunks, workers)
-    return RunRows(config.exact, parts)
+    return RunRows(parts)
 
 
-def find_violations(rows) -> list[ResultRow]:
-    if isinstance(rows, RunRows) and not any(bad for *_, bad in rows.parts):
+def find_violations(rows: RunRows) -> list[ResultRow]:
+    if not any(bad for *_, bad in rows.parts):
         return []  # the workers counted none
     return [r for r in rows if r.stat == "methods_agree" and r.value != 1]
 
@@ -488,7 +490,7 @@ class Summary:
     count: int
 
 
-def aggregate(rows) -> list[Summary]:
+def aggregate(rows: RunRows) -> list[Summary]:
     """Deterministic summaries per (param, stat).
 
     A run's sorted values per chunk are merged; math.fsum rounds exactly, so
@@ -496,12 +498,7 @@ def aggregate(rows) -> list[Summary]:
     ceil(0.05 * count) values at each end of the sorted sample (falling back
     to the plain mean when that would empty the list).
     """
-    if isinstance(rows, RunRows):
-        runs = [floats for _, _, floats, _ in rows.parts]
-    else:
-        runs = [{}]
-        for r in rows:
-            runs[0].setdefault((r.param, r.stat), []).append(float(r.value))
+    runs = [floats for _, _, floats, _ in rows.parts]
     out = []
     for key in sorted({key for run in runs for key in run}):
         sv = sorted([v for run in runs for v in run.get(key, ())])  # merges sorted runs
@@ -560,16 +557,14 @@ def _csv_lines(rows, exact: bool) -> str:
                     for e, seed, i, param, stat, v in rows])
 
 
-def _csv_pieces(rows, exact: bool) -> list[str]:
-    """The CSV text in pieces, which write_csv writes without joining them."""
-    if isinstance(rows, RunRows) and rows.exact == exact:  # the workers' lines
-        return [CSV_HEADER + "\n", *(text.get(param, "") for param in rows.params
-                                     for _, text, *_ in rows.parts)]
-    return [CSV_HEADER + "\n", _csv_lines(rows, exact)]
+def _csv_pieces(rows: RunRows) -> list[str]:
+    """The CSV text in the workers' pieces, which write_csv writes without joining them."""
+    return [CSV_HEADER + "\n", *(text.get(param, "") for param in rows.params
+                                 for _, text, *_ in rows.parts)]
 
 
-def rows_to_csv(rows, exact: bool = False) -> str:
-    return "".join(_csv_pieces(rows, exact))
+def rows_to_csv(rows: RunRows) -> str:
+    return "".join(_csv_pieces(rows))
 
 
 def _write_text(path: str, pieces: list) -> None:
@@ -581,14 +576,14 @@ def _write_text(path: str, pieces: list) -> None:
             fh.truncate()
 
 
-def write_csv(rows, path: str, exact: bool = False) -> None:
-    _write_text(path, _csv_pieces(rows, exact))
+def write_csv(rows: RunRows, path: str) -> None:
+    _write_text(path, _csv_pieces(rows))
 
 
-def write_json(rows, path: str, exact: bool = False) -> None:
+def write_json(rows: RunRows, path: str) -> None:
     """JSON mirror of the CSV, read off its lines: same rows, same value strings."""
     payload = []
-    for line in rows_to_csv(rows, exact).split("\n")[1:-1]:
+    for line in rows_to_csv(rows).split("\n")[1:-1]:
         e, seed, i, param, stat, value = line.split(",")
         payload.append({"experiment": e, "seed": int(seed), "index": int(i),
                         "param": int(param), "stat": stat, "value": value})

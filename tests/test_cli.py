@@ -199,6 +199,10 @@ def test_montecarlo_exact_mode(tmp_path):
                  id="xnf-f-overflows-below-e"),
     ["montecarlo", "--experiment", "nq", "--samples", "3", "--seed", "1",
      "--Q", "100,100", "--out", "x.csv"],
+    pytest.param(["montecarlo", "--experiment", "nq", "--samples", "1", "--seed", "-1",
+                  "--out", "x.csv"], id="seed-negative"),
+    pytest.param(["montecarlo", "--experiment", "nq", "--samples", "1",
+                  "--seed", "99999999999999999999999", "--out", "x.csv"], id="seed-past-64-bits"),
 ])
 def test_invalid_arguments_exit_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -611,6 +615,31 @@ def test_methods_agree_failure_exits_3_after_writing(tmp_path, capsys,
     assert ",methods_agree,0" in out.read_text("utf-8")  # CSV written first
 
 
+def test_violations_are_counted_across_forked_workers(tmp_path, capsys, monkeypatch):
+    # the caller reads the workers' counts of failed rows; at --threads 2 the child
+    # takes samples 0 and 1 before the caller claims a chunk, so each counts some
+    parent = os.getpid()
+    w = caller_waits_for_the_child(monkeypatch)
+
+    def odd_samples_disagree(stream, grid, p):
+        i = sample_index(stream)
+        if i == 1 and os.getpid() != parent:
+            os.write(w, b"!")
+        return [(Q, stat, v) for Q in grid
+                for stat, v in (("mq_closed", 1.0), ("methods_agree", 1 - i % 2))]
+
+    monkeypatch.setitem(REGISTRY, "mq", Experiment("mq", "Q", (100,), odd_samples_disagree))
+    outputs = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"bad{threads}.csv"
+        assert main(["montecarlo", "--experiment", "mq", "--samples", "9", "--seed", "1",
+                     "--Q", "100,200", "--threads", threads, "--out", str(out)]) == 3
+        outputs.add((out.read_bytes(), capsys.readouterr()))
+    (text, (_, err)), = outputs
+    assert err == "invariant violation: methods_agree failed on 8 rows\n"  # samples 1, 3, 5, 7
+    assert text.count(b",methods_agree,0\n") == 8
+
+
 def _stuck_levels(x):
     """Level 1 of [0; 1] read twice, so the walk's height 1 comes again."""
     yield 0, 0, 0, 1, 1, 0
@@ -870,6 +899,27 @@ def test_forked_montecarlo_never_loads_the_process_pool(tmp_path):
                            "--out", str(tmp_path / "out.csv")],
                           check=True, capture_output=True, text=True, timeout=120)
     assert done.stdout.splitlines()[-1] == "0 1 []"
+
+
+BOUNDED_RUN = """
+import resource
+import sys
+sys.path.insert(0, sys.argv[1] + "/src")
+resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2)  # as ulimit -v 1500000
+from cflab import cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_xnf_past_the_harmonic_prefix_bound_exits_2_in_bounded_memory(tmp_path):
+    # a_1961 = 67239 of seed 1, sample 0 is under f(10000) = 92103; its exact harmonic
+    # prefix ran out of this address space with a MemoryError traceback and exit 1
+    done = subprocess.run([sys.executable, "-c", BOUNDED_RUN, str(ROOT), "montecarlo",
+                           "--experiment", "xnf", "--samples", "1", "--seed", "1",
+                           "--n", "10000", "--out", str(tmp_path / "xnf.csv")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr == "error: the harmonic prefix sum to 67239 is past its bound of 65536\n"
 
 
 LAZY_IMPORTS_RUN = """

@@ -16,7 +16,7 @@ from cflab.cf import (DyadicStream, PeriodicStream, RationalStream,
                       intermediates, quotient)
 from cflab import farey, harness
 from cflab.farey import HeightSet, chi, enumerate_farey, parse_height_set
-from cflab.harness import (CSV_HEADER, ExperimentConfig, ResultRow, aggregate,
+from cflab.harness import (CSV_HEADER, ExperimentConfig, ResultRow, RunRows, aggregate,
                            find_violations, format_value, mq_count_closed,
                            mq_count_farey, mq_count_intermediates, mq_value,
                            pairdep_tables, resolve_params, rows_to_csv, run,
@@ -157,22 +157,25 @@ def test_run_threads_do_not_change_output():
     assert len(texts) == 1
 
 
+def _one_chunk(rows, exact=False) -> RunRows:
+    """The rows as a run of one chunk, reduced by the workers' own code."""
+    return RunRows([harness._reduce(rows, exact)])
+
+
 def test_run_rows_read_like_the_list_of_its_rows(monkeypatch):
     # run() returns the workers' parts; the caller's CSV text, summaries and
-    # violations read off them equal those of the plain list of the same rows
+    # violations read off them equal those of the same rows as one chunk
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     for threads in (1, 3):
         cfg = ExperimentConfig("mq", samples=13, seed=3, params={"grid": (500, 100)},
                                threads=threads)
         rows = run(cfg)
-        listed = list(rows)
+        listed = _one_chunk(list(rows))
         assert len(rows) == len(listed) == 13 * 2 * 4
-        assert rows[-1] == listed[-1] and rows[3:5] == listed[3:5]
+        assert list(rows) == list(listed)
         assert aggregate(rows) == aggregate(listed)
         assert rows_to_csv(rows) == rows_to_csv(listed)
         assert find_violations(rows) == find_violations(listed) == []
-        with pytest.raises(ValueError, match="not exact"):  # formatted anew, not the workers' text
-            rows_to_csv(rows, exact=True)
 
 
 def test_run_caps_the_pool_at_the_sample_count(monkeypatch):
@@ -576,7 +579,7 @@ def test_find_violations_flags_disagreement():
     ok = ResultRow("mq", 1, 0, 100, "methods_agree", 1)
     bad = ResultRow("mq", 1, 1, 100, "methods_agree", 0)
     other = ResultRow("mq", 1, 1, 100, "mq_closed", 2.0)
-    assert find_violations([ok, bad, other]) == [bad]
+    assert find_violations(_one_chunk([ok, bad, other])) == [bad]
 
 
 # -- aggregation -----------------------------------------------------------------
@@ -587,29 +590,29 @@ def _rows(vals, stat="v", param=1):
 
 
 def test_aggregate_basic():
-    (s,) = aggregate(_rows([1, 2, 3]))
+    (s,) = aggregate(_one_chunk(_rows([1, 2, 3])))
     assert s.mean == 2 and s.median == 2 and s.count == 3
     assert s.stddev == pytest.approx(1.0)
 
 
 def test_aggregate_trimmed_mean_rule():
     # 20 values: drop ceil(0.05 * 20) = 1 from each end of the sorted list
-    (s,) = aggregate(_rows(list(range(20))))
+    (s,) = aggregate(_one_chunk(_rows(list(range(20)))))
     assert s.trimmed_mean == pytest.approx(sum(range(1, 19)) / 18) == 9.5
 
 
 def test_aggregate_single_value():
-    (s,) = aggregate(_rows([7]))
+    (s,) = aggregate(_one_chunk(_rows([7])))
     assert s.stddev == 0.0 and s.trimmed_mean == 7 and s.count == 1
 
 
 def test_aggregate_order_invariant():
     rows = _rows([5, 1, 4, 2, 3]) + _rows([9, 8], stat="w", param=2)
-    assert aggregate(rows) == aggregate(list(reversed(rows)))
+    assert aggregate(_one_chunk(rows)) == aggregate(_one_chunk(list(reversed(rows))))
 
 
 def test_aggregate_empty():
-    assert aggregate([]) == []
+    assert aggregate(_one_chunk([])) == []
 
 
 def test_pairdep_tables_synthetic():
@@ -690,7 +693,7 @@ def test_write_csv_and_json_mirror(tmp_path):
 
 def test_write_csv_and_json_rewrite_in_place(tmp_path):
     long = run(ExperimentConfig("nq", samples=6, seed=14, params={"grid": (50, 60)}))
-    short = long[:3]
+    short = _one_chunk(list(long)[:3])
     for write in (write_csv, write_json):
         path, link, fresh = (tmp_path / f"{name}.{write.__name__}" for name in ("out", "link", "new"))
         link.symlink_to(path)
@@ -715,12 +718,11 @@ def test_json_mirror_matches_csv_field_for_field(rows, exact, tmp_path_factory):
     folder = tmp_path_factory.mktemp("mirror")
     csv_path, json_path = str(folder / "out.csv"), str(folder / "out.json")
     if exact and any(isinstance(r.value, float) for r in rows):
-        for write, path in ((write_csv, csv_path), (write_json, json_path)):
-            with pytest.raises(ValueError, match="not exact"):
-                write(rows, path, exact=True)
+        with pytest.raises(ValueError, match="not exact"):  # formatted where the rows are reduced
+            _one_chunk(rows, exact=True)
         return
-    write_csv(rows, csv_path, exact=exact)
-    write_json(rows, json_path, exact=exact)
+    write_csv(_one_chunk(rows, exact), csv_path)
+    write_json(_one_chunk(rows, exact), json_path)
     with open(csv_path, encoding="utf-8", newline="") as fh:
         header, *lines = fh.read().split("\n")[:-1]
     with open(json_path, encoding="utf-8") as fh:
@@ -734,7 +736,7 @@ def test_json_mirror_matches_csv_field_for_field(rows, exact, tmp_path_factory):
 def test_exact_csv_values(tmp_path):
     cfg = ExperimentConfig("gauss_kuzmin", samples=2, seed=5,
                            params={"grid": (1,), "n": 10}, exact=True)
-    text = rows_to_csv(run(cfg), exact=True)
+    text = rows_to_csv(run(cfg))  # formatted exactly by the workers, as cfg.exact asks
     for line in text.strip().split("\n")[1:]:
         val = line.split(",")[5]
         num, den = val.split("/")

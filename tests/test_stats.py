@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cflab import stats
 from cflab.cf import (DyadicStream, PeriodicStream, RationalStream, cf_of_rational,
                       intermediates, parse_stream, quotient)
 from cflab.harness import (mq_all, mq_count_closed, mq_count_farey,
@@ -114,6 +115,16 @@ def test_weight_prefix_sums():
     assert 1 + HARMONIC.sum_to(5) == Fraction(137, 60)
     p = WeightFunction.power(0.5)
     assert float(p.sum_to(3)) == pytest.approx(1 / 2 + 1 / 3)
+
+
+def test_harmonic_prefix_sums_stop_at_their_bound(monkeypatch):
+    monkeypatch.setattr(stats, "HARMONIC_PREFIX_LIMIT", 10)
+    monkeypatch.setattr(stats, "_PREFIX_CACHE", {})
+    assert HARMONIC.sum_to(10) == sum(Fraction(1, m) for m in range(2, 11))
+    with pytest.raises(ValueError, match="sum to 11 is past its bound of 10"):
+        HARMONIC.sum_to(11)
+    assert len(stats._PREFIX_CACHE[HARMONIC]) == 11  # refused before it grew
+    assert UNIT.sum_to(11) == 10  # only the family whose entries grow is bounded
 
 
 def test_power_weights_stay_long_double():
