@@ -261,8 +261,8 @@ def row_sum_exact(q: int) -> Fraction:
     divisors = [(1, 1)]  # squarefree d | q with mu(d)
     for p in _factorize(q):
         divisors += [(d * p, -mu) for d, mu in divisors]
-    s = sum(mu * (N[q // d - 1] * (L[q - 1] // L[q // d - 1]) // d)
-            for d, mu in divisors)
+    s = N[q - 1] + sum(mu * (N[q // d - 1] * (L[q - 1] // L[q // d - 1]) // d)
+                       for d, mu in divisors[1:])  # d = 1 gives N[q - 1]
     return Fraction(2 * s, q * L[q - 1])
 
 
@@ -302,7 +302,8 @@ def cumulative_expected_count(Q: int) -> tuple[Fraction, float]:
     <= Q hit by a uniform point; the float is the leading asymptotic term.
     Moebius inversion over gcd(u, q) makes it sum_{d<=Q} mu(d)/d^2
     (H_n^2 - H_n^(2)) with n = Q // d, one integer over L^2 for L = lcm(1..Q),
-    since every L/(dk) with k <= n is an integer.
+    since every L/(dk) with k <= n is an integer.  The squares (L/k)^2 are
+    read as L^2 // k^2.
     """
     import numpy as np
 
@@ -312,14 +313,17 @@ def cumulative_expected_count(Q: int) -> tuple[Fraction, float]:
     for p in np.flatnonzero(_prime_mask(Q)):
         mu[p::p] *= -1
         mu[p * p::p * p] = 0
+    mu = mu.tolist()
     L = _harmonic_prefix(Q)[1][Q]
+    LL = L * L
     total = a = b = k = 0
     for d in range(Q, 0, -1):  # n = Q // d only grows, so one pass over k
         if k < Q // d:
-            for k in range(k + 1, Q // d + 1):
-                a, b = a + L // k, b + (L // k) ** 2
+            for k in range(k + 1, Q // d + 1):  # k^2 <= 5000^2 is one 30-bit digit
+                a, b = a + L // k, b + LL // (k * k)
             c = a * a - b  # L^2 (H_n^2 - H_n^(2)), divisible by d^2
-        total += int(mu[d]) * (c // (d * d))
+        if mu[d]:
+            total += mu[d] * (c // (d * d))
     return Fraction(total, L * L), 6 / math.pi**2 * math.log(Q) ** 2
 
 

@@ -28,7 +28,7 @@ import traceback
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, NamedTuple
 
 # intermediates is the walk of plain tuples, not records, which the routes only
@@ -211,7 +211,8 @@ def mq_value(counts: dict, g: WeightFunction, exact: bool):
         if not g.is_exact:
             raise ValueError("exact values need an exact weight family")
         return sum((c * g(m) for m, c in sorted(counts.items())), Fraction(0))
-    return math.fsum(c * g.float_at(m) for m, c in sorted(counts.items()))
+    ms = sorted(counts)
+    return math.fsum(map(mul, map(counts.__getitem__, ms), g.floats(ms)))
 
 
 def _run_mq(stream, grid, p):

@@ -12,10 +12,12 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 LOG2 = math.log(2)
 HARMONIC_PREFIX_LIMIT = 2 ** 16  # its exact prefix: about 1.3 s and 816 MiB peak RSS (2 vCPU EPYC)
+POWER_PREFIX_LIMIT = 2 ** 18  # its long-double prefix: about 0.37 s and 10 MiB (2 vCPU EPYC)
 
 
 @dataclass(frozen=True)
@@ -71,23 +73,36 @@ class WeightFunction:
 
         return np.longdouble(m) ** np.longdouble(-(0.5 + self.gamma))
 
-    def float_at(self, m: int) -> float:
-        """float(self(m)), without building a Fraction for harmonic and unit
-        weights: 1 / m is the same correctly rounded int division."""
-        if m < 1:
+    def floats(self, ms: Sequence[int]) -> list[float]:
+        """[float(self(m)) for m in ms], without building a Fraction for harmonic
+        and unit weights (1 / m is the same correctly rounded int division) and
+        with the power weights as one long-double array power."""
+        if min(ms, default=1) < 1:
             raise ValueError("weights are defined on positive integers")
         if self.family == "harmonic":
-            return 1 / m
-        return 1.0 if self.family == "unit" else float(self(m))
+            return [1 / m for m in ms]
+        if self.family == "unit":
+            return [1.0] * len(ms)
+        if self.family == "table":
+            return [float(self(m)) for m in ms]
+        import numpy as np
+
+        ld = np.array(ms, dtype=np.longdouble) ** np.longdouble(-(0.5 + self.gamma))
+        return ld.astype(float).tolist()
 
     def sum_to(self, k: int):
-        """Prefix sum of g over 2..k (empty when k < 2).  The harmonic family, the
-        one whose exact entries grow, refuses k past HARMONIC_PREFIX_LIMIT."""
+        """Prefix sum of g over 2..k (empty when k < 2).  Unit sums are k - 1,
+        table sums stop growing past the largest listed m, and the harmonic and
+        power families refuse k past their *_PREFIX_LIMIT."""
+        if self.family == "table":
+            k = min(k, self.table[-1][0] if self.table else 0)
         if k < 2:
             return self._zero()
-        if self.family == "harmonic" and k > HARMONIC_PREFIX_LIMIT:
-            raise ValueError(f"the harmonic prefix sum to {k} is past its bound of "
-                             f"{HARMONIC_PREFIX_LIMIT}")
+        if self.family == "unit":
+            return Fraction(k - 1)
+        if (limit := {"harmonic": HARMONIC_PREFIX_LIMIT,
+                      "power": POWER_PREFIX_LIMIT}.get(self.family, k)) < k:
+            raise ValueError(f"the {self.family} prefix sum to {k} is past its bound of {limit}")
         if (cache := _PREFIX_CACHE.get(self)) is None:
             cache = _PREFIX_CACHE[self] = [self._zero()] * 2  # cache[k] = g(2) + ... + g(k)
         while (m := len(cache)) <= k:  # in place; a racing grower sets slot m to the same value
@@ -200,8 +215,8 @@ def weight_log_series(g: WeightFunction, start: int = 1,
     if shift not in (0, 1):
         raise ValueError("shift must be 0 or 1")
     s0, head = (1.0 if g.family == "harmonic" else 0.5 + g.gamma), 4096
-    head_sum = math.fsum(g.float_at(m + shift) * math.log1p(1.0 / m)
-                         for m in range(start, head + 1))
+    ws = g.floats(range(start + shift, head + shift + 1))
+    head_sum = math.fsum(map(mul, ws, [math.log1p(1.0 / m) for m in range(start, head + 1)]))
     tail, bound = _series_tail(s0, head, shift)
     return head_sum + tail, bound
 
@@ -217,8 +232,8 @@ def main_term(g: WeightFunction, Q: float, cutoff_m: int | None = None) -> float
     if cutoff_m is None:
         series, _ = weight_log_series(g, start=1)
     else:
-        series = math.fsum(g.float_at(m) * math.log1p(1.0 / m)
-                           for m in range(2, cutoff_m + 1))
+        ms = range(2, cutoff_m + 1)
+        series = math.fsum(map(mul, g.floats(ms), [math.log1p(1.0 / m) for m in ms]))
     return 12 / math.pi**2 * series * math.log(Q)
 
 

@@ -922,6 +922,18 @@ def test_xnf_past_the_harmonic_prefix_bound_exits_2_in_bounded_memory(tmp_path):
     assert done.stderr == "error: the harmonic prefix sum to 67239 is past its bound of 65536\n"
 
 
+def test_xnf_unit_weights_past_a_huge_truncation_run_in_bounded_memory(tmp_path):
+    # sample 1296 of seed 1 has a_1023 = 92987749 and f(1100) = 49031785; unit
+    # prefix sums grew a cache of that length and ran out of this address space
+    done = subprocess.run([sys.executable, "-c", BOUNDED_RUN, str(ROOT), "montecarlo",
+                           "--experiment", "xnf", "--weight", "unit", "--delta", "5",
+                           "--n", "1100", "--samples", "1297", "--seed", "1",
+                           "--out", str(tmp_path / "xnf.csv")],
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert len((tmp_path / "xnf.csv").read_text().splitlines()) == 1 + 1297
+
+
 LAZY_IMPORTS_RUN = """
 import os
 import sys

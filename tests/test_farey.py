@@ -239,6 +239,28 @@ def test_cumulative_expected_count_matches_row_sums():
             assert cumulative_expected_count(Q)[0] == total
 
 
+def squaring_count(Q):
+    """Oracle: the divisor sum as it was computed, squaring each L // k."""
+    mu = [1] * (Q + 1)
+    for p in range(2, Q + 1):
+        if all(p % r for r in range(2, math.isqrt(p) + 1)):
+            mu[p::p] = [-v for v in mu[p::p]]
+            mu[p * p::p * p] = [0] * len(mu[p * p::p * p])
+    L = math.lcm(*range(1, Q + 1))
+    total = 0
+    for d in range(1, Q + 1):
+        n = Q // d
+        a = sum(L // k for k in range(1, n + 1))
+        b = sum((L // k) ** 2 for k in range(1, n + 1))
+        total += mu[d] * ((a * a - b) // (d * d))
+    return Fraction(total, L * L)
+
+
+def test_cumulative_expected_count_matches_the_squaring_loop():
+    for Q in (*range(2, 301), 2000, 5000):
+        assert cumulative_expected_count(Q)[0] == squaring_count(Q), Q
+
+
 def test_exact_sums_reject_heights_beyond_limit():
     limit = farey.FAREY_TABLE_LIMIT
     for bad in (0, limit + 1, 3_000_000):

@@ -53,14 +53,24 @@ FLOAT_WEIGHTS = (HARMONIC, UNIT, WeightFunction.power(0.25),
 
 @pytest.mark.parametrize("g", FLOAT_WEIGHTS, ids=lambda g: g.family)
 def test_float_weight_is_the_rounded_exact_weight(g):
-    assert all(g.float_at(m) == float(g(m)) for m in range(1, 5001))
-    with pytest.raises(ValueError):
-        g.float_at(0)
+    assert g.floats(range(1, 5001)) == [float(g(m)) for m in range(1, 5001)]
+    assert g.floats([]) == []
+    for bad in ([0], [3, 0, 5]):
+        with pytest.raises(ValueError, match="positive integers"):
+            g.floats(bad)
+
+
+@pytest.mark.parametrize("gamma", (0.001, 0.1, 0.3333, 0.5, 1.0, 2.5))
+def test_power_float_weights_are_the_scalar_long_double_powers(gamma):
+    # one array power rounds each weight as the scalar power does
+    g = WeightFunction.power(gamma)
+    ms = [*range(1, 5001), 2**53 + 1, 2**63 + 5, 2**64 + 3, 10**30 + 7]
+    assert g.floats(ms) == [float(g(m)) for m in ms]
 
 
 def test_harmonic_float_weight_rounds_large_m_once():
-    for m in (2**53 - 1, 2**53 + 1, 2**64 + 3, 10**30 + 7):
-        assert HARMONIC.float_at(m) == float(Fraction(1, m))
+    ms = (2**53 - 1, 2**53 + 1, 2**64 + 3, 10**30 + 7)
+    assert HARMONIC.floats(ms) == [float(Fraction(1, m)) for m in ms]
 
 
 def test_weight_table_parsing(tmp_path):
@@ -133,6 +143,26 @@ def test_power_weights_stay_long_double():
     p = WeightFunction.power(0.25)
     values = (p(3), p.sum_to(4), p._zero(), x_nf(ALT23, 4, p, TruncationFn(0.5)))
     assert [type(v) for v in values] == [np.longdouble] * 4
+
+
+def test_unit_and_table_prefix_sums_keep_no_growing_cache(monkeypatch):
+    monkeypatch.setattr(stats, "_PREFIX_CACHE", {})
+    assert UNIT.sum_to(10**12) == 10**12 - 1  # the closed form, no cache
+    g = WeightFunction.from_table([Fraction(1, 3), 2, 0, Fraction(-5, 7), 1])
+    assert g.sum_to(10**12) == g.sum_to(5) == Fraction(16, 7)  # clamped to the last listed m
+    assert g.sum_to(4) == Fraction(9, 7)
+    assert list(stats._PREFIX_CACHE) == [g] and len(stats._PREFIX_CACHE[g]) == 6
+    assert WeightFunction.from_table([]).sum_to(9) == 0
+
+
+def test_power_prefix_sums_stop_at_their_bound(monkeypatch):
+    monkeypatch.setattr(stats, "POWER_PREFIX_LIMIT", 10)
+    monkeypatch.setattr(stats, "_PREFIX_CACHE", {})
+    p = WeightFunction.power(0.25)
+    assert p.sum_to(10) == sum(p(m) for m in range(2, 11))
+    with pytest.raises(ValueError, match="the power prefix sum to 11 is past its bound of 10"):
+        p.sum_to(11)
+    assert len(stats._PREFIX_CACHE[p]) == 11  # refused before it grew
 
 
 def test_weight_prefix_sums_under_racing_threads():
@@ -239,6 +269,16 @@ def test_mq_power_weight_routes_close():
     assert float(inter_v) == pytest.approx(float(closed_v), rel=1e-12)
 
 
+@pytest.mark.parametrize("g", FLOAT_WEIGHTS, ids=lambda g: g.family)
+def test_float_mq_value_matches_the_per_term_sum(g):
+    # oracle: one float(g(m)) per distinct terminal quotient, as it was summed
+    for seed, Q in ((1, 50), (2, 400), (3, 5000)):
+        counts = mq_count_closed(DyadicStream(seed), Q)
+        want = math.fsum(c * float(g(m)) for m, c in sorted(counts.items()))
+        assert mq_value(counts, g, exact=False) == want
+    assert mq_value({}, g, exact=False) == 0.0
+
+
 def test_mq_rational_endpoints_get_half_weight():
     # x = 1/2 inside F_3: the classes 1/3 and 2/3 see x on their interval
     # boundary and contribute half their weight on the brute-force route only
@@ -295,6 +335,33 @@ def test_level_expectation_differs_from_naive_series():
     assert lvl == pytest.approx(series / math.log(2), rel=1e-12)
     naive, _ = weight_log_series(HARMONIC, start=1)
     assert series < naive  # same base, the shift strictly lowers every term
+
+
+def per_term_head(g, ms, shift):
+    """Oracle: the series head as it was summed, one float(g(m)) per term."""
+    return math.fsum(float(g(m + shift)) * math.log1p(1.0 / m) for m in ms)
+
+
+SERIES_WEIGHTS = (HARMONIC, WeightFunction.power(0.25), WeightFunction.power(0.001),
+                  WeightFunction.power(2.5), FLOAT_WEIGHTS[-1])
+
+
+@pytest.mark.parametrize("g", SERIES_WEIGHTS[:-1], ids=lambda g: f"{g.family}-{g.gamma}")
+@pytest.mark.parametrize("start,shift", [(1, 0), (1, 1), (3, 0), (3, 1)])
+def test_series_head_matches_the_per_term_sum(g, start, shift):
+    s0 = 1.0 if g.family == "harmonic" else 0.5 + g.gamma
+    tail, bound = stats._series_tail(s0, 4096, shift)
+    want = per_term_head(g, range(start, 4097), shift) + tail
+    assert weight_log_series(g, start, shift) == (want, bound)
+    if (start, shift) == (1, 1):
+        assert mq_level_expectation(g) == want / stats.LOG2
+
+
+@pytest.mark.parametrize("g", SERIES_WEIGHTS, ids=lambda g: f"{g.family}-{g.gamma}")
+def test_truncated_main_term_matches_the_per_term_sum(g):
+    for cutoff_m in (1, 2, 3, 100, 4096, 5000):
+        want = 12 / math.pi**2 * per_term_head(g, range(2, cutoff_m + 1), 0) * math.log(1000)
+        assert main_term(g, 1000, cutoff_m) == want
 
 
 @pytest.mark.parametrize("g", [HARMONIC, WeightFunction.power(0.25)])

@@ -78,3 +78,24 @@ def test_only_cf_touches_the_certifier_state():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Attribute) and node.attr in CERTIFIER_STATE]
     assert not found, f"certifier state used outside cf.py: {', '.join(found)}"
+
+
+def _names(node) -> list[str]:
+    """The identifiers a node spells: a name, an attribute or an imported name."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.name, node.asname]
+    return []
+
+
+def test_only_stats_computes_in_long_double():
+    # the power weights are evaluated in one place, WeightFunction, whose
+    # scalar and array powers are tested to round alike
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "cflab").rglob("*.py")) if path.name != "stats.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if "longdouble" in _names(node)]
+    assert not found, f"longdouble used outside stats.py: {', '.join(found)}"
