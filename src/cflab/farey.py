@@ -272,8 +272,8 @@ EULER_GAMMA = 0.5772156649015329
 
 def row_sum_formula(q: int) -> float:
     """Smooth approximation 2 phi(q)/q^2 (log q + sum_{p|q} log p/(p-1) + gamma)."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    if not 2 <= q <= FAREY_TABLE_LIMIT:  # the primes of q come from _factorize's sieve
+        raise ValueError(f"q = {q} outside 2..{FAREY_TABLE_LIMIT}")
     fac = _factorize(q)
     phi = q
     for p in fac:
@@ -282,17 +282,24 @@ def row_sum_formula(q: int) -> float:
     return 2 * phi / q**2 * (math.log(q) + p_term + EULER_GAMMA)
 
 
-def _factorize(q: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= q:
-        while q % d == 0:
-            out[d] = out.get(d, 0) + 1
-            q //= d
-        d += 1
-    if q > 1:
-        out[q] = out.get(q, 0) + 1
-    return out
+_least_factor: list[int] = []  # [0, 1, 2, 3, 2, 5, 2, 7, 2, 3, 2, ...] up to FAREY_TABLE_LIMIT
+
+
+def _factorize(q: int) -> list[int]:
+    """The distinct primes of 1 <= q <= FAREY_TABLE_LIMIT, ascending, read off
+    a least-prime-factor sieve built once per process."""
+    global _least_factor
+    if not _least_factor:
+        spf, n = list(range(FAREY_TABLE_LIMIT + 1)), FAREY_TABLE_LIMIT
+        for d in range(math.isqrt(n), 1, -1):  # descending, so the least divisor writes last
+            spf[d * d::d] = [d] * ((n - d * d) // d + 1)
+        _least_factor = spf
+    primes = []
+    while q > 1:
+        primes.append(p := _least_factor[q])
+        while q % p == 0:
+            q //= p
+    return primes
 
 
 def cumulative_expected_count(Q: int) -> tuple[Fraction, float]:

@@ -173,6 +173,27 @@ def terminal_quotient(a: int, q: int) -> int:
     return q // a
 
 
+# B_2j / (2j)! for j = 1..7: the Euler-Maclaurin coefficients of _hurwitz
+_EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+              -691 / 1307674368000, 1 / 74724249600)
+
+
+def _hurwitz(s: float, a: int) -> tuple[float, float]:
+    """(zeta(s, a), remainder) for s > 1 and a >= 1, by Euler-Maclaurin:
+    a^(1-s)/(s-1) + a^-s/2 + sum_{j<=6} B_2j/(2j)! (s)_(2j-1) a^(-s-2j+1).
+
+    Every derivative of (x+a)^-s alternates in sign, so the truncation error
+    is smaller than the first omitted term (j = 7), whose size is returned.
+    Six terms keep the remainders far below _series_tail's bound at a = 4097.
+    """
+    p = a ** -s
+    terms, c = [p * a / (s - 1), p / 2], p * s / a  # c = (s)_(2j-1) a^(-s-2j+1)
+    for j, b in enumerate(_EM_COEFFS):
+        terms.append(b * c)
+        c *= (s + 2 * j + 1) * (s + 2 * j + 2) / (a * a)
+    return math.fsum(terms[:-1]), abs(terms[-1])
+
+
 def _series_tail(s0: float, M: int, shift: int) -> tuple[float, float]:
     """(tail, bound) for sum_{m>M} (m+shift)^-s0 log(1+1/m), shift 0 or 1.
 
@@ -181,19 +202,16 @@ def _series_tail(s0: float, M: int, shift: int) -> tuple[float, float]:
     sum sum_k +-zeta(s0+k, M+1+shift)/k, summed for k <= 8.  The alternating
     sum is bounded by its first omitted term; the positive one by that term
     times (M+2)/(M+1), since each term is at most 1/(M+2) of the one before.
+    The bound adds the remainders of _hurwitz and is rounded up; the float
+    rounding of the tail is not in it.
     """
-    import mpmath
-
     a, kmax = M + 1 + shift, 8
-    with mpmath.workdps(30):
-        tail = mpmath.mpf(0)
-        for k in range(1, kmax + 1):
-            term = mpmath.zeta(s0 + k, a) / k
-            tail += -term if shift == 0 and k % 2 == 0 else term
-        bound = mpmath.zeta(s0 + kmax + 1, a) / (kmax + 1)
-        if shift:
-            bound *= mpmath.mpf(a) / (a - 1)
-        return float(tail), float(bound)
+    z, r = zip(*(_hurwitz(s0 + k, a) for k in range(1, kmax + 2)))  # z[k - 1] = zeta(s0+k, a)
+    tail = math.fsum((-z[k - 1] if shift == 0 and k % 2 == 0 else z[k - 1]) / k
+                     for k in range(1, kmax + 1))
+    bound = ((z[kmax] + r[kmax]) / (kmax + 1) * (a / (a - 1) if shift else 1)
+             + math.fsum(r[k - 1] / k for k in range(1, kmax + 1)))
+    return tail, math.nextafter(bound, math.inf)
 
 
 def weight_log_series(g: WeightFunction, start: int = 1,

@@ -966,8 +966,8 @@ with open(sys.argv[2]) as fh:
      "0 ['numpy'] ['numpy'] numpy"),
 ], ids=["levy", "mq-harmonic", "mq-farey", "mq-power"])
 def test_montecarlo_loads_numpy_only_for_arrays_and_before_forking(tmp_path, argv, expected):
-    # numpy and mpmath load on first use; the Farey route and power weights
-    # need numpy, which the parent imports before forking, not each child
+    # numpy loads on first use and mpmath never; the Farey route and power
+    # weights need numpy, which the parent imports before forking, not each child
     done = subprocess.run([sys.executable, "-c", LAZY_IMPORTS_RUN, str(ROOT),
                            str(tmp_path / "chunks.txt"), "montecarlo", "--experiment", *argv,
                            "--samples", "4", "--seed", "7", "--out", str(tmp_path / "out.csv")],

@@ -217,6 +217,24 @@ def test_row_sum_formula_values():
     assert abs(row_sum_formula(7) - want7) < 1e-12
 
 
+def trial_division_primes(q):
+    """Oracle: the distinct primes of q by trial division."""
+    primes, d = [], 2
+    while d * d <= q:
+        if q % d == 0:
+            primes.append(d)
+            while q % d == 0:
+                q //= d
+        d += 1
+    return primes + [q] * (q > 1)
+
+
+def test_factorize_matches_trial_division():
+    limit = farey.FAREY_TABLE_LIMIT
+    assert [farey._factorize(q) for q in range(1, limit + 1)] == \
+        [trial_division_primes(q) for q in range(1, limit + 1)]
+
+
 def test_euler_gamma_literal():
     assert farey.EULER_GAMMA == float(mpmath.euler)
 
@@ -269,6 +287,8 @@ def test_exact_sums_reject_heights_beyond_limit():
     for bad in (1, limit + 1):
         with pytest.raises(ValueError, match="outside"):
             cumulative_expected_count(bad)
+        with pytest.raises(ValueError, match="outside"):  # its primes come from a sieve to limit
+            row_sum_formula(bad)
     with pytest.raises(ValueError, match="limit"):
         next(enumerate_farey(limit + 1))
 

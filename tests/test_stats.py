@@ -379,6 +379,80 @@ def test_shifted_series_matches_nsum_oracle(g):
         weight_log_series(g, start=1, shift=2)
 
 
+def em_mp(s, x, terms):
+    """Euler-Maclaurin for zeta(s, x) at the working precision: the sum with
+    `terms` corrections and the first omitted term, which brackets the rest."""
+    f = x ** -s
+    parts, c = [x * f / (s - 1), f / 2], f * s / x
+    for j in range(1, terms + 2):
+        parts.append(mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * c)
+        c *= (s + 2 * j - 1) * (s + 2 * j) / (x * x)
+    return mpmath.fsum(parts[:-1]), parts[-1]
+
+
+def direct_hurwitz(s, a, n=1024):
+    """Oracle: zeta(s, a) at 60 digits as the sum of its first n terms plus
+    the rest, bracketed by six Euler-Maclaurin corrections at a + n; returns
+    (value, half-width).  The bracket is at least 50 times narrower than the
+    remainder of stats._hurwitz at a, which 60 digits resolve.
+    mpmath.zeta(s, a) is no oracle here: at a = 4097 it is about 6e-14 off
+    at s = 10.5 and 2e-11 at s = 51.5, at 30 or 60 digits."""
+    with mpmath.workdps(60):
+        s, a = mpmath.mpf(s), mpmath.mpf(a)
+        rest, omitted = em_mp(s, a + n, 6)
+        return mpmath.fsum((k + a) ** -s for k in range(n)) + rest + omitted / 2, abs(omitted) / 2
+
+
+@pytest.mark.parametrize("s", [1.5, 1.75, 2, 3, 5.5, 10.5, 25, 51.5])
+@pytest.mark.parametrize("a", [4097, 4098])
+def test_hurwitz_matches_the_direct_sum(s, a):
+    value, rem = stats._hurwitz(s, a)
+    ref, halfwidth = direct_hurwitz(s, a)
+    assert abs(value - ref) <= 2 * math.ulp(value)
+    with mpmath.workdps(60):  # the same expansion, without rounding at this size
+        em, omitted = em_mp(mpmath.mpf(s), mpmath.mpf(a), 6)
+        assert rem == pytest.approx(float(abs(omitted)), rel=1e-12)
+        assert abs(ref - em) <= rem + halfwidth  # the remainder bounds the truncation
+        assert mpmath.sign(ref - em) == mpmath.sign(omitted)  # and takes its sign
+
+
+def mpmath_series_tail(s0, M, shift):
+    """Oracle: the series tail as it was computed, from mpmath.zeta at 30 digits."""
+    a, kmax = M + 1 + shift, 8
+    with mpmath.workdps(30):
+        tail = mpmath.mpf(0)
+        for k in range(1, kmax + 1):
+            term = mpmath.zeta(s0 + k, a) / k
+            tail += -term if shift == 0 and k % 2 == 0 else term
+        bound = mpmath.zeta(s0 + kmax + 1, a) / (kmax + 1)
+        if shift:
+            bound *= mpmath.mpf(a) / (a - 1)
+        return float(tail), float(bound)
+
+
+@pytest.mark.parametrize("s0", [0.501, 0.75, 1.0, 1.5, 2.75, 5.5, 10.0])
+@pytest.mark.parametrize("shift", [0, 1])
+def test_series_tail_matches_the_mpmath_formula(s0, shift):
+    # mpmath.zeta's own error reaches 6e-13 at s0 = 10 (see direct_hurwitz)
+    tail, bound = stats._series_tail(s0, 4096, shift)
+    old_tail, old_bound = mpmath_series_tail(s0, 4096, shift)
+    assert tail == pytest.approx(old_tail, rel=1e-12)
+    assert bound == pytest.approx(old_bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("s0", [0.501, 1.0, 1.75, 5.5])
+@pytest.mark.parametrize("shift", [0, 1])
+def test_series_tail_bound_covers_the_truncation(s0, shift):
+    # the omitted terms k >= 9 of the expansion, summed at 40 digits to k = 14
+    # (each is below 1/4097 of the one before)
+    a = 4097 + shift
+    with mpmath.workdps(40):
+        omitted = mpmath.fsum((-1 if shift == 0 and k % 2 == 0 else 1) * direct_hurwitz(s0 + k, a)[0] / k
+                              for k in range(9, 15))
+    _, bound = stats._series_tail(s0, 4096, shift)
+    assert 0 < abs(omitted) <= bound
+
+
 def test_indicator_sum():
     assert indicator_sum(GOLDEN, 1, 10) == 10
     assert indicator_sum(GOLDEN, 2, 10) == 0

@@ -99,3 +99,42 @@ def test_only_stats_computes_in_long_double():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if "longdouble" in _names(node)]
     assert not found, f"longdouble used outside stats.py: {', '.join(found)}"
+
+
+def test_the_library_imports_no_mpmath():
+    # series tails are float Euler-Maclaurin sums; mpmath is the tests' oracle only
+    found = [f"{path.relative_to(ROOT)}:{node.lineno} imports {name}"
+             for path in sorted((ROOT / "src" / "cflab").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             for name in _imported(node)
+             if name == "mpmath" or name.startswith("mpmath.")]
+    assert not found, f"mpmath imports in the library: {', '.join(found)}"
+
+
+REFERENCE_RUN = """
+import contextlib
+import io
+import sys
+sys.path.insert(0, sys.argv[1] + "/src")
+from cflab import cli, farey, stats
+def loaded():
+    return " ".join(m for m in ("mpmath", "numpy") if m in sys.modules) or "-"
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["farey-row", "--q", "360"])
+print(rc, loaded())
+farey.row_sum_exact(2000)
+farey.cumulative_expected_count(100)
+for g in (stats.WeightFunction.harmonic(), stats.WeightFunction.power(0.25)):
+    stats.weight_log_series(g)
+    stats.mq_level_expectation(g)
+    stats.main_term(g, 1000)
+print(loaded())
+"""
+
+
+def test_reference_values_never_load_mpmath():
+    # farey-row reads its primes off a pure-Python sieve; the Farey sums and
+    # power weights need numpy, and no reference value needs mpmath
+    done = subprocess.run([sys.executable, "-c", REFERENCE_RUN, str(ROOT)],
+                          check=True, capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines() == ["0 -", "numpy"]
