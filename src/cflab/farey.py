@@ -10,6 +10,7 @@ neighbor and 0 outside; the zero class (height 1) has chi identically 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,31 +78,51 @@ def enumerate_farey(Q: int) -> Iterator[FareyFraction]:
         a, b, c, d = c, d, k * c - a, k * d - b
 
 
-def _prime_mask(n: int) -> np.ndarray:
-    """Boolean mask over 0..n, True at the primes (sieve of Eratosthenes)."""
-    import numpy as np
-
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    return sieve
+@functools.cache
+def _least_factors() -> list[int]:
+    """[0, 1, 2, 3, 2, 5, 2, 7, 2, 3, 2, ...]: the least prime factor of each
+    2 <= n <= FAREY_TABLE_LIMIT, sieved once per process; cflab's one sieve."""
+    spf, n = list(range(FAREY_TABLE_LIMIT + 1)), FAREY_TABLE_LIMIT
+    for d in range(math.isqrt(n), 1, -1):  # descending, so the least divisor writes last
+        spf[d * d::d] = [d] * ((n - d * d) // d + 1)
+    return spf
 
 
-def totients_up_to(Q: int) -> np.ndarray:
-    """phi(q) for q = 0..Q by sieve (index 0 unused)."""
-    import numpy as np
+def _factorize(q: int) -> list[int]:
+    """The distinct primes of 1 <= q <= FAREY_TABLE_LIMIT, ascending."""
+    spf, primes = _least_factors(), []
+    while q > 1:
+        primes.append(p := spf[q])
+        while q % p == 0:
+            q //= p
+    return primes
 
-    phi = np.arange(Q + 1, dtype=np.int64)
-    for p in np.flatnonzero(_prime_mask(Q)):
-        phi[p::p] -= phi[p::p] // p
-    return phi
+
+def _mobius_totient(n: int) -> tuple[list[int], list[int]]:
+    """(mu, phi) over 0..max(n, 1) for n <= FAREY_TABLE_LIMIT (both 0 at index 0).
+
+    With p the least prime of k and j = k / p: mu(k) = 0 and phi(k) = p phi(j)
+    when p | j, else mu(k) = -mu(j) and phi(k) = (p - 1) phi(j).
+    """
+    spf, mu, phi = _least_factors(), [0, 1], [0, 1]
+    for k in range(2, n + 1):
+        p = spf[k]
+        j = k // p
+        mu.append(-mu[j] if j % p else 0)
+        phi.append(phi[j] * (p - 1 if j % p else p))
+    return mu, phi
+
+
+def totients_up_to(Q: int) -> list[int]:
+    """phi(q) for q = 0..Q, Q <= FAREY_TABLE_LIMIT (index 0 unused, 0)."""
+    if not 0 <= Q <= FAREY_TABLE_LIMIT:
+        raise ValueError(f"Q = {Q} outside 0..{FAREY_TABLE_LIMIT}")
+    return _mobius_totient(Q)[1][:Q + 1]
 
 
 def farey_size(Q: int) -> int:
     """Number of height <= Q classes mod 1: 1 + sum_{q=2}^{Q} phi(q)."""
-    return 1 + int(totients_up_to(Q)[2:].sum())
+    return 1 + sum(totients_up_to(Q)[2:])
 
 
 @dataclass
@@ -220,19 +241,23 @@ def chi_mask(table: FareyTable, x: DyadicStream, margin: float = CHI_MARGIN) -> 
 
 
 _harmonic: tuple[list[int], list[int]] = ([0], [1])
+HARMONIC_PREFIX_LIMIT = 2 ** 16  # the prefix to it: about 0.91 s and 818 MiB peak RSS (2 vCPU EPYC)
 
 
 def _harmonic_prefix(k: int) -> tuple[list[int], list[int]]:
     """(N, L) with L[m] = lcm(1..m) and N[m] = L[m] H_m for m = 0..k at least.
 
-    One prefix per process, grown on demand by
-    N_m = N_{m-1} (L_m / L_{m-1}) + L_m / m.  row_sum_exact and
-    cumulative_expected_count ask for at most k = FAREY_TABLE_LIMIT, so it
-    holds at most FAREY_TABLE_LIMIT + 1 entries (about 5 MB).  It is grown
-    on private copies and published by one assignment, so a growth that is
-    interrupted between the two appends never leaves N and L unequal in length.
+    cflab's one exact harmonic prefix, read by the row sums up to
+    FAREY_TABLE_LIMIT and by stats.x_nf up to its largest clipped quotient.
+    One per process, grown on demand by N_m = N_{m-1} (L_m / L_{m-1}) + L_m / m;
+    entry m has about 1.44 m bits, so k past HARMONIC_PREFIX_LIMIT is refused
+    before it grows.  It is grown on private copies and published by one
+    assignment, so an interrupted growth never leaves N and L unequal in length.
     """
     global _harmonic
+    if k > HARMONIC_PREFIX_LIMIT:
+        raise ValueError(f"the harmonic prefix sum to {k} is past its bound of "
+                         f"{HARMONIC_PREFIX_LIMIT}")
     N, L = _harmonic
     if len(L) <= k:
         N, L = N.copy(), L.copy()
@@ -282,26 +307,6 @@ def row_sum_formula(q: int) -> float:
     return 2 * phi / q**2 * (math.log(q) + p_term + EULER_GAMMA)
 
 
-_least_factor: list[int] = []  # [0, 1, 2, 3, 2, 5, 2, 7, 2, 3, 2, ...] up to FAREY_TABLE_LIMIT
-
-
-def _factorize(q: int) -> list[int]:
-    """The distinct primes of 1 <= q <= FAREY_TABLE_LIMIT, ascending, read off
-    a least-prime-factor sieve built once per process."""
-    global _least_factor
-    if not _least_factor:
-        spf, n = list(range(FAREY_TABLE_LIMIT + 1)), FAREY_TABLE_LIMIT
-        for d in range(math.isqrt(n), 1, -1):  # descending, so the least divisor writes last
-            spf[d * d::d] = [d] * ((n - d * d) // d + 1)
-        _least_factor = spf
-    primes = []
-    while q > 1:
-        primes.append(p := _least_factor[q])
-        while q % p == 0:
-            q //= p
-    return primes
-
-
 def cumulative_expected_count(Q: int) -> tuple[Fraction, float]:
     """(sum_{q=2}^{Q} row_sum_exact(q), (6/pi^2) log^2 Q).
 
@@ -312,15 +317,9 @@ def cumulative_expected_count(Q: int) -> tuple[Fraction, float]:
     since every L/(dk) with k <= n is an integer.  The squares (L/k)^2 are
     read as L^2 // k^2.
     """
-    import numpy as np
-
     if not 2 <= Q <= FAREY_TABLE_LIMIT:
         raise ValueError(f"Q = {Q} outside 2..{FAREY_TABLE_LIMIT}")
-    mu = np.ones(Q + 1, dtype=np.int64)
-    for p in np.flatnonzero(_prime_mask(Q)):
-        mu[p::p] *= -1
-        mu[p * p::p * p] = 0
-    mu = mu.tolist()
+    mu = _mobius_totient(Q)[0]
     L = _harmonic_prefix(Q)[1][Q]
     LL = L * L
     total = a = b = k = 0

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
 
+from . import farey
+
 LOG2 = math.log(2)
-HARMONIC_PREFIX_LIMIT = 2 ** 16  # its exact prefix: about 1.3 s and 816 MiB peak RSS (2 vCPU EPYC)
 POWER_PREFIX_LIMIT = 2 ** 18  # its long-double prefix: about 0.37 s and 10 MiB (2 vCPU EPYC)
 
 
@@ -90,34 +92,8 @@ class WeightFunction:
         ld = np.array(ms, dtype=np.longdouble) ** np.longdouble(-(0.5 + self.gamma))
         return ld.astype(float).tolist()
 
-    def sum_to(self, k: int):
-        """Prefix sum of g over 2..k (empty when k < 2).  Unit sums are k - 1,
-        table sums stop growing past the largest listed m, and the harmonic and
-        power families refuse k past their *_PREFIX_LIMIT."""
-        if self.family == "table":
-            k = min(k, self.table[-1][0] if self.table else 0)
-        if k < 2:
-            return self._zero()
-        if self.family == "unit":
-            return Fraction(k - 1)
-        if (limit := {"harmonic": HARMONIC_PREFIX_LIMIT,
-                      "power": POWER_PREFIX_LIMIT}.get(self.family, k)) < k:
-            raise ValueError(f"the {self.family} prefix sum to {k} is past its bound of {limit}")
-        if (cache := _PREFIX_CACHE.get(self)) is None:
-            cache = _PREFIX_CACHE[self] = [self._zero()] * 2  # cache[k] = g(2) + ... + g(k)
-        while (m := len(cache)) <= k:  # in place; a racing grower sets slot m to the same value
-            cache[m:m + 1] = [cache[m - 1] + self(m)]
-        return cache[k]
 
-    def _zero(self):
-        if self.is_exact:
-            return Fraction(0)
-        import numpy as np
-
-        return np.longdouble(0)
-
-
-_PREFIX_CACHE: dict = {}  # per process: forked workers each grow their own
+_PREFIX_CACHE: dict = {}  # power weight -> its long-double prefix; per process
 
 
 def parse_weight(spec: str) -> WeightFunction:
@@ -294,13 +270,38 @@ class TruncationFn:
 def x_nf(x, n: int, g: WeightFunction, f: TruncationFn):
     """X_{n,f} = sum_{m=2}^{f(n)} g(m) #{i <= n : a_i >= m}.
 
-    Computed as sum over i of the prefix sums of g up to min(a_i, f(n)).
+    With k_i = min(a_i, f(n)): sum k_i - n for unit weights, the listed
+    g(m) #{i : k_i >= m} for tables, sum H_{k_i} - n as one integer over
+    farey's harmonic prefix, and the cached long-double prefixes of power
+    weights added in index order.  The first k_i past a prefix's bound is refused.
     """
-    top = f(n)
-    total = g._zero()
-    for a in x.quotients(1, n + 1):
-        total = total + g.sum_to(min(a, top))
-    return total
+    top = max(f(n), 1)  # when f(n) < 2 the sum is empty and every k_i = 1
+    ks = [min(a, top) for a in x.quotients(1, n + 1)]
+    if g.family == "unit":
+        return Fraction(sum(ks) - n)
+    if g.family == "table":
+        ks.sort()
+        return sum((v * (n - bisect.bisect_left(ks, m)) for m, v in g.table if 2 <= m <= ks[-1]),
+                   Fraction(0))
+    if g.family == "harmonic":
+        # the prefix refuses the first k_i past its bound, in index order
+        N, L = farey._harmonic_prefix(next((k for k in ks if k > farey.HARMONIC_PREFIX_LIMIT),
+                                           max(ks)))
+        acc, prev = 0, 1  # Horner, ascending: acc / L[prev] = sum of H_{k_i} over k_i <= prev
+        for k, count in sorted(Counter(ks).items()):
+            acc = acc * (L[k] // L[prev]) + count * N[k]
+            prev = k
+        return Fraction(acc, L[prev]) - n
+    import numpy as np
+
+    K = next((k for k in ks if k > POWER_PREFIX_LIMIT), max(ks))
+    if K > POWER_PREFIX_LIMIT:
+        raise ValueError(f"the power prefix sum to {K} is past its bound of {POWER_PREFIX_LIMIT}")
+    if (prefix := _PREFIX_CACHE.get(g)) is None:
+        prefix = _PREFIX_CACHE[g] = [np.longdouble(0)] * 2  # prefix[k] = g(2) + ... + g(k)
+    while (m := len(prefix)) <= K:  # in place; a racing grower sets slot m to the same value
+        prefix[m:m + 1] = [prefix[m - 1] + g(m)]
+    return sum([prefix[k] for k in ks], np.longdouble(0))
 
 
 def gauss_kuzmin_prob(k: int) -> float:

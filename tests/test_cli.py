@@ -934,6 +934,23 @@ def test_xnf_unit_weights_past_a_huge_truncation_run_in_bounded_memory(tmp_path)
     assert len((tmp_path / "xnf.csv").read_text().splitlines()) == 1 + 1297
 
 
+NO_NUMPY_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1] + "/src")
+from cflab import cli, farey
+rc = cli.main(["farey-row", "--q", "2000"])
+farey.cumulative_expected_count(2000)
+print(rc, "numpy" in sys.modules)
+"""
+
+
+def test_row_sums_and_the_cumulative_count_load_no_numpy():
+    # mu, phi and the primes of q all come from one pure-Python least-factor sieve
+    done = subprocess.run([sys.executable, "-c", NO_NUMPY_RUN, str(ROOT)],
+                          check=True, capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
 LAZY_IMPORTS_RUN = """
 import os
 import sys

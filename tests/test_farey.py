@@ -101,10 +101,19 @@ def test_totients():
 
 def test_sieves_match_trial_division():
     phi = [sum(math.gcd(u, q) == 1 for u in range(1, q + 1)) for q in range(501)]
-    prime = [q >= 2 and all(q % p for p in range(2, q)) for q in range(501)]
     for n in range(501):
         assert list(totients_up_to(n)[1:]) == phi[1:n + 1]
-        assert list(farey._prime_mask(n)) == prime[:n + 1]
+    limit = farey.FAREY_TABLE_LIMIT
+    with pytest.raises(ValueError, match="outside 0..5000"):
+        totients_up_to(limit + 1)
+    # mu and phi read off the least-factor sieve, against their definitions
+    # over the trial-division primes of each n
+    mu, phi = farey._mobius_totient(limit)
+    for n in range(1, limit + 1):
+        primes = trial_division_primes(n)
+        squarefree = all(n % (p * p) for p in primes)
+        assert mu[n] == (-1) ** len(primes) * squarefree, n
+        assert phi[n] == math.prod(p - 1 for p in primes) * n // math.prod(primes), n
 
 
 def test_lcm_up_to_matches_math_lcm():

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cflab import stats
+from cflab import farey, stats
 from cflab.cf import (DyadicStream, PeriodicStream, RationalStream, cf_of_rational,
                       intermediates, parse_stream, quotient)
 from cflab.harness import (mq_all, mq_count_closed, mq_count_farey,
-                           mq_count_intermediates, mq_value)
+                           mq_count_intermediates, mq_value, sample_stream)
 from cflab.stats import (ClassicalStats, TruncationFn, WeightFunction, birkhoff_average,
                          classical_stats, double_exceedance, gauss_kuzmin_prob,
                          indicator_sum, main_term, mq_level_expectation,
@@ -118,65 +118,84 @@ def test_weight_table_is_sparse(tmp_path):
         assert x_nf(x, 30, sparse, TruncationFn(0.5)) == x_nf(x, 30, dense, TruncationFn(0.5))
 
 
+def first_quotients(*ks):
+    """[0; k_1, ..., k_r, 1, 1, ...]: at n = r, X_{n,f} sums the prefixes g(2) + ... + g(k_i)
+    when f(n) >= max k_i."""
+    return PeriodicStream(0, ks, (1,))
+
+
+WIDE = TruncationFn(-20)  # f(2) = 2540: no k_i below is clipped at n = 2
+
+
 def test_weight_prefix_sums():
-    assert HARMONIC.sum_to(4) == Fraction(1, 2) + Fraction(1, 3) + Fraction(1, 4)
-    assert HARMONIC.sum_to(1) == 0
-    assert UNIT.sum_to(10) == 9
-    assert 1 + HARMONIC.sum_to(5) == Fraction(137, 60)
+    assert x_nf(first_quotients(4), 1, HARMONIC, WIDE) == 0  # f(1) = 1: the empty sum
+    assert x_nf(first_quotients(4, 1), 2, HARMONIC, WIDE) == \
+        Fraction(1, 2) + Fraction(1, 3) + Fraction(1, 4)
+    assert x_nf(first_quotients(1, 1), 2, HARMONIC, WIDE) == 0
+    assert x_nf(first_quotients(10, 1), 2, UNIT, WIDE) == 9
+    assert 1 + x_nf(first_quotients(5, 1), 2, HARMONIC, WIDE) == Fraction(137, 60)
     p = WeightFunction.power(0.5)
-    assert float(p.sum_to(3)) == pytest.approx(1 / 2 + 1 / 3)
+    assert float(x_nf(first_quotients(3, 1), 2, p, WIDE)) == pytest.approx(1 / 2 + 1 / 3)
 
 
 def test_harmonic_prefix_sums_stop_at_their_bound(monkeypatch):
-    monkeypatch.setattr(stats, "HARMONIC_PREFIX_LIMIT", 10)
-    monkeypatch.setattr(stats, "_PREFIX_CACHE", {})
-    assert HARMONIC.sum_to(10) == sum(Fraction(1, m) for m in range(2, 11))
-    with pytest.raises(ValueError, match="sum to 11 is past its bound of 10"):
-        HARMONIC.sum_to(11)
-    assert len(stats._PREFIX_CACHE[HARMONIC]) == 11  # refused before it grew
-    assert UNIT.sum_to(11) == 10  # only the family whose entries grow is bounded
+    monkeypatch.setattr(farey, "HARMONIC_PREFIX_LIMIT", 10)
+    monkeypatch.setattr(farey, "_harmonic", ([0], [1]))
+    assert x_nf(first_quotients(10, 1), 2, HARMONIC, WIDE) == \
+        sum(Fraction(1, m) for m in range(2, 11))
+    # the first clipped quotient past the bound in index order is named, not the largest
+    with pytest.raises(ValueError, match="^the harmonic prefix sum to 12 is past its bound of 10$"):
+        x_nf(first_quotients(3, 12, 11, 20), 4, HARMONIC, TruncationFn(5))  # f(4) = 24
+    assert len(farey._harmonic[1]) == 11  # refused before it grew
+    assert x_nf(first_quotients(11, 1), 2, UNIT, WIDE) == 10  # only growing prefixes are bounded
 
 
 def test_power_weights_stay_long_double():
     # the power family is evaluated and summed in extended precision; a float
     # anywhere on the way would round it to 53 bits
     p = WeightFunction.power(0.25)
-    values = (p(3), p.sum_to(4), p._zero(), x_nf(ALT23, 4, p, TruncationFn(0.5)))
+    values = (p(3), x_nf(first_quotients(4, 1), 2, p, WIDE), x_nf(GOLDEN, 5, p, WIDE),
+              x_nf(ALT23, 4, p, TruncationFn(0.5)))
     assert [type(v) for v in values] == [np.longdouble] * 4
 
 
 def test_unit_and_table_prefix_sums_keep_no_growing_cache(monkeypatch):
     monkeypatch.setattr(stats, "_PREFIX_CACHE", {})
-    assert UNIT.sum_to(10**12) == 10**12 - 1  # the closed form, no cache
+    huge = TruncationFn(-80)  # f(2) is about 9 * 10^12
+    assert x_nf(first_quotients(10**12, 1), 2, UNIT, huge) == 10**12 - 1  # the closed form
     g = WeightFunction.from_table([Fraction(1, 3), 2, 0, Fraction(-5, 7), 1])
-    assert g.sum_to(10**12) == g.sum_to(5) == Fraction(16, 7)  # clamped to the last listed m
-    assert g.sum_to(4) == Fraction(9, 7)
-    assert list(stats._PREFIX_CACHE) == [g] and len(stats._PREFIX_CACHE[g]) == 6
-    assert WeightFunction.from_table([]).sum_to(9) == 0
+    assert x_nf(first_quotients(10**12, 1), 2, g, huge) == Fraction(16, 7)  # past the last m
+    assert x_nf(first_quotients(5, 1), 2, g, huge) == Fraction(16, 7)
+    assert x_nf(first_quotients(4, 1), 2, g, huge) == Fraction(9, 7)
+    assert x_nf(first_quotients(9, 1), 2, WeightFunction.from_table([]), huge) == 0
+    assert x_nf(first_quotients(60, 1), 2, HARMONIC, huge) == sum(
+        Fraction(1, m) for m in range(2, 61))  # read off farey's prefix
+    assert stats._PREFIX_CACHE == {}
 
 
 def test_power_prefix_sums_stop_at_their_bound(monkeypatch):
     monkeypatch.setattr(stats, "POWER_PREFIX_LIMIT", 10)
     monkeypatch.setattr(stats, "_PREFIX_CACHE", {})
     p = WeightFunction.power(0.25)
-    assert p.sum_to(10) == sum(p(m) for m in range(2, 11))
-    with pytest.raises(ValueError, match="the power prefix sum to 11 is past its bound of 10"):
-        p.sum_to(11)
+    assert x_nf(first_quotients(10, 1), 2, p, WIDE) == sum(p(m) for m in range(2, 11))
+    with pytest.raises(ValueError, match="^the power prefix sum to 12 is past its bound of 10$"):
+        x_nf(first_quotients(3, 12, 11, 20), 4, p, TruncationFn(5))
     assert len(stats._PREFIX_CACHE[p]) == 11  # refused before it grew
 
 
-def test_weight_prefix_sums_under_racing_threads():
+def test_weight_prefix_sums_under_racing_threads(monkeypatch):
     """README: "A caller may still call the library from its own threads: the
     per-process caches (...) grow so that a racing grower writes the same value."
     """
-    # more threads than cores grow one unguarded prefix cache at once, in
-    # small steps; a fresh table per round gives a fresh cache
+    # more threads than cores grow farey's harmonic prefix and a power prefix
+    # at once, in small steps, each from cold every round
+    monkeypatch.setattr(stats, "_PREFIX_CACHE", {})
     errors = []
 
     def worker(g, want, k):
         try:
             for top in range(k + 1, len(want) + 1, 8):
-                assert g.sum_to(top) == want[top - 1]
+                assert x_nf(first_quotients(top, 1), 2, g, WIDE) == want[top - 1]
         except Exception as exc:  # reported through the list below
             errors.append(exc)
 
@@ -184,14 +203,16 @@ def test_weight_prefix_sums_under_racing_threads():
     sys.setswitchinterval(1e-6)
     try:
         for r in range(20):
-            g = WeightFunction.from_table([Fraction(1, m + 3 + r) for m in range(1, 161)])
-            want = list(itertools.accumulate((g(m) for m in range(2, 161)), initial=Fraction(0)))
-            threads = [threading.Thread(target=worker, args=(g, want, k)) for k in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
+            monkeypatch.setattr(farey, "_harmonic", ([0], [1]))
+            p = WeightFunction.power(0.25 + r / 64)
+            for g, zero in ((HARMONIC, Fraction(0)), (p, np.longdouble(0))):
+                want = list(itertools.accumulate((g(m) for m in range(2, 161)), initial=zero))
+                threads = [threading.Thread(target=worker, args=(g, want, k)) for k in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
@@ -483,6 +504,53 @@ def test_x_nf_double_loop_crosscheck():
             direct = sum((HARMONIC(m) * indicator_sum(x, m, n)
                           for m in range(2, f(n) + 1)), Fraction(0))
             assert x_nf(x, n, HARMONIC, f) == direct
+
+
+def x_nf_by_definition(x, n, g, f):
+    """Oracle: sum over i <= n of g(2) + ... + g(min(a_i, f(n))), term by term,
+    in Fractions for exact weights and in sequential long doubles for power."""
+    zero = Fraction(0) if g.is_exact else np.longdouble(0)
+    total = zero
+    for a in x.quotients(1, n + 1):
+        prefix = zero
+        for m in range(2, min(a, f(n)) + 1):
+            prefix = prefix + g(m)
+        total = total + prefix
+    return total
+
+
+ORACLE_WEIGHTS = {
+    "harmonic": HARMONIC, "unit": UNIT,
+    "power:0.25": WeightFunction.power(0.25), "power:1.5": WeightFunction.power(1.5),
+    "dense": WeightFunction.from_table([Fraction((-1) ** m, m * m + 1) for m in range(1, 200)]),
+    "sparse": WeightFunction("table", table=((1, Fraction(3)), (2, Fraction(-1, 3)),
+                                             (7, Fraction(2, 9)), (40, Fraction(-5, 8)),
+                                             (10 ** 9, Fraction(1, 2)))),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_WEIGHTS)
+def test_x_nf_matches_its_per_index_definition(name):
+    g = ORACLE_WEIGHTS[name]
+    for seed, n, delta in itertools.product(range(40), (1, 2, 10, 100, 300), (0.5, -0.4)):
+        x, f = sample_stream(1, seed), TruncationFn(delta)
+        got, want = x_nf(x, n, g, f), x_nf_by_definition(x, n, g, f)
+        assert got == want and type(got) is type(want), (seed, n, delta)
+
+
+def test_x_nf_sparse_table_past_a_huge_truncation_keeps_no_cache(monkeypatch):
+    # sample 1296 of seed 1 has a_1023 = 92987749 under f(1100) = 49031785; a
+    # per-index prefix of the table grew a cache of that length
+    monkeypatch.setattr(stats, "_PREFIX_CACHE", {})
+    x, g = sample_stream(1, 1296), ORACLE_WEIGHTS["sparse"]
+    x.quotients(1, 1101)  # certified before the clock starts
+    t0 = time.perf_counter()
+    got = x_nf(x, 1100, g, TruncationFn(5))
+    assert time.perf_counter() - t0 < 0.5
+    ks = [min(a, 49031785) for a in x.quotients(1, 1101)]
+    assert max(ks) == 49031785
+    assert got == sum((v * sum(k >= m for k in ks) for m, v in g.table[1:]), Fraction(0))
+    assert stats._PREFIX_CACHE == {}
 
 
 def test_gauss_kuzmin_prob():
