@@ -18,8 +18,6 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple, Union
 
-from .rationals import FareyFraction, _pair
-
 M64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
 
@@ -97,10 +95,10 @@ class ContinuedFraction:
         return self.quotients[n - 1]
 
 
-def cf_of_rational(x) -> ContinuedFraction:
-    """Canonical expansion of a rational via the Euclidean algorithm; the
-    final quotient is automatically >= 2 whenever a division step happens."""
-    p, q = _pair(x)
+def cf_of_rational(x: tuple[int, int]) -> ContinuedFraction:
+    """Canonical expansion of p/q, x = (p, q), via the Euclidean algorithm;
+    the final quotient is automatically >= 2 whenever a division step happens."""
+    p, q = x
     if q == 0:
         raise ValueError("invalid denominator: q = 0")
     if q < 0:
@@ -112,13 +110,6 @@ def cf_of_rational(x) -> ContinuedFraction:
         qs.append(k)
         q, r = r, r2
     return ContinuedFraction(a0, tuple(qs))
-
-
-def value_of_cf(cf: ContinuedFraction) -> Fraction:
-    """Exact value of a finite expansion."""
-    for _, _, p, q, _, _ in _levels(cf):
-        pass
-    return Fraction(p, q)
 
 
 class PartialQuotientStream:
@@ -161,7 +152,7 @@ class RationalStream(PartialQuotientStream):
         if q == 0:
             raise ValueError("invalid denominator: q = 0")
         self.value = Fraction(p, q)
-        self._cf = cf_of_rational(self.value)
+        self._cf = cf_of_rational(self.value.as_integer_ratio())
         self.a0 = self._cf.a0
 
     def quotient(self, n: int) -> int:
@@ -463,10 +454,6 @@ class Intermediate(NamedTuple):
     index: int
     num: int
     den: int
-
-    @property
-    def fraction(self) -> FareyFraction:
-        return FareyFraction(self.num, self.den)
 
     @property
     def height(self) -> int:

@@ -21,15 +21,21 @@ from .harness import (REGISTRY, ExperimentConfig, InvariantViolation,
                       aggregate, find_violations, mq_all, mq_count_closed,
                       mq_count_farey, mq_count_intermediates, mq_value,
                       pairdep_tables, run, write_csv, write_json)
-from .rationals import reduce_mod1
 from .stats import WeightFunction, parse_weight
 
 
 def _ratio(text: str) -> tuple[int, int]:
-    if "/" in text:
-        p_s, q_s = text.split("/", 1)
-        return int(p_s), int(q_s)
-    return int(text), 1
+    """(p, q) of "p/q" or "p", refusing q = 0."""
+    p_s, q_s = text.split("/", 1) if "/" in text else (text, "1")
+    p, q = int(p_s), int(q_s)
+    if q == 0:
+        raise ValueError("invalid denominator: q = 0")
+    return p, q
+
+
+def _class_mod1(text: str) -> tuple[int, int]:
+    """The reduced class (a, q) of "p/q" mod 1, with 0 <= a < q (0 as (0, 1))."""
+    return (Fraction(*_ratio(text)) % 1).as_integer_ratio()
 
 
 def _fmt(v) -> str:
@@ -53,16 +59,14 @@ def _cmd_convergents(args) -> int:
 def _cmd_intermediates(args) -> int:
     x = parse_stream(args.x)
     for rec in intermediates(x, args.Q):
-        f = rec.fraction
         # the zero class enters the listing as the value 1, shown that way
-        shown = "1/1" if f.den == 1 else f"{f.num}/{f.den}"
+        shown = "1/1" if rec.den == 1 else f"{rec.num}/{rec.den}"
         print(f"{rec.level} {rec.index} {rec.height} {shown}")
     return 0
 
 
 def _cmd_chi(args) -> int:
-    a, q = _ratio(args.beta)
-    print(chi(reduce_mod1(a, q), parse_stream(args.x)))
+    print(chi(_class_mod1(args.beta), parse_stream(args.x)))
     return 0
 
 

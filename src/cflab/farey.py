@@ -1,6 +1,8 @@
 """Farey fractions of bounded height: neighbors, interval indicators,
 row sums and expected hit counts.
 
+A class beta mod 1 is the pair (a, q) of Python ints of its reduced
+representative a/q, 0 <= a < q, the zero class (0, 1); a value is a Fraction.
 For a reduced fraction beta = a/q with q >= 2, its neighbors are the two
 fractions adjacent to it in the Farey set of order q; they satisfy
 num(beta) h(lower) - num(lower) h(beta) = 1 and their heights add up to q.
@@ -14,10 +16,9 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 from .cf import DyadicStream, InvariantViolation
-from .rationals import FareyFraction, _pair
+
 
 @dataclass(frozen=True)
 class NeighborPair:
@@ -31,9 +32,9 @@ class NeighborPair:
     upper: Fraction
 
 
-def farey_neighbors(beta) -> NeighborPair:
+def farey_neighbors(beta: tuple[int, int]) -> NeighborPair:
     """Neighbors of beta in the Farey set of order h(beta)."""
-    a, q = _pair(beta)
+    a, q = beta
     if q == 1:
         raise ValueError("height-1 class has no neighbors; chi is identically 1")
     q_lo = pow(a, -1, q)
@@ -43,13 +44,13 @@ def farey_neighbors(beta) -> NeighborPair:
     return NeighborPair(Fraction(p_lo, q_lo), Fraction(p_hi, q_hi))
 
 
-def chi(beta, x) -> Fraction:
+def chi(beta: tuple[int, int], x) -> Fraction:
     """Indicator of the neighbor interval of beta, evaluated at a stream x.
 
     Returns 1 when x mod 1 lies inside (lower, upper), 1/2 at an endpoint,
     0 outside; identically 1 for the height-1 class.
     """
-    a, q = _pair(beta)
+    _, q = beta
     if q == 1:
         return Fraction(1)
     nb = farey_neighbors(beta)
@@ -58,24 +59,13 @@ def chi(beta, x) -> Fraction:
                     - x.compare_fraction(x.a0 + nb.upper), 2)
 
 
-def expected_chi(beta) -> Fraction:
+def expected_chi(beta: tuple[int, int]) -> Fraction:
     """Length of the neighbor interval, 1/(h(lower) h(upper))."""
-    a, q = _pair(beta)
+    a, q = beta
     if q == 1:
         return Fraction(1)
     q_lo = pow(a, -1, q)
     return Fraction(1, q_lo * (q - q_lo))
-
-
-def enumerate_farey(Q: int) -> Iterator[FareyFraction]:
-    """Fractions of height <= Q in [0, 1), ascending, starting at 0/1."""
-    check_order(Q)
-    a, b, c, d = 0, 1, 1, Q
-    yield FareyFraction(0, 1)
-    while (c, d) != (1, 1):
-        yield FareyFraction(c, d)
-        k = (Q + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
 
 
 @functools.cache
@@ -150,11 +140,11 @@ class FareyTable:
     def __len__(self):
         return len(self.num)
 
-    def index_of(self, frac: FareyFraction) -> int:
+    def index_of(self, beta: tuple[int, int]) -> int:
         if self._index is None:
             self._index = {(int(a), int(q)): i
                            for i, (a, q) in enumerate(zip(self.num, self.den))}
-        return self._index[(frac.num, frac.den)]
+        return self._index[beta]
 
 
 FAREY_TABLE_LIMIT = 5000

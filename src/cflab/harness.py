@@ -186,7 +186,7 @@ def mq_count_farey(stream, grid) -> dict:
     lo_f, hi_f = (a - 1 / q_lo) / q, (a + 1 / q_hi) / q  # the neighbors' values
     halves = 2 * ((lo_f < x_f - CHI_MARGIN) & (hi_f > x_f + CHI_MARGIN))
     for i in np.flatnonzero(np.minimum(abs(lo_f - x_f), abs(hi_f - x_f)) <= CHI_MARGIN):
-        halves[i] = int(2 * chi((a[i], q[i]), stream))
+        halves[i] = int(2 * chi((int(a[i]), int(q[i])), stream))
     term = terminal_from_neighbors(q, q_lo, q_hi)
     out = {}
     for Q in grid:

@@ -7,13 +7,14 @@ import math
 from fractions import Fraction
 
 from cflab.cf import quotient
-from cflab.farey import (chi_mask, cumulative_expected_count, enumerate_farey,
+from cflab.farey import (chi_mask, cumulative_expected_count,
                          expected_chi, farey_neighbors, farey_table,
                          row_sum_exact, row_sum_formula)
 from cflab.harness import (ExperimentConfig, aggregate, mq_all, mq_count_closed,
                            mq_value, rows_to_csv, run, sample_stream)
 from cflab.cf import intermediates
 from cflab.stats import WeightFunction, gauss_kuzmin_prob, weight_log_series
+from oracles import enumerate_farey
 
 KL_CONSTANT = math.pi ** 2 / (12 * math.log(2))   # a.e. limit of log(q_n)/n
 LEVEL_RATE = 12 * math.log(2) / math.pi ** 2      # a.e. limit of N(Q,x)/log Q
@@ -51,7 +52,7 @@ def test_criterion_02_indicator_matches_enumeration():
         mask = chi_mask(table, x)
         member = [False] * len(table.num)
         for rec in intermediates(x, 100):
-            member[table.index_of(rec.fraction)] = True
+            member[table.index_of((rec.num, rec.den))] = True
         mismatches += sum(1 for a, b in zip(mask, member) if bool(a) != b)
     line = _report(2, mismatches == 0,
                    f"indicator vs enumeration over F_100 x 1000 samples, "

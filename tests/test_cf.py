@@ -15,9 +15,9 @@ from cflab.cf import (GOLDEN64, M64, ContinuedFraction, DyadicStream, InvariantV
                       NeedsMoreBits, OutOfQuotients, PeriodicStream,
                       QuotientCapExceeded, RationalStream, cf_of_rational,
                       convergents, cutoff, intermediates, mix64, parse_stream,
-                      quotient, value_of_cf)
+                      quotient)
 from cflab.farey import farey_neighbors
-from cflab.rationals import reduce_mod1
+from oracles import FareyFraction, value_of_cf
 
 
 def euclid_expansion(p, q):
@@ -150,7 +150,7 @@ def test_dyadic_endpoint_prefix_oracle():
 def restart_certified(x, held=()):
     """Full-restart oracle: the longest common prefix of the canonical
     expansions of both interval endpoints, never shorter than `held`."""
-    lo, hi = (cf_of_rational(e) for e in x.interval())
+    lo, hi = (cf_of_rational(e.as_integer_ratio()) for e in x.interval())
     common = []
     if lo.a0 == hi.a0:
         for a, b in zip(lo.quotients, hi.quotients):
@@ -213,7 +213,7 @@ def deep_rational(seed):
     750 quotients long and its tails there run to about 1,300 bits."""
     words = [mix64((seed + k * GOLDEN64) & M64) for k in range(1, 21)]
     words[-1] |= 1
-    return words, cf_of_rational(Fraction(int.from_bytes(
+    return words, cf_of_rational((int.from_bytes(
         b"".join(w.to_bytes(8, "big") for w in words), "big"), 1 << 1280)).quotients
 
 
@@ -442,7 +442,7 @@ def test_comparison_matches_slow_oracles(x, depth, data):
         r = c.as_fraction()
         targets.append(r)
         if c.q > 1:
-            nb = farey_neighbors(reduce_mod1(c.p, c.q))
+            nb = farey_neighbors((Fraction(c.p, c.q) % 1).as_integer_ratio())
             targets += [math.floor(r) + nb.lower, math.floor(r) + nb.upper]
     if isinstance(x, DyadicStream):
         targets += x.interval()
@@ -486,11 +486,11 @@ def test_cutoff_rational_termination():
 
 def test_intermediates_examples():
     g = PeriodicStream(0, (), (1,))
-    recs = [(r.level, r.index, r.height, str(r.fraction))
+    recs = [(r.level, r.index, r.height, str(FareyFraction(r.num, r.den)))
             for r in intermediates(g, 3)]
     assert recs == [(1, 1, 1, "0/1"), (2, 1, 2, "1/2"), (3, 1, 3, "2/3")]
     y = PeriodicStream(0, (2,), (3, 2))
-    recs = [(r.level, r.index, str(r.fraction)) for r in intermediates(y, 7)]
+    recs = [(r.level, r.index, str(FareyFraction(r.num, r.den))) for r in intermediates(y, 7)]
     assert recs == [(1, 1, "0/1"), (1, 2, "1/2"), (2, 1, "1/3"),
                     (2, 2, "2/5"), (2, 3, "3/7")]
     only = intermediates(DyadicStream(11), 1)
@@ -520,16 +520,16 @@ def test_intermediates_are_iterated_mediants():
             (a, q), (b, s) = prev, pq[n - 1]
             prev = num, den = a + b, q + s  # the mediant of prev and p_{n-1}/q_{n-1}
             assert den == r.height
-            assert reduce_mod1(num, den) == r.fraction
+            assert (Fraction(num, den) % 1).as_integer_ratio() == (r.num, r.den)
 
 
 def test_intermediates_rational_contains_itself_last():
     x = RationalStream(3, 7)
     recs = intermediates(x, 7)
-    assert (recs[-1].fraction.num, recs[-1].fraction.den) == (3, 7)
+    assert (recs[-1].num, recs[-1].den) == (3, 7)
     x2 = RationalStream(355, 113)
     recs2 = intermediates(x2, 113)
-    last = recs2[-1].fraction
+    last = recs2[-1]
     assert (last.num, last.den) == (355 % 113, 113)
 
 

@@ -11,13 +11,13 @@ import pytest
 
 from cflab import farey
 from cflab.cf import (DyadicStream, InvariantViolation, PeriodicStream, RationalStream,
-                      intermediates)
+                      cf_of_rational, intermediates)
 from cflab.farey import (chi, chi_mask, cumulative_expected_count,
-                         enumerate_farey, expected_chi, farey_neighbors,
+                         expected_chi, farey_neighbors,
                          farey_size, farey_table, parse_height_set,
                          row_sum_exact, row_sum_formula, totients_up_to)
-from cflab.rationals import FareyFraction
 from cflab.stats import terminal_quotient
+from oracles import FareyFraction, enumerate_farey
 
 
 def brute_neighbors(a, q):
@@ -82,6 +82,16 @@ def test_chi_examples():
     assert chi(FareyFraction(2, 3), g) == 1
     assert chi(FareyFraction(0, 1), g) == 1
     assert chi(FareyFraction(2, 5), RationalStream(1, 3)) == Fraction(1, 2)
+
+
+def test_a_class_is_an_int_pair_and_nothing_else():
+    # "12" unpacks into two digits, yet is no pair of ints
+    g = PeriodicStream(0, (), (1,))
+    for fn in (cf_of_rational, farey_neighbors, expected_chi, lambda beta: chi(beta, g)):
+        assert fn((2, 5)) == fn(FareyFraction(2, 5))
+        for bad in ("12", 1.5, None, Fraction(2, 5), 7):
+            with pytest.raises(TypeError):
+                fn(bad)
 
 
 def test_enumerate_farey():
@@ -411,7 +421,7 @@ def test_chi_membership_equivalence_small():
     for seed in range(8):
         x = DyadicStream(seed)
         mask = chi_mask(table, x)
-        members = {(r.fraction.num, r.fraction.den) for r in intermediates(x, 40)}
+        members = {(r.num, r.den) for r in intermediates(x, 40)}
         got = {(int(table.num[i]), int(table.den[i]))
                for i in np.nonzero(mask)[0]}
         assert got == members

@@ -15,14 +15,14 @@ import cflab.cf
 from cflab.cf import (DyadicStream, PeriodicStream, RationalStream,
                       intermediates, quotient)
 from cflab import farey, harness
-from cflab.farey import HeightSet, chi, enumerate_farey, parse_height_set
+from cflab.farey import HeightSet, chi, parse_height_set
 from cflab.harness import (CSV_HEADER, ExperimentConfig, ResultRow, RunRows, aggregate,
                            find_violations, format_value, mq_count_closed,
                            mq_count_farey, mq_count_intermediates, mq_value,
                            pairdep_tables, resolve_params, rows_to_csv, run,
                            sample_stream, write_csv, write_json)
-from cflab.rationals import reduce_mod1
 from cflab.stats import WeightFunction, gauss_kuzmin_prob, terminal_quotient
+from oracles import FareyFraction, enumerate_farey
 
 
 # -- sample_stream -------------------------------------------------------------
@@ -456,7 +456,8 @@ def _slow_intermediates(x, Q):
             den = m * q1 + q2
             if den > Q:
                 return out
-            out.append((n, m, reduce_mod1(m * p1 + p2, den), den))
+            beta = FareyFraction(*(Fraction(m * p1 + p2, den) % 1).as_integer_ratio())
+            out.append((n, m, beta, den))
         p1, q1, p2, q2 = a * p1 + p2, a * q1 + q2, p1, q1
 
 
@@ -480,7 +481,7 @@ STREAMS = st.one_of(
 @example(x=RationalStream(3, 7), Q=5)
 def test_intermediates_route_matches_the_slow_oracle(x, Q):
     want = _slow_intermediates(x, Q)
-    assert [(r.level, r.index, r.fraction, r.height) for r in intermediates(x, Q)] == want
+    assert [(r.level, r.index, (r.num, r.den), r.height) for r in intermediates(x, Q)] == want
     assert mq_count_intermediates(x, (Q,))[Q] == Counter(_slow_terminal_quotient(f)
                                                          for _, _, f, _ in want)
 
