@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import NamedTuple, Union
 
 M64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
@@ -149,10 +148,8 @@ class RationalStream(PartialQuotientStream):
     """Terminating stream for a rational number."""
 
     def __init__(self, p: int, q: int):
-        if q == 0:
-            raise ValueError("invalid denominator: q = 0")
+        self._cf = cf_of_rational((p, q))  # first: q = 0 is its ValueError, not a ZeroDivisionError
         self.value = Fraction(p, q)
-        self._cf = cf_of_rational(self.value.as_integer_ratio())
         self.a0 = self._cf.a0
 
     def quotient(self, n: int) -> int:
@@ -345,10 +342,7 @@ class DyadicStream(PartialQuotientStream):
         return f"DyadicStream(seed={self.seed:#x}, bits={self._B})"
 
 
-Stream = Union[RationalStream, PeriodicStream, DyadicStream]
-
-
-def parse_stream(spec: str) -> Stream:
+def parse_stream(spec: str) -> PartialQuotientStream:
     """Parse a stream spec: rational:p/q | periodic:[a0;pre|per] | dyadic:seed=S."""
     if spec.startswith("rational:"):
         body = spec[len("rational:"):]
@@ -376,11 +370,6 @@ def parse_stream(spec: str) -> Stream:
     raise ValueError(f"unknown stream spec {spec!r}")
 
 
-def quotient(x, n: int) -> int:
-    """Partial quotient a_n (n >= 1) of a stream or finite expansion."""
-    return x.quotient(n)
-
-
 def _levels(x):
     """The continuant walk: (n, a_n, p_n, q_n, p_{n-1}, q_{n-1}) for n = 0, 1, ...
 
@@ -392,7 +381,7 @@ def _levels(x):
         yield n, a, p, q, pm1, qm1
         n += 1
         try:
-            a = quotient(x, n)
+            a = x.quotient(n)
         except OutOfQuotients:
             return
         p, q, pm1, qm1 = a * p + pm1, a * q + qm1, p, q
@@ -447,22 +436,9 @@ def cutoff(x, Q: int) -> CutoffData:
     return CutoffData(N=n, a=a if n else 0, terminated=True, quotients=tuple(read[1:-1]))
 
 
-class Intermediate(NamedTuple):
-    """One member of the intermediate-fraction set: level n, index m, num/den mod 1."""
-
-    level: int
-    index: int
-    num: int
-    den: int
-
-    @property
-    def height(self) -> int:
-        return self.den
-
-
-def intermediate_tuples(x, Q: int) -> list[tuple[int, int, int, int]]:
+def intermediates(x, Q: int) -> list[tuple[int, int, int, int]]:
     """(level, index, num, den) of each intermediate fraction of x with height
-    at most Q, as plain tuples.
+    at most Q; its height is den.
 
     Level n contributes (m p_{n-1} + p_{n-2}) / (m q_{n-1} + q_{n-2}) for
     m = 1..a_n, the cutoff level truncated at m = a(Q, x).  The enumeration
@@ -490,7 +466,3 @@ def intermediate_tuples(x, Q: int) -> list[tuple[int, int, int, int]]:
             break
     return out
 
-
-def intermediates(x, Q: int) -> list[Intermediate]:
-    """intermediate_tuples(x, Q) as Intermediate records."""
-    return [Intermediate(*t) for t in intermediate_tuples(x, Q)]

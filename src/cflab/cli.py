@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -50,18 +51,16 @@ def _cmd_cf(args) -> int:
 
 
 def _cmd_convergents(args) -> int:
-    x = parse_stream(args.x)
-    for c in convergents(x, args.n):
+    for c in convergents(parse_stream(args.x), args.n):
         print(f"{c.n} {c.p}/{c.q}")
     return 0
 
 
 def _cmd_intermediates(args) -> int:
-    x = parse_stream(args.x)
-    for rec in intermediates(x, args.Q):
+    for level, index, num, den in intermediates(parse_stream(args.x), args.Q):
         # the zero class enters the listing as the value 1, shown that way
-        shown = "1/1" if rec.den == 1 else f"{rec.num}/{rec.den}"
-        print(f"{rec.level} {rec.index} {rec.height} {shown}")
+        shown = "1/1" if den == 1 else f"{num}/{den}"
+        print(f"{level} {index} {den} {shown}")
     return 0
 
 
@@ -95,6 +94,8 @@ def _cmd_mq(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
+    if args.json and os.path.splitext(args.out)[1] == ".json":  # the mirror would be --out
+        raise ValueError(f"--json would write its JSON mirror over the CSV {args.out!r}")
     # flags to params only: resolve_params decides what the experiment takes
     exp = REGISTRY.get(args.experiment)  # and rejects an unknown name
     params: dict = {}
@@ -205,6 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="also write a JSON mirror next to the CSV")
     p.set_defaults(fn=_cmd_montecarlo)
+    for parser in (ap, *sub.choices.values()):  # "-7/3" is a value: no option starts with a digit
+        parser._negative_number_matcher = re.compile(r"-\d")
     return ap
 
 

@@ -103,18 +103,6 @@ def _mobius_totient(n: int) -> tuple[list[int], list[int]]:
     return mu, phi
 
 
-def totients_up_to(Q: int) -> list[int]:
-    """phi(q) for q = 0..Q, Q <= FAREY_TABLE_LIMIT (index 0 unused, 0)."""
-    if not 0 <= Q <= FAREY_TABLE_LIMIT:
-        raise ValueError(f"Q = {Q} outside 0..{FAREY_TABLE_LIMIT}")
-    return _mobius_totient(Q)[1][:Q + 1]
-
-
-def farey_size(Q: int) -> int:
-    """Number of height <= Q classes mod 1: 1 + sum_{q=2}^{Q} phi(q)."""
-    return 1 + sum(totients_up_to(Q)[2:])
-
-
 @dataclass
 class FareyTable:
     """Flat arrays over all fractions of height <= Q, for bulk chi evaluation.
@@ -158,12 +146,6 @@ def check_order(Q: int) -> None:
         raise ValueError(f"Q = {Q} beyond enumeration limit {FAREY_TABLE_LIMIT}")
 
 
-def farey_table(Q: int) -> FareyTable:
-    """The bulk table for F_Q, O(Q^2) entries, built afresh on every call."""
-    check_order(Q)
-    return _build_table(Q)
-
-
 def terminal_from_neighbors(den, lo_den, hi_den):
     """Terminal partial quotients of height-den fractions from their neighbor
     heights, elementwise (1 for the zero class): for beta = [0; a1, ..., an],
@@ -174,14 +156,14 @@ def terminal_from_neighbors(den, lo_den, hi_den):
     return den // np.minimum(lo_den, hi_den) - ((hi_den == 1) & (den > 2))
 
 
-def _build_table(Q: int) -> FareyTable:
-    """F_Q over the Stern-Brocot tree, sorted by (den, num).
-
-    A fraction's parents in the tree are its Farey neighbors.
-    """
+def farey_table(Q: int) -> FareyTable:
+    """The bulk table for F_Q, its 1 + sum_{q=2}^{Q} phi(q) classes sorted by
+    (den, num), built afresh on every call over the Stern-Brocot tree, where
+    a fraction's parents are its Farey neighbors."""
     import numpy as np
 
-    rows = np.empty((6, farey_size(Q)), dtype=np.int64)  # num, den, lo, hi
+    check_order(Q)
+    rows = np.empty((6, 1 + sum(_mobius_totient(Q)[1][2:])), dtype=np.int64)  # num, den, lo, hi
     rows[:, 0] = 0, 1, 0, 1, 1, 1
     lo, hi = np.array([[0], [1]]), np.array([[1], [1]])  # next level's parents
     i = 1

@@ -31,10 +31,8 @@ from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Callable, NamedTuple
 
-# intermediates is the walk of plain tuples, not records, which the routes only
-# unpack; perfbench/tracer.py patches this name as cf.intermediates and counts its len().
 from .cf import (GOLDEN64, M64, DyadicStream, InvariantViolation, convergents, cutoff,
-                 intermediate_tuples as intermediates, mix64, quotient)
+                 intermediates, mix64)
 # chi_mask and farey_table are unused here; perfbench/tracer.py patches them by name.
 from .farey import (CHI_MARGIN, HeightSet, check_order, chi, chi_mask,  # noqa: F401
                     farey_table, terminal_from_neighbors)
@@ -263,7 +261,7 @@ def _run_variance(stream, m, p):
 
 def _run_pairdep(stream, k, p):
     n = p["n"]
-    return [("a_first", quotient(stream, n)), ("a_second", quotient(stream, n + k))]
+    return [("a_first", stream.quotient(n)), ("a_second", stream.quotient(n + k))]
 
 
 def _run_double_exceed(stream, M, p):

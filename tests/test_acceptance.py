@@ -6,7 +6,6 @@ never loosened."""
 import math
 from fractions import Fraction
 
-from cflab.cf import quotient
 from cflab.farey import (chi_mask, cumulative_expected_count,
                          expected_chi, farey_neighbors, farey_table,
                          row_sum_exact, row_sum_formula)
@@ -51,8 +50,8 @@ def test_criterion_02_indicator_matches_enumeration():
         x = sample_stream(1042, i)
         mask = chi_mask(table, x)
         member = [False] * len(table.num)
-        for rec in intermediates(x, 100):
-            member[table.index_of((rec.num, rec.den))] = True
+        for _, _, num, den in intermediates(x, 100):
+            member[table.index_of((num, den))] = True
         mismatches += sum(1 for a, b in zip(mask, member) if bool(a) != b)
     line = _report(2, mismatches == 0,
                    f"indicator vs enumeration over F_100 x 1000 samples, "
@@ -172,9 +171,9 @@ def test_criterion_10_weak_quotient_dependence():
     pairs = {5: [], 10: []}
     for i in range(n):
         x = sample_stream(10, i)
-        a1 = quotient(x, 1)
-        pairs[5].append((a1, quotient(x, 6)))
-        pairs[10].append((a1, quotient(x, 11)))
+        a1 = x.quotient(1)
+        pairs[5].append((a1, x.quotient(6)))
+        pairs[10].append((a1, x.quotient(11)))
     worst = 0.0
     for k, ps in pairs.items():
         for r in (1, 2):

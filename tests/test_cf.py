@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,7 @@ import cflab.cf
 from cflab.cf import (GOLDEN64, M64, ContinuedFraction, DyadicStream, InvariantViolation,
                       NeedsMoreBits, OutOfQuotients, PeriodicStream,
                       QuotientCapExceeded, RationalStream, cf_of_rational,
-                      convergents, cutoff, intermediates, mix64, parse_stream,
-                      quotient)
+                      convergents, cutoff, intermediates, mix64, parse_stream)
 from cflab.farey import farey_neighbors
 from oracles import FareyFraction, value_of_cf
 
@@ -110,15 +110,17 @@ def test_convergents_determinant_identity():
 
 def test_quotient_streams():
     g = PeriodicStream(0, (), (1,))
-    assert all(quotient(g, n) == 1 for n in range(1, 30))
+    assert all(g.quotient(n) == 1 for n in range(1, 30))
     x = RationalStream(2, 5)
-    assert quotient(x, 1) == 2 and quotient(x, 2) == 2
+    assert x.quotient(1) == 2 and x.quotient(2) == 2
     with pytest.raises(OutOfQuotients):
-        quotient(x, 3)
+        x.quotient(3)
     y = PeriodicStream(0, (2,), (3, 2))
-    assert [quotient(y, n) for n in range(1, 6)] == [2, 3, 2, 3, 2]
+    assert [y.quotient(n) for n in range(1, 6)] == [2, 3, 2, 3, 2]
+    z = PeriodicStream(4, (9, 8), (1, 2, 3, 5))  # a period of 4 shows a shifted index
+    assert [z.quotient(n) for n in range(1, 12)] == [9, 8, 1, 2, 3, 5, 1, 2, 3, 5, 1]
     cf = ContinuedFraction(3, (7, 16))
-    assert [quotient(cf, n) for n in (1, 2)] == [7, 16]
+    assert [cf.quotient(n) for n in (1, 2)] == [7, 16]
     with pytest.raises(OutOfQuotients, match="after 2 partial"):
         cf.quotient(3)
     with pytest.raises(ValueError):
@@ -259,6 +261,58 @@ def test_dyadic_certifier_canonical_edges(words, monkeypatch):
     assert_grows_like_oracle(DyadicStream(0), len(words) - 1)
 
 
+def _euclid(a, b, n):
+    """The first n quotients of a/b, fewer if its expansion ends, and the pair
+    of remainders after them."""
+    quotients = []
+    while b and len(quotients) < n:
+        m, r = divmod(a, b)
+        quotients.append(m)
+        a, b = b, r
+    return quotients, (a, b)
+
+
+def straddling_tails(count: int, seed: int):
+    """count tail pairs (a, b, c, d) of 520 to 1,000 bits.  a/b lies within 4
+    leading-word units of a boundary p/q, a convergent (plus 1) with q of 10 to 40
+    bits, where a batch of 63-bit words runs out.  c/d's leading words are a/b's
+    moved by one of the offsets below, so that p/q falls between either tail
+    and an inner end of the other's bracket, such as A/B or (A+1)/(B+1)."""
+    rng = random.Random(seed)
+    boundaries = [(c.p + c.q, c.q) for s in range(8) for c in convergents(DyadicStream(s), 60)
+                  if 10 <= c.q.bit_length() <= 40]
+    for _ in range(count):
+        p, q = rng.choice(boundaries)
+        k = rng.choice((520, 600, 1000))
+        h = (p << k).bit_length() - 63
+        a = (p << k) + rng.randrange(-4 << h, 4 << h)
+        b = (q << k) + rng.randrange(-4 << h, 4 << h)
+        sign = rng.choice((1, -1))
+        dc, dd = rng.choice(((0, 0), (1, 0), (2, 1), (0, 1), (1, 1)))
+        c = ((a >> h) + sign * dc << h) + rng.randrange(1 << h)
+        d = ((b >> h) + sign * dd << h) + rng.randrange(1 << h)
+        yield a, b, c, d
+
+
+def test_lehmer_batch_on_tails_straddling_a_boundary():
+    # every quotient of a batch is one of both tails' exact expansions, and the
+    # state after it holds both tails' remainders; a batch takes about 16
+    certified = 0
+    for a, b, c, d in straddling_tails(1000, seed=0):
+        sq0, sq1 = a - c, d - b  # c = a - sq0, d = b + sq1, as DyadicStream holds them
+        batch, state = cflab.cf._lehmer_batch(a, b, c, d, sq0, sq1)
+        (lower, after_lower), (upper, after_upper) = (_euclid(a, b, len(batch)),
+                                                      _euclid(c, d, len(batch)))
+        assert batch == lower == upper, (a, b, c, d)
+        if batch:
+            a2, b2, sq0, sq1 = state
+            assert ((a2, b2), (a2 - sq0, b2 + sq1)) == (after_lower, after_upper)
+        else:
+            assert state is None
+        certified += len(batch)
+    assert certified >= 15_000
+
+
 def test_dyadic_quotient_cap(monkeypatch):
     # x lies about 2^-190 below 1/3 = [0;3], so a_2 is about 2^186
     blocks = itertools.chain([0x5555555555555555] * 2 + [0x5555555555555554],
@@ -361,17 +415,17 @@ def test_quotients_are_the_quotient_reads(x, lo, hi):
 def test_dyadic_determinism_and_stability():
     x1 = DyadicStream(999)
     x2 = DyadicStream(999)
-    first = [quotient(x1, n) for n in range(1, 20)]
-    assert first == [quotient(x2, n) for n in range(1, 20)]
+    first = [x1.quotient(n) for n in range(1, 20)]
+    assert first == [x2.quotient(n) for n in range(1, 20)]
     # force deep refinement, earlier quotients must not move
-    assert quotient(x2, 200) >= 1
-    assert first == [quotient(x2, n) for n in range(1, 20)]
+    assert x2.quotient(200) >= 1
+    assert first == [x2.quotient(n) for n in range(1, 20)]
     assert x2.bits > x1.bits
 
 
 def test_dyadic_interval_brackets():
     x = DyadicStream(7)
-    quotient(x, 10)
+    x.quotient(10)
     lo, hi = x.interval()
     assert 0 <= lo < hi <= 1
     assert hi - lo == Fraction(1, 2 ** x.bits)
@@ -472,7 +526,7 @@ def test_cutoff_invariants_on_samples():
             q_nm2 = q[cut.N - 2] if cut.N >= 2 else (1 if cut.N == 1 else 0)
             assert q_nm1 + q_nm2 <= Q < q[cut.N] + q_nm1
             assert cut.a * q_nm1 + q_nm2 <= Q < (cut.a + 1) * q_nm1 + q_nm2
-            assert 1 <= cut.a <= quotient(x, cut.N)
+            assert 1 <= cut.a <= x.quotient(cut.N)
 
 
 def test_cutoff_rational_termination():
@@ -482,55 +536,57 @@ def test_cutoff_rational_termination():
     assert (cut.N, cut.a) == (2, 3)
     tame = cutoff(RationalStream(3, 7), 7)
     assert not tame.terminated and (tame.N, tame.a) == (2, 3)
+    # an integer has no level 1, so no multiplicity either
+    assert cutoff(RationalStream(5, 1), 100) == cflab.cf.CutoffData(N=0, a=0, terminated=True)
 
 
 def test_intermediates_examples():
     g = PeriodicStream(0, (), (1,))
-    recs = [(r.level, r.index, r.height, str(FareyFraction(r.num, r.den)))
-            for r in intermediates(g, 3)]
+    recs = [(level, index, den, str(FareyFraction(num, den)))
+            for level, index, num, den in intermediates(g, 3)]
     assert recs == [(1, 1, 1, "0/1"), (2, 1, 2, "1/2"), (3, 1, 3, "2/3")]
     y = PeriodicStream(0, (2,), (3, 2))
-    recs = [(r.level, r.index, str(FareyFraction(r.num, r.den))) for r in intermediates(y, 7)]
+    recs = [(level, index, str(FareyFraction(num, den)))
+            for level, index, num, den in intermediates(y, 7)]
     assert recs == [(1, 1, "0/1"), (1, 2, "1/2"), (2, 1, "1/3"),
                     (2, 2, "2/5"), (2, 3, "3/7")]
     only = intermediates(DyadicStream(11), 1)
-    assert len(only) == 1 and only[0].height == 1
+    assert only == [(1, 1, 0, 1)]
 
 
 def test_intermediates_heights_strictly_increase():
     for seed in (0, 1, 2):
         x = DyadicStream(seed)
-        hs = [r.height for r in intermediates(x, 3000)]
+        hs = [den for *_, den in intermediates(x, 3000)]
         assert all(a < b for a, b in zip(hs, hs[1:]))
 
 
 def test_intermediates_are_iterated_mediants():
     x = DyadicStream(4)
     recs = intermediates(x, 500)
-    cs = convergents(x, max(r.level for r in recs))
+    cs = convergents(x, max(level for level, *_ in recs))
     pq = {c.n: (c.p, c.q) for c in cs}
     pq[-1] = (1, 0)
     pq[-2] = (0, 1)
     by_level = {}
-    for r in recs:
-        by_level.setdefault(r.level, []).append(r)
+    for level, index, num, den in recs:
+        by_level.setdefault(level, []).append((index, num, den))
     for n, rs in by_level.items():
         prev = pq[n - 2]
-        for r in sorted(rs, key=lambda r: r.index):
+        for _, r_num, r_den in sorted(rs):
             (a, q), (b, s) = prev, pq[n - 1]
             prev = num, den = a + b, q + s  # the mediant of prev and p_{n-1}/q_{n-1}
-            assert den == r.height
-            assert (Fraction(num, den) % 1).as_integer_ratio() == (r.num, r.den)
+            assert den == r_den
+            assert (Fraction(num, den) % 1).as_integer_ratio() == (r_num, r_den)
 
 
 def test_intermediates_rational_contains_itself_last():
     x = RationalStream(3, 7)
     recs = intermediates(x, 7)
-    assert (recs[-1].num, recs[-1].den) == (3, 7)
+    assert recs[-1][2:] == (3, 7)
     x2 = RationalStream(355, 113)
     recs2 = intermediates(x2, 113)
-    last = recs2[-1]
-    assert (last.num, last.den) == (355 % 113, 113)
+    assert recs2[-1][2:] == (355 % 113, 113)
 
 
 class RecordingStream:
@@ -569,7 +625,7 @@ def test_no_quotient_is_read_past_the_cutoff_level(x):
                 assert walk(rec, Q) == walk(x, Q)
                 assert rec.asked == want, (walk.__name__, Q)
             assert cutoff(x, Q).N == N and cutoff(x, Q).terminated == ended
-            assert cutoff(x, Q).quotients == tuple(quotient(x, k) for k in range(1, N))
+            assert cutoff(x, Q).quotients == tuple(x.quotient(k) for k in range(1, N))
     assert cutoff(RationalStream(5, 1), 3).quotients == ()
 
 
@@ -577,7 +633,7 @@ def test_parse_stream():
     assert isinstance(parse_stream("rational:2/5"), RationalStream)
     p = parse_stream("periodic:[0;2|3,2]")
     assert isinstance(p, PeriodicStream)
-    assert [quotient(p, n) for n in (1, 2, 3)] == [2, 3, 2]
+    assert [p.quotient(n) for n in (1, 2, 3)] == [2, 3, 2]
     d = parse_stream("dyadic:seed=9")
     assert isinstance(d, DyadicStream) and d.seed == 9
     for bad in ("nope", "periodic:[0;1,1]", "dyadic:seed=x", "rational:1/0",

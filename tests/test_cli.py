@@ -122,6 +122,18 @@ def test_montecarlo_json_mirror(tmp_path):
     assert [r["value"] for r in mirror] == [ln.split(",")[5] for ln in csv_lines]
 
 
+def test_a_json_mirror_that_is_the_csv_is_refused_before_any_sample(tmp_path, capsys,
+                                                                     monkeypatch):
+    out = tmp_path / "run.json"  # its mirror, run.json, would overwrite it
+    out.write_text("kept\n")
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a sample ran"))
+    assert main(["montecarlo", "--experiment", "levy", "--samples", "2", "--seed", "3",
+                 "--out", str(out), "--json"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --json would write its JSON mirror over the CSV {str(out)!r}\n")
+    assert out.read_text() == "kept\n"
+
+
 def test_montecarlo_pairdep_prints_joint_tables(tmp_path, capsys):
     out = tmp_path / "pd.csv"
     rc = main(["montecarlo", "--experiment", "pairdep", "--samples", "20",
@@ -652,9 +664,8 @@ MQ_RUN = ["montecarlo", "--experiment", "mq", "--samples", "2", "--seed", "7", "
 
 def test_a_height_that_does_not_rise_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cflab.cf, "_levels", _stuck_levels)
-    for walk in (cflab.cf.intermediate_tuples, intermediates):
-        with pytest.raises(InvariantViolation, match="height 1 at level 1 does not exceed 1"):
-            walk(DyadicStream(7), 10 ** 4)
+    with pytest.raises(InvariantViolation, match="height 1 at level 1 does not exceed 1"):
+        intermediates(DyadicStream(7), 10 ** 4)
     assert main([*MQ_RUN, "--out", str(tmp_path / "mq.csv")]) == 3
     assert capsys.readouterr().err.startswith("invariant violation: height 1")
 
@@ -666,11 +677,10 @@ import cflab.cf
 from cflab.cli import main
 cflab.cf._levels = _stuck_levels
 raised = []
-for walk in (cflab.cf.intermediate_tuples, cflab.cf.intermediates):
-    try:
-        walk(cflab.cf.DyadicStream(7), 10 ** 4)
-    except cflab.cf.InvariantViolation:
-        raised.append(walk.__name__)
+try:
+    cflab.cf.intermediates(cflab.cf.DyadicStream(7), 10 ** 4)
+except cflab.cf.InvariantViolation:
+    raised.append("intermediates")
 print(sys.flags.optimize, *raised, main(sys.argv[2:]))
 """
 
@@ -680,7 +690,7 @@ def test_a_height_that_does_not_rise_exits_3_under_python_O(tmp_path):
     done = subprocess.run([sys.executable, "-O", "-c", STUCK_RUN, str(ROOT), *MQ_RUN,
                            "--out", str(tmp_path / "mq.csv")],
                           capture_output=True, text=True, timeout=120)
-    assert done.stdout == "1 intermediate_tuples intermediates 3\n"
+    assert done.stdout == "1 intermediates 3\n"
     assert done.stderr.startswith("invariant violation: height 1")
 
 
@@ -949,6 +959,22 @@ def test_row_sums_and_the_cumulative_count_load_no_numpy():
     done = subprocess.run([sys.executable, "-c", NO_NUMPY_RUN, str(ROOT)],
                           check=True, capture_output=True, text=True, timeout=120)
     assert done.stdout.splitlines()[-1] == "0 False"
+
+
+IMPORT_ONE_RUN = """
+import importlib
+import sys
+sys.path.insert(0, sys.argv[1] + "/src")
+importlib.import_module(sys.argv[2])
+print(*sorted(m for m in sys.modules if m.split(".")[0] in ("cflab", "numpy")))
+"""
+
+
+@pytest.mark.parametrize("module, loaded", [("cflab", "cflab"), ("cflab.cf", "cflab cflab.cf")])
+def test_importing_a_module_loads_no_other_cflab_module_and_no_numpy(module, loaded):
+    done = subprocess.run([sys.executable, "-c", IMPORT_ONE_RUN, str(ROOT), module],
+                          check=True, capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == loaded
 
 
 LAZY_IMPORTS_RUN = """

@@ -14,8 +14,8 @@ from cflab.cf import (DyadicStream, InvariantViolation, PeriodicStream, Rational
                       cf_of_rational, intermediates)
 from cflab.farey import (chi, chi_mask, cumulative_expected_count,
                          expected_chi, farey_neighbors,
-                         farey_size, farey_table, parse_height_set,
-                         row_sum_exact, row_sum_formula, totients_up_to)
+                         farey_table, parse_height_set, row_sum_exact,
+                         row_sum_formula)
 from cflab.stats import terminal_quotient
 from oracles import FareyFraction, enumerate_farey
 
@@ -98,24 +98,22 @@ def test_enumerate_farey():
     assert [(f.num, f.den) for f in enumerate_farey(3)] == \
         [(0, 1), (1, 3), (1, 2), (2, 3)]
     f5 = list(enumerate_farey(5))
-    assert len(f5) == 10 == farey_size(5)
+    assert len(f5) == 10 == len(farey_table(5))
     assert (f5[1].num, f5[1].den) == (1, 5)
     vals = [Fraction(f.num, f.den) for f in f5]
     assert vals == sorted(vals)
 
 
 def test_totients():
-    phi = totients_up_to(12)
-    assert list(phi[1:]) == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    phi = farey._mobius_totient(12)[1]
+    assert phi[1:] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
 
 def test_sieves_match_trial_division():
     phi = [sum(math.gcd(u, q) == 1 for u in range(1, q + 1)) for q in range(501)]
     for n in range(501):
-        assert list(totients_up_to(n)[1:]) == phi[1:n + 1]
+        assert farey._mobius_totient(n)[1][1:n + 1] == phi[1:n + 1]
     limit = farey.FAREY_TABLE_LIMIT
-    with pytest.raises(ValueError, match="outside 0..5000"):
-        totients_up_to(limit + 1)
     # mu and phi read off the least-factor sieve, against their definitions
     # over the trial-division primes of each n
     mu, phi = farey._mobius_totient(limit)
@@ -331,7 +329,7 @@ def test_farey_table_matches_enumeration():
 def check_table_against_oracle(table, Q):
     """Every field of every entry, from the scalar routines."""
     listed = list(enumerate_farey(Q))
-    assert table.Q == Q and len(table) == len(listed) == farey_size(Q)
+    assert table.Q == Q and len(table) == len(listed)
     keys = [(int(q), int(a)) for a, q in zip(table.num, table.den)]
     assert keys == sorted({(b.den, b.num) for b in listed})
     assert (table.lo_f[0], table.hi_f[0], table.terminal[0]) == (-math.inf, math.inf, 1)
@@ -348,7 +346,7 @@ def check_table_against_oracle(table, Q):
 
 def test_farey_table_fields_fresh_and_as_prefix():
     for Q in [*range(1, 41), 300]:
-        check_table_against_oracle(farey._build_table(Q), Q)
+        check_table_against_oracle(farey_table(Q), Q)
 
 
 def test_farey_table_rejects_bad_q():
@@ -362,8 +360,8 @@ def test_farey_table_rejects_bad_q():
 def test_farey_table_short_tree_is_an_invariant_violation(monkeypatch):
     # one column too many for the tree to fill: an exception, not an assert
     # that python -O would strip
-    size = farey.farey_size
-    monkeypatch.setattr(farey, "farey_size", lambda Q: size(Q) + 1)
+    sieve = farey._mobius_totient
+    monkeypatch.setattr(farey, "_mobius_totient", lambda n: (sieve(n)[0], [*sieve(n)[1], 1]))
     with pytest.raises(InvariantViolation, match="F_10 has 33 classes, the tree gave 32"):
         farey_table(10)
 
@@ -371,13 +369,14 @@ def test_farey_table_short_tree_is_an_invariant_violation(monkeypatch):
 def test_farey_table_concurrent_growth():
     # more threads than cores, growing the held table while others read it
     orders = [37, 120, 5, 260, 80, 200, 1, 150]
+    sizes = {Q: len(list(enumerate_farey(Q))) for Q in orders}
     errors = []
 
     def worker(k):
         try:
             for Q in orders[k:] + orders[:k]:
                 t = farey_table(Q)
-                assert t.Q == Q and len(t) == farey_size(Q)
+                assert t.Q == Q and len(t) == sizes[Q]
         except Exception as exc:  # reported through the list below
             errors.append(exc)
 
@@ -421,7 +420,7 @@ def test_chi_membership_equivalence_small():
     for seed in range(8):
         x = DyadicStream(seed)
         mask = chi_mask(table, x)
-        members = {(r.num, r.den) for r in intermediates(x, 40)}
+        members = {(num, den) for *_, num, den in intermediates(x, 40)}
         got = {(int(table.num[i]), int(table.den[i]))
                for i in np.nonzero(mask)[0]}
         assert got == members

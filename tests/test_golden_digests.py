@@ -2,10 +2,11 @@
 
 Each case runs `cflab` in process and hashes its exit code, stdout, stderr
 and, for `montecarlo`, the CSV and its JSON mirror (None when the run wrote
-none).  The digests in golden_digests.json were recorded at commit 8a3c255;
-a case whose output differs names itself.  After an intended output change,
-re-record them with `PYTHONPATH=src python3 tests/test_golden_digests.py`
-from the repository root.
+none).  The digests in golden_digests.json were recorded at commit 8a3c255,
+except `cf -7/3` and `chi --beta -1/3 ...`, which carry the digests of their
+spellings `cf -- -7/3` and `--beta=-1/3`; a case whose output differs names
+itself.  After an intended output change, re-record them with
+`PYTHONPATH=src python3 tests/test_golden_digests.py` from the repository root.
 """
 
 import contextlib
@@ -21,7 +22,8 @@ from cflab.harness import REGISTRY
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
 SINGLE = [
-    ["cf", "10/7"], ["cf", "--", "-7/3"], ["cf", "4/-6"], ["cf", "5"], ["cf", "0/3"], ["cf", "1/0"],
+    ["cf", "10/7"], ["cf", "--", "-7/3"], ["cf", "-7/3"], ["cf", "4/-6"], ["cf", "5"], ["cf", "0/3"],
+    ["cf", "1/0"],
     ["convergents", "--x", "rational:355/113", "--n", "6"],
     ["convergents", "--x", "periodic:[1;|2]", "--n", "8"],
     ["convergents", "--x", "dyadic:seed=7", "--n", "12"],
@@ -31,6 +33,7 @@ SINGLE = [
     *(["chi", f"--beta={beta}", "--x", x]
       for beta in ("7/5", "1/-3", "-1/3", "4/6", "5/5", "3", "1/0")
       for x in ("rational:1/3", "rational:7/10", "dyadic:seed=7")),
+    ["chi", "--beta", "-1/3", "--x", "rational:1/3"],
     *(["farey-row", "--q", q] for q in ("1", "2", "97", "2000", "5001")),
     *(["mq", "--x", x, "--Q", "100", "--method", "all"]
       for x in ("rational:2/5", "rational:1/3", "rational:-7/3", "periodic:[0;|1]",

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cflab.cf
-from cflab.cf import (DyadicStream, PeriodicStream, RationalStream,
-                      intermediates, quotient)
+from cflab.cf import DyadicStream, PeriodicStream, RationalStream, intermediates
 from cflab import farey, harness
 from cflab.farey import HeightSet, chi, parse_height_set
 from cflab.harness import (CSV_HEADER, ExperimentConfig, ResultRow, RunRows, aggregate,
@@ -31,12 +30,12 @@ from oracles import FareyFraction, enumerate_farey
 def test_sample_stream_deterministic():
     a = sample_stream(42, 7)
     b = sample_stream(42, 7)
-    assert [quotient(a, i) for i in range(1, 65)] == \
-        [quotient(b, i) for i in range(1, 65)]
+    assert [a.quotient(i) for i in range(1, 65)] == \
+        [b.quotient(i) for i in range(1, 65)]
 
 
 def test_sample_stream_distinct_indices():
-    prefixes = {tuple(quotient(sample_stream(42, i), n) for n in range(1, 17))
+    prefixes = {tuple(sample_stream(42, i).quotient(n) for n in range(1, 17))
                 for i in range(6)}
     assert len(prefixes) == 6
 
@@ -48,9 +47,9 @@ def test_sample_stream_validation():
 
 def test_sample_stream_refinement_keeps_prefix():
     s = sample_stream(7, 3)
-    first = quotient(s, 1)
-    quotient(s, 200)
-    assert quotient(s, 1) == first
+    first = s.quotient(1)
+    s.quotient(200)
+    assert s.quotient(1) == first
 
 
 def test_sample_stream_quotient_law():
@@ -60,7 +59,7 @@ def test_sample_stream_quotient_law():
     n = 10_000
     counts = {1: 0, 2: 0, 3: 0}
     for i in range(n):
-        a = quotient(sample_stream(31337, i), 20)
+        a = sample_stream(31337, i).quotient(20)
         if a in counts:
             counts[a] += 1
     for k in (1, 2, 3):
@@ -102,9 +101,9 @@ def test_run_mq_all_methods_agree():
 
 def test_run_mq_builds_no_farey_table(monkeypatch):
     builds = []
-    build = farey._build_table
-    monkeypatch.setattr(farey, "_build_table",
-                        lambda Q: builds.append(Q) or build(Q))
+    build = farey.farey_table
+    for owner in (farey, harness):  # the name harness imports, and farey's own
+        monkeypatch.setattr(owner, "farey_table", lambda Q: builds.append(Q) or build(Q))
     # samples 2 and 7 of seed 42 have a_1 > 2000, the heavy tail of a run
     parts = [rows_to_csv(run(ExperimentConfig("mq", samples=8, seed=42,
                                               params={"grid": (Q,)}))).split("\n", 1)[1]
@@ -449,7 +448,7 @@ def _slow_intermediates(x, Q):
     p1, q1, p2, q2 = x.a0, 1, 1, 0  # p_{n-1}, q_{n-1}, p_{n-2}, q_{n-2} at level n = 1
     for n in itertools.count(1):
         try:
-            a = quotient(x, n)
+            a = x.quotient(n)
         except cflab.cf.OutOfQuotients:
             return out
         for m in range(1, a + 1):
@@ -481,7 +480,8 @@ STREAMS = st.one_of(
 @example(x=RationalStream(3, 7), Q=5)
 def test_intermediates_route_matches_the_slow_oracle(x, Q):
     want = _slow_intermediates(x, Q)
-    assert [(r.level, r.index, (r.num, r.den), r.height) for r in intermediates(x, Q)] == want
+    assert [(level, index, (num, den), den)
+            for level, index, num, den in intermediates(x, Q)] == want
     assert mq_count_intermediates(x, (Q,))[Q] == Counter(_slow_terminal_quotient(f)
                                                          for _, _, f, _ in want)
 
@@ -508,18 +508,18 @@ def test_grid_routes_equal_one_height_calls(x, grid):
 @example(x=RationalStream(3, 7), grid=[100, 5, 7, 6])
 @example(x=RationalStream(-355, 113), grid=[3000, 113, 112])
 @example(x=RationalStream(5, 1), grid=[10, 1])
-def test_tuple_walk_matches_the_record_path(x, grid):
-    """The plain tuples the routes count against the Intermediate records:
-    the same fractions, the same multisets and the same openproblem hits."""
+def test_grid_counts_and_hits_match_one_walk_per_height(x, grid):
+    """The routes' grid multisets and the openproblem hits against the walk
+    at each Q on its own, counted here."""
     assert mq_count_intermediates(x, grid) == {
-        Q: Counter(terminal_quotient(r.num, r.den) for r in intermediates(x, Q)) for Q in grid}
+        Q: Counter(terminal_quotient(num, den) for *_, num, den in intermediates(x, Q))
+        for Q in grid}
     for Q in grid:
         recs = intermediates(x, Q)
-        assert cflab.cf.intermediate_tuples(x, Q) == [tuple(r) for r in recs]
         for spec in ("all", "primes", "mod:3,1"):
             heights = parse_height_set(spec)
             assert harness._run_openproblem(x, Q, {"heights": heights}) == [
-                ("hits", sum(1 for r in recs if r.height in heights))]
+                ("hits", sum(1 for *_, den in recs if den in heights))]
 
 
 def test_mq_count_unit_value_is_enumeration_length():
@@ -634,8 +634,8 @@ def test_pairdep_tables_synthetic():
 def test_pairdep_tables_marginals_match_direct_counts():
     rows = run(ExperimentConfig("pairdep", samples=50, seed=21,
                                 params={"grid": (5,), "n": 1}))
-    pairs = [(quotient(sample_stream(21, i), 1),
-              quotient(sample_stream(21, i), 6)) for i in range(50)]
+    pairs = [(sample_stream(21, i).quotient(1),
+              sample_stream(21, i).quotient(6)) for i in range(50)]
     t = pairdep_tables(rows)
     for r in (1, 2):
         for s in (1, 2):
@@ -670,7 +670,7 @@ def test_csv_golden_bytes():
     lines = [CSV_HEADER]
     for i in range(2):
         s = sample_stream(5, i)
-        hits = sum(1 for n in range(1, 11) if quotient(s, n) == 1)
+        hits = sum(1 for n in range(1, 11) if s.quotient(n) == 1)
         val = format(hits / 10, ".12g")
         lines.append(f"gauss_kuzmin,5,{i},1,freq,{val}")
     assert text == "\n".join(lines) + "\n"

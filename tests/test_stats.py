@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from cflab import farey, stats
 from cflab.cf import (DyadicStream, PeriodicStream, RationalStream, cf_of_rational,
-                      intermediates, parse_stream, quotient)
+                      intermediates, parse_stream)
 from cflab.harness import (mq_all, mq_count_closed, mq_count_farey,
                            mq_count_intermediates, mq_value, sample_stream)
 from cflab.stats import (ClassicalStats, TruncationFn, WeightFunction, birkhoff_average,
@@ -586,7 +586,7 @@ def classical_stats_at(x, n):
     pq_sum = 0
     pq_max = 0
     for i in range(1, n + 1):
-        a = quotient(x, i)
+        a = x.quotient(i)
         pq_sum += a
         pq_max = max(pq_max, a)
         q_nm1, q_n = q_n, a * q_n + q_nm1
@@ -608,3 +608,7 @@ def test_double_exceedance():
     spiky = PeriodicStream(0, (100, 100), (1,))
     assert double_exceedance(spiky, 2, 0.5) == 2
     assert double_exceedance(spiky, 10 ** 4, 0.5) == 0
+    # a_1..a_10 = 30, 5, 1, 100, 2, 7, 25, 2, 7, 25 against M (log M)^(1/2 + delta):
+    # 0 at M = 1, so a_1 counts; 3.30, 13.6 and 23.0 at M = 3, 7, 10 and delta 1/2
+    x = PeriodicStream(0, (30, 5, 1, 100), (2, 7, 25))
+    assert [double_exceedance(x, M, 0.5) for M in (1, 3, 7, 10)] == [1, 2, 3, 4]
