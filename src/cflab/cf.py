@@ -68,49 +68,6 @@ def mix64(z: int) -> int:
     return z
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """Canonical finite expansion [a0; a1, ..., aL]."""
-
-    a0: int
-    quotients: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if any(a < 1 for a in self.quotients):
-            raise ValueError("partial quotients must be positive")
-        if self.quotients and self.quotients[-1] < 2:
-            raise ValueError("canonical terminal quotient must be >= 2")
-
-    def __str__(self) -> str:
-        if not self.quotients:
-            return f"[{self.a0}]"
-        return f"[{self.a0};{','.join(str(a) for a in self.quotients)}]"
-
-    def quotient(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("quotient index starts at 1")
-        if n > len(self.quotients):
-            raise OutOfQuotients(len(self.quotients))
-        return self.quotients[n - 1]
-
-
-def cf_of_rational(x: tuple[int, int]) -> ContinuedFraction:
-    """Canonical expansion of p/q, x = (p, q), via the Euclidean algorithm;
-    the final quotient is automatically >= 2 whenever a division step happens."""
-    p, q = x
-    if q == 0:
-        raise ValueError("invalid denominator: q = 0")
-    if q < 0:
-        p, q = -p, -q
-    a0, r = divmod(p, q)
-    qs = []
-    while r:
-        k, r2 = divmod(q, r)
-        qs.append(k)
-        q, r = r, r2
-    return ContinuedFraction(a0, tuple(qs))
-
-
 class PartialQuotientStream:
     """A real presented by its integer part and partial quotients a_1, a_2, ..."""
 
@@ -144,44 +101,54 @@ class PartialQuotientStream:
                 a = math.inf
 
 
-class RationalStream(PartialQuotientStream):
-    """Terminating stream for a rational number."""
+@dataclass(frozen=True)
+class ContinuedFraction(PartialQuotientStream):
+    """The expansion [a0; a_1, a_2, ...]: the preperiod's quotients, then the
+    period's repeated (a quadratic irrational).  An empty period is the
+    canonical finite expansion [a0; a_1, ..., a_L] of a rational."""
 
-    def __init__(self, p: int, q: int):
-        self._cf = cf_of_rational((p, q))  # first: q = 0 is its ValueError, not a ZeroDivisionError
-        self.value = Fraction(p, q)
-        self.a0 = self._cf.a0
+    a0: int
+    preperiod: tuple[int, ...] = ()
+    period: tuple[int, ...] = ()
 
-    def quotient(self, n: int) -> int:
-        return self._cf.quotient(n)
-
-    def __repr__(self):
-        return f"RationalStream({self.value})"
-
-
-class PeriodicStream(PartialQuotientStream):
-    """Eventually periodic stream (a quadratic irrational)."""
-
-    def __init__(self, a0: int, preperiod, period):
-        self.a0 = a0
-        self.preperiod = tuple(int(a) for a in preperiod)
-        self.period = tuple(int(a) for a in period)
-        if not self.period:
-            raise ValueError("period must be nonempty")
+    def __post_init__(self):
+        for name in ("preperiod", "period"):
+            object.__setattr__(self, name, tuple(int(a) for a in getattr(self, name)))
         if any(a < 1 for a in self.preperiod + self.period):
             raise ValueError("partial quotients must be positive")
+        if not self.period and self.preperiod and self.preperiod[-1] < 2:
+            raise ValueError("canonical terminal quotient must be >= 2")
+
+    def __str__(self) -> str:
+        pre = ",".join(map(str, self.preperiod))
+        if self.period:
+            return f"[{self.a0};{pre}|{','.join(map(str, self.period))}]"
+        return f"[{self.a0};{pre}]" if pre else f"[{self.a0}]"
 
     def quotient(self, n: int) -> int:
         if n < 1:
             raise ValueError("quotient index starts at 1")
         if n <= len(self.preperiod):
             return self.preperiod[n - 1]
+        if not self.period:
+            raise OutOfQuotients(len(self.preperiod))
         return self.period[(n - len(self.preperiod) - 1) % len(self.period)]
 
-    def __repr__(self):
-        pre = ",".join(map(str, self.preperiod))
-        per = ",".join(map(str, self.period))
-        return f"PeriodicStream([{self.a0};{pre}|{per}])"
+
+def cf_of_rational(x: tuple[int, int]) -> ContinuedFraction:
+    """Canonical expansion of p/q, x = (p, q), via the Euclidean algorithm in
+    floor division, which gives (-p, -q) the quotients of (p, q); the final
+    quotient is automatically >= 2 whenever a division step happens."""
+    p, q = x
+    if q == 0:
+        raise ValueError("invalid denominator: q = 0")
+    a0, r = divmod(p, q)
+    qs = []
+    while r:
+        k, r2 = divmod(q, r)
+        qs.append(k)
+        q, r = r, r2
+    return ContinuedFraction(a0, tuple(qs))
 
 
 def _lehmer_batch(a, b, c, d, sq0, sq1):
@@ -349,7 +316,7 @@ def parse_stream(spec: str) -> PartialQuotientStream:
         p, _, q = body.partition("/")
         if not q:
             raise ValueError(f"bad rational spec {spec!r}, want rational:p/q")
-        return RationalStream(int(p), int(q))
+        return cf_of_rational((int(p), int(q)))
     if spec.startswith("periodic:"):
         body = spec[len("periodic:"):].strip()
         if not (body.startswith("[") and body.endswith("]")):
@@ -361,7 +328,9 @@ def parse_stream(spec: str) -> PartialQuotientStream:
             raise ValueError(f"periodic spec needs a | separating preperiod and period: {spec!r}")
         pre = [int(t) for t in pre_s.split(",") if t.strip()]
         per = [int(t) for t in per_s.split(",") if t.strip()]
-        return PeriodicStream(int(head), pre, per)
+        if not per:  # an empty period is a finite expansion, which rational: spells
+            raise ValueError("period must be nonempty")
+        return ContinuedFraction(int(head), pre, per)
     if spec.startswith("dyadic:"):
         key, _, seed = spec[len("dyadic:"):].partition("=")
         if key != "seed" or "," in seed:
@@ -387,24 +356,11 @@ def _levels(x):
         p, q, pm1, qm1 = a * p + pm1, a * q + qm1, p, q
 
 
-@dataclass(frozen=True)
-class ConvergentPair:
-    n: int
-    p: int
-    q: int
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
-    def __str__(self) -> str:
-        return f"{self.p}/{self.q}"
-
-
-def convergents(x, n_max: int) -> list[ConvergentPair]:
-    """Convergents p_n/q_n for n = 0..n_max (stopping at a terminating end)."""
+def convergents(x, n_max: int) -> list[tuple[int, int, int]]:
+    """(n, p_n, q_n) for n = 0..n_max (stopping at a terminating end)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return [ConvergentPair(n, p, q) for n, _, p, q, _, _ in islice(_levels(x), n_max + 1)]
+    return [(n, p, q) for n, _, p, q, _, _ in islice(_levels(x), n_max + 1)]
 
 
 @dataclass(frozen=True)

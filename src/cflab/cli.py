@@ -22,7 +22,7 @@ from .harness import (REGISTRY, ExperimentConfig, InvariantViolation,
                       aggregate, find_violations, mq_all, mq_count_closed,
                       mq_count_farey, mq_count_intermediates, mq_value,
                       pairdep_tables, run, write_csv, write_json)
-from .stats import WeightFunction, parse_weight
+from .stats import parse_weight
 
 
 def _ratio(text: str) -> tuple[int, int]:
@@ -51,8 +51,8 @@ def _cmd_cf(args) -> int:
 
 
 def _cmd_convergents(args) -> int:
-    for c in convergents(parse_stream(args.x), args.n):
-        print(f"{c.n} {c.p}/{c.q}")
+    for n, p, q in convergents(parse_stream(args.x), args.n):
+        print(f"{n} {p}/{q}")
     return 0
 
 
@@ -114,12 +114,8 @@ def _cmd_montecarlo(args) -> int:
             params[flag] = vals[0]
     if args.delta is not None:
         params["delta"] = args.delta
-    if args.weight is not None and args.gamma is not None:
-        raise ValueError("give either --weight or --gamma, not both")
     if args.weight is not None:
         params["weight"] = parse_weight(args.weight)
-    elif args.gamma is not None:
-        params["weight"] = WeightFunction.power(args.gamma)
     if args.set is not None:
         params["heights"] = parse_height_set(args.set)
 
@@ -193,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", help="grid or single value, per experiment")
     p.add_argument("--k", help="comma-separated grid")
     p.add_argument("--m", help="comma-separated grid")
-    p.add_argument("--gamma", type=float, help="shorthand for --weight power:<gamma>")
     p.add_argument("--delta", type=float)
     p.add_argument("--weight")
     p.add_argument("--set", help="height set: all | primes | mod:d,r | file:<path>")

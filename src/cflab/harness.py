@@ -172,7 +172,7 @@ def mq_count_farey(stream, grid) -> dict:
     top = max(grid)
     # x mod 1 within float error (the 40th convergent is within 1e-16 of x)
     x_f = float(stream.interval()[0] if isinstance(stream, DyadicStream)
-                else convergents(stream, 40)[-1].as_fraction() - stream.a0)
+                else Fraction(*convergents(stream, 40)[-1][1:]) - stream.a0)
     q = np.repeat(np.arange(2, top + 1, dtype=np.int64), 4)
     a = np.floor(q * x_f).astype(np.int64) + np.tile(np.arange(-1, 3), top - 1)
     near = np.where((a == 1) | (a == q - 1), 1, 0.5)  # the bound on |q x - a|

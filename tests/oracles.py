@@ -36,6 +36,6 @@ def enumerate_farey(Q: int) -> Iterator[FareyFraction]:
 def value_of_cf(cf: ContinuedFraction) -> Fraction:
     """Exact value of a finite expansion, folded from the last quotient."""
     tail = Fraction(0)  # 1 / [a_k; a_{k+1}, ..., a_L], 0 past the end
-    for a in reversed(cf.quotients):
+    for a in reversed(cf.preperiod):
         tail = 1 / (a + tail)
     return cf.a0 + tail

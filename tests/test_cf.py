@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import cflab.cf
 from cflab.cf import (GOLDEN64, M64, ContinuedFraction, DyadicStream, InvariantViolation,
-                      NeedsMoreBits, OutOfQuotients, PeriodicStream,
-                      QuotientCapExceeded, RationalStream, cf_of_rational,
+                      NeedsMoreBits, OutOfQuotients, QuotientCapExceeded, cf_of_rational,
                       convergents, cutoff, intermediates, mix64, parse_stream)
 from cflab.farey import farey_neighbors
 from oracles import FareyFraction, value_of_cf
@@ -46,9 +45,9 @@ def test_cf_terminal_quotient_at_least_two():
             if math.gcd(p, q) != 1:
                 continue
             cf = cf_of_rational((p, q))
-            assert cf.quotients[-1] >= 2
+            assert cf.preperiod[-1] >= 2
             a0, rest = euclid_expansion(p, q)
-            assert (cf.a0, list(cf.quotients)) == (a0, rest)
+            assert (cf.a0, list(cf.preperiod)) == (a0, rest)
 
 
 def test_exceptions_survive_a_pickle_round_trip():
@@ -86,16 +85,16 @@ def test_roundtrip_exhaustive_height_500():
 
 
 def test_convergents_golden():
-    g = PeriodicStream(0, (), (1,))
+    g = ContinuedFraction(0, (), (1,))
     cs = convergents(g, 4)
-    assert [(c.p, c.q) for c in cs] == [(0, 1), (1, 1), (1, 2), (2, 3), (3, 5)]
-    assert cs[2].p * cs[1].q - cs[1].p * cs[2].q == -1
+    assert [(p, q) for _, p, q in cs] == [(0, 1), (1, 1), (1, 2), (2, 3), (3, 5)]
+    assert cs[2][1] * cs[1][2] - cs[1][1] * cs[2][2] == -1
 
 
 def test_convergents_rational():
-    x = RationalStream(355, 113)
+    x = cf_of_rational((355, 113))
     cs = convergents(x, 10)
-    assert [(c.p, c.q) for c in cs] == [(3, 1), (22, 7), (355, 113)]
+    assert [(p, q) for _, p, q in cs] == [(3, 1), (22, 7), (355, 113)]
 
 
 def test_convergents_determinant_identity():
@@ -103,21 +102,21 @@ def test_convergents_determinant_identity():
                  "dyadic:seed=5"):
         x = parse_stream(spec)
         cs = convergents(x, 8)
-        for n in range(1, len(cs)):
-            det = cs[n].p * cs[n - 1].q - cs[n - 1].p * cs[n].q
+        for (n, p, q), (_, pm1, qm1) in zip(cs[1:], cs):
+            det = p * qm1 - pm1 * q
             assert det == (-1) ** (n - 1)
 
 
 def test_quotient_streams():
-    g = PeriodicStream(0, (), (1,))
+    g = ContinuedFraction(0, (), (1,))
     assert all(g.quotient(n) == 1 for n in range(1, 30))
-    x = RationalStream(2, 5)
+    x = cf_of_rational((2, 5))
     assert x.quotient(1) == 2 and x.quotient(2) == 2
     with pytest.raises(OutOfQuotients):
         x.quotient(3)
-    y = PeriodicStream(0, (2,), (3, 2))
+    y = ContinuedFraction(0, (2,), (3, 2))
     assert [y.quotient(n) for n in range(1, 6)] == [2, 3, 2, 3, 2]
-    z = PeriodicStream(4, (9, 8), (1, 2, 3, 5))  # a period of 4 shows a shifted index
+    z = ContinuedFraction(4, (9, 8), (1, 2, 3, 5))  # a period of 4 shows a shifted index
     assert [z.quotient(n) for n in range(1, 12)] == [9, 8, 1, 2, 3, 5, 1, 2, 3, 5, 1]
     cf = ContinuedFraction(3, (7, 16))
     assert [cf.quotient(n) for n in (1, 2)] == [7, 16]
@@ -128,10 +127,28 @@ def test_quotient_streams():
 
 
 def test_periodic_validation():
+    with pytest.raises(ValueError, match="period must be nonempty"):
+        parse_stream("periodic:[0;|]")
     with pytest.raises(ValueError):
-        PeriodicStream(0, (), ())
-    with pytest.raises(ValueError):
-        PeriodicStream(0, (0,), (1,))
+        ContinuedFraction(0, (0,), (1,))
+
+
+def test_one_class_spells_finite_and_periodic_expansions():
+    # only a finite expansion's last quotient must be >= 2: [0;1,2,2,...] is legal
+    x = ContinuedFraction(0, (1,), (2,))
+    assert [x.quotient(n) for n in range(1, 5)] == [1, 2, 2, 2]
+    with pytest.raises(ValueError, match="terminal quotient"):
+        ContinuedFraction(0, (2, 1))
+    finite = ContinuedFraction(3, [7, 16])  # any sequences, stored as tuples
+    assert finite == cf_of_rational((355, 113)) and finite.preperiod == (7, 16)
+    with pytest.raises(OutOfQuotients) as exc:
+        finite.quotient(3)
+    assert exc.value.length == 2
+    y = ContinuedFraction(2, [1, 3], [4, 1, 2])
+    assert y.quotients(1, 12) == [1, 3, 4, 1, 2, 4, 1, 2, 4, 1, 2]
+    assert [str(v) for v in (finite, y, ContinuedFraction(5))] == ["[3;7,16]", "[2;1,3|4,1,2]",
+                                                                   "[5]"]
+    assert parse_stream(f"periodic:{y}") == y
 
 
 def test_dyadic_endpoint_prefix_oracle():
@@ -139,10 +156,10 @@ def test_dyadic_endpoint_prefix_oracle():
     # bracketing interval with those endpoints certifies exactly one quotient
     lo = cf_of_rational((5, 8))
     hi = cf_of_rational((11, 16))
-    assert list(lo.quotients) == [1, 1, 1, 2]
-    assert list(hi.quotients) == [1, 2, 5]
+    assert list(lo.preperiod) == [1, 1, 1, 2]
+    assert list(hi.preperiod) == [1, 2, 5]
     common = 0
-    for a, b in zip(lo.quotients, hi.quotients):
+    for a, b in zip(lo.preperiod, hi.preperiod):
         if a != b:
             break
         common += 1
@@ -155,7 +172,7 @@ def restart_certified(x, held=()):
     lo, hi = (cf_of_rational(e.as_integer_ratio()) for e in x.interval())
     common = []
     if lo.a0 == hi.a0:
-        for a, b in zip(lo.quotients, hi.quotients):
+        for a, b in zip(lo.preperiod, hi.preperiod):
             if a != b:
                 break
             common.append(a)
@@ -216,7 +233,7 @@ def deep_rational(seed):
     words = [mix64((seed + k * GOLDEN64) & M64) for k in range(1, 21)]
     words[-1] |= 1
     return words, cf_of_rational((int.from_bytes(
-        b"".join(w.to_bytes(8, "big") for w in words), "big"), 1 << 1280)).quotients
+        b"".join(w.to_bytes(8, "big") for w in words), "big"), 1 << 1280)).preperiod
 
 
 def test_dyadic_certifier_at_a_deep_rational(monkeypatch):
@@ -279,8 +296,8 @@ def straddling_tails(count: int, seed: int):
     moved by one of the offsets below, so that p/q falls between either tail
     and an inner end of the other's bracket, such as A/B or (A+1)/(B+1)."""
     rng = random.Random(seed)
-    boundaries = [(c.p + c.q, c.q) for s in range(8) for c in convergents(DyadicStream(s), 60)
-                  if 10 <= c.q.bit_length() <= 40]
+    boundaries = [(p + q, q) for s in range(8) for _, p, q in convergents(DyadicStream(s), 60)
+                  if 10 <= q.bit_length() <= 40]
     for _ in range(count):
         p, q = rng.choice(boundaries)
         k = rng.choice((520, 600, 1000))
@@ -401,8 +418,8 @@ def test_bulk_growth_stops_where_one_block_growth_stops(seed, n, lo):
                                                   else (min(lo, n + 1), n + 1)])
 
 
-@pytest.mark.parametrize("x", [DyadicStream(11), PeriodicStream(2, (5,), (1, 2, 3)),
-                               RationalStream(355, 113), RationalStream(3, 1)],
+@pytest.mark.parametrize("x", [DyadicStream(11), ContinuedFraction(2, (5,), (1, 2, 3)),
+                               cf_of_rational((355, 113)), cf_of_rational((3, 1))],
                          ids=["dyadic", "periodic", "rational", "integer"])
 @pytest.mark.parametrize("lo, hi", [(1, 1), (4, 4), (1, 3), (2, 4), (3, 40), (0, 0), (0, 2)])
 def test_quotients_are_the_quotient_reads(x, lo, hi):
@@ -441,10 +458,10 @@ def test_compare_fraction_never_equal():
 
 
 def test_compare_real_rational():
-    g = PeriodicStream(0, (), (1,))
+    g = ContinuedFraction(0, (), (1,))
     assert g.compare_fraction(Fraction(1, 2)) > 0
     assert g.compare_fraction(Fraction(2, 3)) < 0
-    x = RationalStream(2, 5)
+    x = cf_of_rational((2, 5))
     assert x.compare_fraction(Fraction(2, 5)) == 0
     assert x.compare_fraction(Fraction(1, 3)) > 0
 
@@ -462,9 +479,9 @@ def oracle_sign(x, r):
     stream, consecutive convergents, which hold x strictly between them, until
     r leaves their bracket; for a dyadic stream, a fresh twin's enclosing
     interval, which holds x strictly inside, grown until r leaves it."""
-    if isinstance(x, RationalStream):
-        return (x.value > r) - (x.value < r)
-    if isinstance(x, PeriodicStream):
+    if isinstance(x, ContinuedFraction) and not x.period:
+        return (value_of_cf(x) > r) - (value_of_cf(x) < r)
+    if isinstance(x, ContinuedFraction):
         for n in itertools.count(1):
             lo, hi = sorted((prefix_value(x, n), prefix_value(x, n + 1)))
             if not lo < r < hi:
@@ -479,8 +496,8 @@ def oracle_sign(x, r):
 
 STREAMS = st.one_of(
     st.fractions(-20, 20, max_denominator=10 ** 6).map(
-        lambda v: RationalStream(v.numerator, v.denominator)),
-    st.builds(PeriodicStream, st.integers(-5, 5), st.lists(st.integers(1, 50), max_size=4),
+        lambda v: cf_of_rational((v.numerator, v.denominator))),
+    st.builds(ContinuedFraction, st.integers(-5, 5), st.lists(st.integers(1, 50), max_size=4),
               st.lists(st.integers(1, 50), min_size=1, max_size=4)),
     st.integers(0, M64).map(DyadicStream))
 
@@ -492,11 +509,11 @@ def test_comparison_matches_slow_oracles(x, depth, data):
     # rational) and their Farey neighbors, and a dyadic x's interval endpoints
     targets = [data.draw(st.fractions(-25, 25, max_denominator=10 ** 4)),
                data.draw(st.integers(-25, 25)), x.a0, x.a0 + 1]
-    for c in convergents(x, depth):
-        r = c.as_fraction()
+    for _, p, q in convergents(x, depth):
+        r = Fraction(p, q)
         targets.append(r)
-        if c.q > 1:
-            nb = farey_neighbors((Fraction(c.p, c.q) % 1).as_integer_ratio())
+        if q > 1:
+            nb = farey_neighbors((Fraction(p, q) % 1).as_integer_ratio())
             targets += [math.floor(r) + nb.lower, math.floor(r) + nb.upper]
     if isinstance(x, DyadicStream):
         targets += x.interval()
@@ -505,12 +522,12 @@ def test_comparison_matches_slow_oracles(x, depth, data):
 
 
 def test_cutoff_examples():
-    g = PeriodicStream(0, (), (1,))
+    g = ContinuedFraction(0, (), (1,))
     c3 = cutoff(g, 3)
     assert (c3.N, c3.a, c3.terminated) == (3, 1, False)
     c1 = cutoff(g, 1)
     assert (c1.N, c1.a) == (1, 1)
-    y = PeriodicStream(0, (2,), (3, 2))
+    y = ContinuedFraction(0, (2,), (3, 2))
     c7 = cutoff(y, 7)
     assert (c7.N, c7.a) == (2, 3)
 
@@ -521,7 +538,7 @@ def test_cutoff_invariants_on_samples():
         for Q in (10, 100, 2500):
             cut = cutoff(x, Q)
             cs = convergents(x, cut.N)
-            q = [c.q for c in cs]
+            q = [q for _, _, q in cs]
             q_nm1 = q[cut.N - 1] if cut.N >= 1 else 0
             q_nm2 = q[cut.N - 2] if cut.N >= 2 else (1 if cut.N == 1 else 0)
             assert q_nm1 + q_nm2 <= Q < q[cut.N] + q_nm1
@@ -530,22 +547,22 @@ def test_cutoff_invariants_on_samples():
 
 
 def test_cutoff_rational_termination():
-    x = RationalStream(3, 7)  # [0;2,3]
+    x = cf_of_rational((3, 7))  # [0;2,3]
     cut = cutoff(x, 100)
     assert cut.terminated
     assert (cut.N, cut.a) == (2, 3)
-    tame = cutoff(RationalStream(3, 7), 7)
+    tame = cutoff(cf_of_rational((3, 7)), 7)
     assert not tame.terminated and (tame.N, tame.a) == (2, 3)
     # an integer has no level 1, so no multiplicity either
-    assert cutoff(RationalStream(5, 1), 100) == cflab.cf.CutoffData(N=0, a=0, terminated=True)
+    assert cutoff(cf_of_rational((5, 1)), 100) == cflab.cf.CutoffData(N=0, a=0, terminated=True)
 
 
 def test_intermediates_examples():
-    g = PeriodicStream(0, (), (1,))
+    g = ContinuedFraction(0, (), (1,))
     recs = [(level, index, den, str(FareyFraction(num, den)))
             for level, index, num, den in intermediates(g, 3)]
     assert recs == [(1, 1, 1, "0/1"), (2, 1, 2, "1/2"), (3, 1, 3, "2/3")]
-    y = PeriodicStream(0, (2,), (3, 2))
+    y = ContinuedFraction(0, (2,), (3, 2))
     recs = [(level, index, str(FareyFraction(num, den)))
             for level, index, num, den in intermediates(y, 7)]
     assert recs == [(1, 1, "0/1"), (1, 2, "1/2"), (2, 1, "1/3"),
@@ -565,7 +582,7 @@ def test_intermediates_are_iterated_mediants():
     x = DyadicStream(4)
     recs = intermediates(x, 500)
     cs = convergents(x, max(level for level, *_ in recs))
-    pq = {c.n: (c.p, c.q) for c in cs}
+    pq = {n: (p, q) for n, p, q in cs}
     pq[-1] = (1, 0)
     pq[-2] = (0, 1)
     by_level = {}
@@ -581,10 +598,10 @@ def test_intermediates_are_iterated_mediants():
 
 
 def test_intermediates_rational_contains_itself_last():
-    x = RationalStream(3, 7)
+    x = cf_of_rational((3, 7))
     recs = intermediates(x, 7)
     assert recs[-1][2:] == (3, 7)
-    x2 = RationalStream(355, 113)
+    x2 = cf_of_rational((355, 113))
     recs2 = intermediates(x2, 113)
     assert recs2[-1][2:] == (355 % 113, 113)
 
@@ -600,12 +617,14 @@ class RecordingStream:
         return self.inner.quotient(n)
 
 
-@pytest.mark.parametrize("x", [pytest.param(DyadicStream(3), id="dyadic:seed=3"),
-                               pytest.param(DyadicStream(8), id="dyadic:seed=8"),
-                               PeriodicStream(1, (2,), (1, 3)),
-                               PeriodicStream(0, (), (1,)), RationalStream(1393, 972),
-                               RationalStream(355, 113), RationalStream(5, 1)],
-                         ids=repr)
+@pytest.mark.parametrize("x", [
+    pytest.param(DyadicStream(3), id="dyadic:seed=3"),
+    pytest.param(DyadicStream(8), id="dyadic:seed=8"),
+    pytest.param(ContinuedFraction(1, (2,), (1, 3)), id="PeriodicStream([1;2|1,3])"),
+    pytest.param(ContinuedFraction(0, (), (1,)), id="PeriodicStream([0;|1])"),
+    pytest.param(cf_of_rational((1393, 972)), id="RationalStream(1393/972)"),
+    pytest.param(cf_of_rational((355, 113)), id="RationalStream(355/113)"),
+    pytest.param(cf_of_rational((5, 1)), id="RationalStream(5)")])
 def test_no_quotient_is_read_past_the_cutoff_level(x):
     cs = convergents(x, 13)  # a terminating x: all L + 1 of its levels
     L = len(cs) - 1
@@ -614,11 +633,11 @@ def test_no_quotient_is_read_past_the_cutoff_level(x):
         assert convergents(rec, n) == cs[:n + 1]
         assert rec.asked == list(range(1, n + 1))
     for n in range(1, min(L + 1, 13)):
-        for Q in (cs[n].q + cs[n - 1].q - 1, cs[n].q + cs[n - 1].q):
+        for Q in (cs[n][2] + cs[n - 1][2] - 1, cs[n][2] + cs[n - 1][2]):
             # N is the least level with Q < q_N + q_{N-1}; a terminating x
             # reaching its end also asks for a_{L+1} once, to learn that it ended
-            N = next((k for k in range(1, L + 1) if Q < cs[k].q + cs[k - 1].q), L)
-            ended = Q >= cs[N].q + cs[N - 1].q
+            N = next((k for k in range(1, L + 1) if Q < cs[k][2] + cs[k - 1][2]), L)
+            ended = Q >= cs[N][2] + cs[N - 1][2]
             want = list(range(1, N + 1 + ended))
             for walk in (cutoff, intermediates):
                 rec = RecordingStream(x)
@@ -626,18 +645,19 @@ def test_no_quotient_is_read_past_the_cutoff_level(x):
                 assert rec.asked == want, (walk.__name__, Q)
             assert cutoff(x, Q).N == N and cutoff(x, Q).terminated == ended
             assert cutoff(x, Q).quotients == tuple(x.quotient(k) for k in range(1, N))
-    assert cutoff(RationalStream(5, 1), 3).quotients == ()
+    assert cutoff(cf_of_rational((5, 1)), 3).quotients == ()
 
 
 def test_parse_stream():
-    assert isinstance(parse_stream("rational:2/5"), RationalStream)
+    assert parse_stream("rational:2/5") == ContinuedFraction(0, (2, 2))
     p = parse_stream("periodic:[0;2|3,2]")
-    assert isinstance(p, PeriodicStream)
+    assert p == ContinuedFraction(0, (2,), (3, 2))
     assert [p.quotient(n) for n in (1, 2, 3)] == [2, 3, 2]
     d = parse_stream("dyadic:seed=9")
     assert isinstance(d, DyadicStream) and d.seed == 9
+    # one missing bracket is refused too: the other side's strip must not eat a digit
     for bad in ("nope", "periodic:[0;1,1]", "dyadic:seed=x", "rational:1/0",
-                "dyadic:seed=9,bits=128"):
+                "dyadic:seed=9,bits=128", "dyadic:bits=9", "periodic:[0;|12", "periodic:10;|1]"):
         with pytest.raises(ValueError):
             parse_stream(bad)
 
@@ -647,6 +667,5 @@ def test_dyadic_interval_between_consecutive_convergents():
     cs = convergents(x, 11)
     lo, hi = x.interval()
     for n in range(1, 11):
-        a, b = sorted((Fraction(cs[n].p, cs[n].q),
-                       Fraction(cs[n + 1].p, cs[n + 1].q)))
+        a, b = sorted((Fraction(*cs[n][1:]), Fraction(*cs[n + 1][1:])))
         assert a <= lo and hi <= b

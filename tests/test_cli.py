@@ -143,14 +143,6 @@ def test_montecarlo_pairdep_prints_joint_tables(tmp_path, capsys):
     assert sum(1 for ln in lines if ln.startswith("k=5 r=")) == 4
 
 
-def test_montecarlo_gamma_shorthand(tmp_path):
-    out = tmp_path / "mq.csv"
-    rc = main(["montecarlo", "--experiment", "mq", "--samples", "2",
-               "--seed", "4", "--Q", "100", "--gamma", "0.5", "--out", str(out)])
-    assert rc == 0
-    assert ",methods_agree,1" in out.read_text("utf-8")
-
-
 def test_montecarlo_exact_mode(tmp_path):
     out = tmp_path / "gk.csv"
     rc = main(["montecarlo", "--experiment", "gauss_kuzmin", "--samples", "2",
@@ -169,7 +161,7 @@ def test_montecarlo_exact_mode(tmp_path):
     ["montecarlo", "--experiment", "gauss_kuzmin", "--samples", "1",
      "--seed", "1", "--n", "10,20", "--out", "x.csv"],
     ["montecarlo", "--experiment", "mq", "--samples", "1", "--seed", "1",
-     "--weight", "harmonic", "--gamma", "0.5", "--out", "x.csv"],
+     "--weight", "power:0", "--out", "x.csv"],
     ["montecarlo", "--experiment", "mq", "--samples", "1", "--seed", "1",
      "--weight", "bogus:spec", "--out", "x.csv"],
     ["mq", "--x", "rational:1/3", "--Q", "10", "--weight", "power:-1"],
@@ -698,6 +690,14 @@ def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_gamma_is_no_option_but_a_weight_spec(capsys):
+    with pytest.raises(SystemExit) as exc:  # power:G is its one spelling
+        main(["montecarlo", "--experiment", "mq", "--samples", "1", "--seed", "1",
+              "--gamma", "0.5", "--out", "x.csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --gamma 0.5" in capsys.readouterr().err
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from cflab import farey
-from cflab.cf import (DyadicStream, InvariantViolation, PeriodicStream, RationalStream,
-                      cf_of_rational, intermediates)
+from cflab.cf import (ContinuedFraction, DyadicStream, InvariantViolation, cf_of_rational,
+                      intermediates)
 from cflab.farey import (chi, chi_mask, cumulative_expected_count,
                          expected_chi, farey_neighbors,
                          farey_table, parse_height_set, row_sum_exact,
@@ -77,16 +77,16 @@ def test_mediant_ancestry_of_neighbor_triples():
 
 
 def test_chi_examples():
-    g = PeriodicStream(0, (), (1,))
+    g = ContinuedFraction(0, (), (1,))
     assert chi(FareyFraction(2, 5), g) == 0
     assert chi(FareyFraction(2, 3), g) == 1
     assert chi(FareyFraction(0, 1), g) == 1
-    assert chi(FareyFraction(2, 5), RationalStream(1, 3)) == Fraction(1, 2)
+    assert chi(FareyFraction(2, 5), cf_of_rational((1, 3))) == Fraction(1, 2)
 
 
 def test_a_class_is_an_int_pair_and_nothing_else():
     # "12" unpacks into two digits, yet is no pair of ints
-    g = PeriodicStream(0, (), (1,))
+    g = ContinuedFraction(0, (), (1,))
     for fn in (cf_of_rational, farey_neighbors, expected_chi, lambda beta: chi(beta, g)):
         assert fn((2, 5)) == fn(FareyFraction(2, 5))
         for bad in ("12", 1.5, None, Fraction(2, 5), 7):

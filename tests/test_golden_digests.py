@@ -4,8 +4,9 @@ Each case runs `cflab` in process and hashes its exit code, stdout, stderr
 and, for `montecarlo`, the CSV and its JSON mirror (None when the run wrote
 none).  The digests in golden_digests.json were recorded at commit 8a3c255,
 except `cf -7/3` and `chi --beta -1/3 ...`, which carry the digests of their
-spellings `cf -- -7/3` and `--beta=-1/3`; a case whose output differs names
-itself.  After an intended output change, re-record them with
+spellings `cf -- -7/3` and `--beta=-1/3`, and the periodic refusals and
+expansions after `convergents --x dyadic:seed=7`, recorded at f94fd33; a
+case whose output differs names itself.  After an intended output change, re-record them with
 `PYTHONPATH=src python3 tests/test_golden_digests.py` from the repository root.
 """
 
@@ -27,6 +28,10 @@ SINGLE = [
     ["convergents", "--x", "rational:355/113", "--n", "6"],
     ["convergents", "--x", "periodic:[1;|2]", "--n", "8"],
     ["convergents", "--x", "dyadic:seed=7", "--n", "12"],
+    *(["convergents", "--x", x, "--n", n]
+      for x, n in (("periodic:[0;1|]", "3"), ("periodic:[0;0|1]", "3"), ("periodic:[0;1,1]", "3"),
+                   ("rational:5/1", "3"), ("periodic:[2;1,3|4,1,2]", "9"))),
+    ["intermediates", "--x", "periodic:[2;1,3|4,1,2]", "--Q", "60"],
     ["intermediates", "--x", "rational:2/5", "--Q", "5"],
     ["intermediates", "--x", "rational:-7/3", "--Q", "10"],
     ["intermediates", "--x", "dyadic:seed=7", "--Q", "200"],

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cflab.cf
-from cflab.cf import DyadicStream, PeriodicStream, RationalStream, intermediates
+from cflab.cf import ContinuedFraction, DyadicStream, cf_of_rational, intermediates
 from cflab import farey, harness
 from cflab.farey import HeightSet, chi, parse_height_set
 from cflab.harness import (CSV_HEADER, ExperimentConfig, ResultRow, RunRows, aggregate,
@@ -387,7 +387,7 @@ quotients = st.lists(st.integers(1, 20), max_size=3)
 @example(a0=0, pre=[2], per=[30], q=1, p=0, Q=80, periodic=True)
 @example(a0=0, pre=[], per=[1], q=2, p=1, Q=80, periodic=False)
 def test_mq_count_farey_matches_scalar_chi(a0, pre, per, q, p, Q, periodic):
-    x = PeriodicStream(a0, pre, per) if periodic else RationalStream(p, q)
+    x = ContinuedFraction(a0, pre, per) if periodic else cf_of_rational((p, q))
     walk = {m: 2 * c for m, c in mq_count_farey(x, (Q,))[Q].items()}
     assert walk == _scalar_farey_halves(x, Q)
 
@@ -410,10 +410,10 @@ def test_mq_count_farey_smallest_orders():
     x = sample_stream(3, 0)
     assert mq_count_farey(x, (1,))[1] == {1: 1}
     assert mq_count_farey(x, (2,))[2] == {1: 1, 2: 1}  # 1/2 holds all of (0, 1)
-    counts = mq_count_farey(RationalStream(-1, 2), (2,))[2]
+    counts = mq_count_farey(cf_of_rational((-1, 2)), (2,))[2]
     assert counts == {1: 1, 2: 1} and all(type(c) is int for c in counts.values())
-    assert mq_count_farey(RationalStream(3, 1), (1,))[1] == {1: 1}
-    assert mq_count_farey(RationalStream(3, 1), (2,))[2] == {1: 1, 2: Fraction(1, 2)}
+    assert mq_count_farey(cf_of_rational((3, 1)), (1,))[1] == {1: 1}
+    assert mq_count_farey(cf_of_rational((3, 1)), (2,))[2] == {1: 1, 2: Fraction(1, 2)}
     for Q in (0, farey.FAREY_TABLE_LIMIT + 1):
         with pytest.raises(ValueError):
             mq_count_farey(x, (Q,))
@@ -423,7 +423,7 @@ def test_mq_count_farey_smallest_orders():
 @given(a0=st.integers(-3, 5), pre=quotients, per=quotients.filter(bool),
        Q=st.integers(1, 80))
 def test_mq_count_routes_agree_periodic_property(a0, pre, per, Q):
-    x = PeriodicStream(a0, pre, per)
+    x = ContinuedFraction(a0, pre, per)
     closed = mq_count_closed(x, Q)
     assert mq_count_intermediates(x, (Q,))[Q] == closed
     assert mq_count_farey(x, (Q,))[Q] == closed
@@ -434,11 +434,11 @@ def test_mq_count_routes_agree_periodic_property(a0, pre, per, Q):
 def test_mq_count_rational_property(q, p, Q):
     # a rational x may sit on a neighbor-interval endpoint, where its class
     # counts 1/2 on the Farey route only
-    x = RationalStream(p % q, q)
+    x = cf_of_rational((p % q, q))
     assert mq_count_intermediates(x, (Q,))[Q] == mq_count_closed(x, Q)
     farey = mq_count_farey(x, (Q,))[Q]
     assert all((2 * c).denominator == 1 for c in farey.values())
-    assert mq_count_farey(RationalStream(p, q), (Q,))[Q] == farey
+    assert mq_count_farey(cf_of_rational((p, q)), (Q,))[Q] == farey
 
 
 def _slow_intermediates(x, Q):
@@ -462,22 +462,23 @@ def _slow_intermediates(x, Q):
 
 def _slow_terminal_quotient(f):
     """The last quotient of the canonical expansion; the zero class counts as [1]."""
-    return cflab.cf.cf_of_rational((f.num, f.den)).quotients[-1] if f.den > 1 else 1
+    return cflab.cf.cf_of_rational((f.num, f.den)).preperiod[-1] if f.den > 1 else 1
 
 
 STREAMS = st.one_of(
     st.integers(0, 2 ** 64 - 1).map(DyadicStream),
-    st.builds(RationalStream, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 3000)),
-    st.builds(PeriodicStream, st.integers(-3, 5), quotients, quotients.filter(bool)))
+    st.builds(lambda p, q: cf_of_rational((p, q)), st.integers(-10 ** 6, 10 ** 6),
+              st.integers(1, 3000)),
+    st.builds(ContinuedFraction, st.integers(-3, 5), quotients, quotients.filter(bool)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(x=STREAMS, Q=st.integers(1, 10 ** 4))
 # rationals that end before the cutoff, an integer, and one cut inside its last level
-@example(x=RationalStream(3, 7), Q=100)
-@example(x=RationalStream(-355, 113), Q=10 ** 4)
-@example(x=RationalStream(5, 1), Q=10)
-@example(x=RationalStream(3, 7), Q=5)
+@example(x=cf_of_rational((3, 7)), Q=100)
+@example(x=cf_of_rational((-355, 113)), Q=10 ** 4)
+@example(x=cf_of_rational((5, 1)), Q=10)
+@example(x=cf_of_rational((3, 7)), Q=5)
 def test_intermediates_route_matches_the_slow_oracle(x, Q):
     want = _slow_intermediates(x, Q)
     assert [(level, index, (num, den), den)
@@ -490,24 +491,24 @@ def test_intermediates_route_matches_the_slow_oracle(x, Q):
 @given(x=STREAMS, grid=st.lists(st.integers(1, 3000), min_size=1, max_size=4, unique=True))
 # heights 2 and 3 always have a class holding an irrational x; 3/7 ends at level 2
 @example(x=DyadicStream(5), grid=[2000, 2, 500])
-@example(x=PeriodicStream(0, [], [1]), grid=[3, 1, 2])
-@example(x=RationalStream(3, 7), grid=[100, 5, 7, 6])
-@example(x=RationalStream(-355, 113), grid=[3000, 113, 112])
+@example(x=ContinuedFraction(0, [], [1]), grid=[3, 1, 2])
+@example(x=cf_of_rational((3, 7)), grid=[100, 5, 7, 6])
+@example(x=cf_of_rational((-355, 113)), grid=[3000, 113, 112])
 def test_grid_routes_equal_one_height_calls(x, grid):
     """One walk at max(grid) gives, at each Q, the multiset of a walk at Q,
     and for an irrational x the closed route's."""
     for route in (mq_count_farey, mq_count_intermediates):
         got = route(x, grid)
         assert got == {Q: route(x, (Q,))[Q] for Q in grid}
-        if not isinstance(x, RationalStream):  # only a rational sits on an endpoint
+        if not isinstance(x, ContinuedFraction) or x.period:  # only a rational sits on an endpoint
             assert got == {Q: mq_count_closed(x, Q) for Q in grid}
 
 
 @settings(max_examples=60, deadline=None)
 @given(x=STREAMS, grid=st.lists(st.integers(1, 3000), min_size=1, max_size=4, unique=True))
-@example(x=RationalStream(3, 7), grid=[100, 5, 7, 6])
-@example(x=RationalStream(-355, 113), grid=[3000, 113, 112])
-@example(x=RationalStream(5, 1), grid=[10, 1])
+@example(x=cf_of_rational((3, 7)), grid=[100, 5, 7, 6])
+@example(x=cf_of_rational((-355, 113)), grid=[3000, 113, 112])
+@example(x=cf_of_rational((5, 1)), grid=[10, 1])
 def test_grid_counts_and_hits_match_one_walk_per_height(x, grid):
     """The routes' grid multisets and the openproblem hits against the walk
     at each Q on its own, counted here."""

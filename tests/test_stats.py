@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cflab import farey, stats
-from cflab.cf import (DyadicStream, PeriodicStream, RationalStream, cf_of_rational,
-                      intermediates, parse_stream)
+from cflab.cf import (ContinuedFraction, DyadicStream, cf_of_rational, intermediates,
+                      parse_stream)
 from cflab.harness import (mq_all, mq_count_closed, mq_count_farey,
                            mq_count_intermediates, mq_value, sample_stream)
 from cflab.stats import (ClassicalStats, TruncationFn, WeightFunction, birkhoff_average,
@@ -25,8 +25,8 @@ from cflab.stats import (ClassicalStats, TruncationFn, WeightFunction, birkhoff_
                          indicator_sum, main_term, mq_level_expectation,
                          parse_weight, terminal_quotient, weight_log_series, x_nf)
 
-GOLDEN = PeriodicStream(0, (), (1,))
-ALT23 = PeriodicStream(0, (2,), (3, 2))  # [0;2,3,2,3,...]
+GOLDEN = ContinuedFraction(0, (), (1,))
+ALT23 = ContinuedFraction(0, (2,), (3, 2))  # [0;2,3,2,3,...]
 HARMONIC = WeightFunction.harmonic()
 UNIT = WeightFunction.unit()
 # each route's multiset at one height Q; two of them take a grid of heights
@@ -121,7 +121,7 @@ def test_weight_table_is_sparse(tmp_path):
 def first_quotients(*ks):
     """[0; k_1, ..., k_r, 1, 1, ...]: at n = r, X_{n,f} sums the prefixes g(2) + ... + g(k_i)
     when f(n) >= max k_i."""
-    return PeriodicStream(0, ks, (1,))
+    return ContinuedFraction(0, ks, (1,))
 
 
 WIDE = TruncationFn(-20)  # f(2) = 2540: no k_i below is clipped at n = 2
@@ -229,7 +229,7 @@ def test_terminal_quotient_matches_the_canonical_expansion():
     for q in range(2, 301):
         for a in range(1, q):
             if math.gcd(a, q) == 1:
-                want = cf_of_rational((a, q)).quotients[-1]
+                want = cf_of_rational((a, q)).preperiod[-1]
                 assert terminal_quotient(a, q) == want
                 assert terminal_quotient(a - q, q) == want  # the same class mod 1
 
@@ -240,7 +240,7 @@ def test_terminal_quotient_matches_the_canonical_expansion():
 def test_terminal_quotient_property(a, q):
     g = math.gcd(a, q)
     a, q = a // g, q // g  # a coprime pair; a = 0 leaves the zero class 0/1
-    want = cf_of_rational((a, q)).quotients
+    want = cf_of_rational((a, q)).preperiod
     assert terminal_quotient(a, q) == (want[-1] if want else 1)
 
 
@@ -303,7 +303,7 @@ def test_float_mq_value_matches_the_per_term_sum(g):
 def test_mq_rational_endpoints_get_half_weight():
     # x = 1/2 inside F_3: the classes 1/3 and 2/3 see x on their interval
     # boundary and contribute half their weight on the brute-force route only
-    x = RationalStream(1, 2)
+    x = cf_of_rational((1, 2))
     farey_v, inter_v, closed_v = (mq_value(route(x, 3), HARMONIC, exact=True)
                                   for route in ROUTES)
     assert closed_v == inter_v == Fraction(3, 2)
@@ -605,10 +605,10 @@ def test_classical_stats_grid_matches_one_pass_per_n(spec, grid, at):
 
 def test_double_exceedance():
     assert double_exceedance(GOLDEN, 50, 0.5) == 0
-    spiky = PeriodicStream(0, (100, 100), (1,))
+    spiky = ContinuedFraction(0, (100, 100), (1,))
     assert double_exceedance(spiky, 2, 0.5) == 2
     assert double_exceedance(spiky, 10 ** 4, 0.5) == 0
     # a_1..a_10 = 30, 5, 1, 100, 2, 7, 25, 2, 7, 25 against M (log M)^(1/2 + delta):
     # 0 at M = 1, so a_1 counts; 3.30, 13.6 and 23.0 at M = 3, 7, 10 and delta 1/2
-    x = PeriodicStream(0, (30, 5, 1, 100), (2, 7, 25))
+    x = ContinuedFraction(0, (30, 5, 1, 100), (2, 7, 25))
     assert [double_exceedance(x, M, 0.5) for M in (1, 3, 7, 10)] == [1, 2, 3, 4]
