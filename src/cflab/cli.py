@@ -21,7 +21,7 @@ from .farey import chi, parse_height_set, row_sum_exact, row_sum_formula
 from .harness import (REGISTRY, ExperimentConfig, InvariantViolation,
                       aggregate, find_violations, mq_all, mq_count_closed,
                       mq_count_farey, mq_count_intermediates, mq_value,
-                      pairdep_tables, run, write_csv, write_json)
+                      pairdep_tables, run, sample_stream, write_csv, write_json)
 from .stats import parse_weight
 
 
@@ -135,8 +135,11 @@ def _cmd_montecarlo(args) -> int:
         for (k, rv, sv), (joint, prod) in sorted(pairdep_tables(rows).items()):
             print(f"k={k} r={rv} s={sv} joint={joint:.12g} product={prod:.12g}")
     bad = find_violations(rows)
-    if bad:
-        raise InvariantViolation(f"methods_agree failed on {len(bad)} rows")
+    if bad:  # the first failing samples, named by specs that `cflab mq --x` replays
+        first = ", ".join(f"({r.param}, {r.index}) dyadic:seed="
+                          f"{sample_stream(r.seed, r.index).seed:#x}" for r in bad[:3])
+        raise InvariantViolation(f"methods_agree failed on {len(bad)} rows; "
+                                 f"first ({exp.param}, index): {first}")
     return 0
 
 

@@ -332,8 +332,10 @@ def parse_height_set(spec: str) -> HeightSet:
     if spec == "primes":
         return HeightSet("primes", "primes")
     if spec.startswith("mod:"):
-        d_s, _, r_s = spec[4:].partition(",")
-        d, r = int(d_s), int(r_s)
+        try:
+            d, r = map(int, spec[4:].split(","))
+        except ValueError:
+            d = r = 0  # refused below
         if d < 1 or not 0 <= r < d:
             raise ValueError(f"bad residue class {spec!r}")
         return HeightSet(spec, "mod", (d, r))
@@ -344,6 +346,9 @@ def parse_height_set(spec: str) -> HeightSet:
                 text = fh.read()
         except OSError as exc:
             raise ValueError(f"cannot read height set {path!r}: {exc.strerror}") from exc
-        qs = tuple(sorted({int(tok) for tok in text.split()}))
+        try:
+            qs = tuple(sorted({int(tok) for tok in text.split()}))
+        except ValueError as exc:
+            raise ValueError(f"bad height set {spec!r}: {exc}") from None
         return HeightSet(spec, "set", qs)
     raise ValueError(f"unknown height set spec {spec!r}")

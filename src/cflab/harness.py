@@ -2,7 +2,7 @@
 
 The weighted count M_Q(x) = sum over height <= Q classes of c(beta) chi_beta(x),
 with c(beta) = g(terminal partial quotient of beta), is computed by three
-independent routes (chi tested on the candidate classes of each height, the
+independent routes (chi tested on the one-sided best approximations of x, the
 intermediate fractions of x, a closed form in the partial quotients).  Each
 route returns the multiset of terminal quotients it counts; the routes must
 agree on it exactly, and weights are applied afterwards by mq_value.
@@ -139,31 +139,25 @@ def mq_count_intermediates(stream, grid) -> dict:
     return out
 
 
-def _euclid(a, q):
-    """(gcd(a, q), t) with t a = gcd mod q, for arrays 1 <= a < q.  A finished
-    pair (g, 0) divides by zero, which numpy makes k = 0, so it swaps till all end."""
-    import numpy as np
-
-    r0, r1, t0, t1 = q, a, np.zeros_like(a), np.ones_like(a)
-    with np.errstate(divide="ignore"):
-        while (r0 * r1).any():
-            k = r0 // r1
-            r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
-    return r0 + r1, np.where(r1 == 0, t0, t1) % q
-
-
 def mq_count_farey(stream, grid) -> dict:
     """{Q: the multiset from the definition} for each Q in grid, walking the
     heights once up to max(grid): every class of height <= Q whose neighbor
     interval holds x mod 1.
 
-    a/q holds x only if q x - a lies in (-1/q_lo, 1/q_hi), q_lo and q_hi its
-    neighbors' heights, which are at least 2 unless a is 1 or q - 1; so
-    |q x - a| <= 1/2, or <= 1 for those two, which floor(q x) - 1 ..
-    floor(q x) + 2 covers under float error.  chi is tested in floats with the
-    CHI_MARGIN guard band, and the band is settled exactly.  The candidates
-    come sorted by q, so each Q counts a prefix.  Counts are kept in halves:
-    an x on a neighbor endpoint (a rational) gives its class 1/2.
+    For q >= 2 the neighbors of a/q in F_q are the nearest fractions of
+    smaller height on either side of it (Hardy and Wright, ch. III), so if
+    its interval holds x, no fraction of height < q lies strictly between
+    a/q and x: a/q is a one-sided best approximation of x (Khinchin, sec. 6),
+    either below x and at least the largest fraction below x of each smaller
+    height, or above x and at most the smallest above.  Those fractions are
+    read as floor(q x - CHI_MARGIN)/q and ceil(q x + CHI_MARGIN)/q, and the
+    candidates are their running records over q; the margin keeps x itself
+    out of them and lets a float error only weaken a record, and a q x
+    within CHI_MARGIN of an integer n keeps n/q as well.  The filter
+    only narrows the candidates: chi, tested in floats with the CHI_MARGIN
+    guard band and the band settled exactly, decides.  The candidates come
+    sorted by q, so each Q counts a prefix.  Counts are kept in halves: an x
+    on a neighbor endpoint (a rational) gives its class 1/2.
     """
     import numpy as np
 
@@ -173,13 +167,17 @@ def mq_count_farey(stream, grid) -> dict:
     # x mod 1 within float error (the 40th convergent is within 1e-16 of x)
     x_f = float(stream.interval()[0] if isinstance(stream, DyadicStream)
                 else Fraction(*convergents(stream, 40)[-1][1:]) - stream.a0)
-    q = np.repeat(np.arange(2, top + 1, dtype=np.int64), 4)
-    a = np.floor(q * x_f).astype(np.int64) + np.tile(np.arange(-1, 3), top - 1)
-    near = np.where((a == 1) | (a == q - 1), 1, 0.5)  # the bound on |q x - a|
-    keep = (a >= 1) & (a < q) & (np.abs(q * x_f - a) <= near + CHI_MARGIN)
-    gcd, q_lo = _euclid(a[keep], q[keep])  # q_lo = a^-1 mod q, as in farey_neighbors
-    keep[keep] = gcd == 1
-    a, q, q_lo = a[keep], q[keep], q_lo[gcd == 1]
+    q = np.arange(1, top + 1)
+    lo, hi = np.floor(q * x_f - CHI_MARGIN), np.ceil(q * x_f + CHI_MARGIN)  # lo/q < x < hi/q
+    a = np.stack([lo, lo + 1, hi], axis=1).astype(np.int64)
+    keep = np.stack([lo / q >= np.maximum.accumulate(lo / q) - CHI_MARGIN, hi - lo == 2,
+                     hi / q <= np.minimum.accumulate(hi / q) + CHI_MARGIN], axis=1)
+    keep &= (a >= 1) & (a < q[:, None])
+    a, q = a[keep], np.nonzero(keep)[0] + 1  # the candidates, by ascending q
+    reduced = np.gcd(a, q) == 1
+    a, q = a[reduced], q[reduced]
+    # q_lo = a^-1 mod q, as in farey_neighbors
+    q_lo = np.array([pow(s, -1, t) for s, t in zip(a.tolist(), q.tolist())], dtype=np.int64)
     q_hi = q - q_lo
     lo_f, hi_f = (a - 1 / q_lo) / q, (a + 1 / q_hi) / q  # the neighbors' values
     halves = 2 * ((lo_f < x_f - CHI_MARGIN) & (hi_f > x_f + CHI_MARGIN))
@@ -340,6 +338,8 @@ def resolve_params(config: ExperimentConfig) -> tuple[tuple[int, ...], dict]:
     for key, kind in (("weight", WeightFunction), ("heights", HeightSet)):
         if key in p and not isinstance(p[key], kind):
             raise ValueError(f"{key} must be a {kind.__name__}, not {p[key]!r}")
+    if config.exact and "weight" in p and not p["weight"].is_exact:
+        raise ValueError("exact values need an exact weight family")
     p["exact"] = config.exact
     if exp.name == "mq":
         # the oracle route is all-or-nothing per run so the stat set is uniform

@@ -603,6 +603,34 @@ def test_forked_runs_merge_to_the_serial_output(argv, tmp_path, capsys, monkeypa
     assert ("k=10 r=2 s=2 joint=" in stdout) == ("pairdep" in argv)
 
 
+@pytest.mark.parametrize("experiment, grid", [("mq", "--Q"), ("xnf", "--n"),
+                                               ("khinchin_avg", "--n")])
+def test_exact_with_a_float_weight_is_refused_before_any_sample(experiment, grid, tmp_path,
+                                                                capsys, monkeypatch):
+    def no_sample(master_seed, index):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr("cflab.harness.sample_stream", no_sample)
+    out = tmp_path / "exact.csv"
+    assert main(["montecarlo", "--experiment", experiment, "--samples", "400", "--seed", "1",
+                 grid, "3000", "--weight", "power:0.5", "--exact", "--json",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: exact values need an exact weight family\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spec", ["mod:3", "mod:", "mod:3,1,2", "mod:x,1", "file:{}"])
+def test_a_malformed_height_set_is_named(spec, tmp_path, capsys):
+    heights = tmp_path / "heights.txt"
+    heights.write_text("3 5\n7.5\n")
+    spec = spec.format(heights)
+    assert main(["montecarlo", "--experiment", "openproblem", "--samples", "2", "--seed", "1",
+                 "--set", spec, "--out", str(tmp_path / "o.csv")]) == 2
+    named = (f"bad residue class {spec!r}" if spec.startswith("mod:") else
+             f"bad height set {spec!r}: invalid literal for int() with base 10: '7.5'")
+    assert capsys.readouterr().err == f"error: {named}\n"
+
+
 def test_methods_agree_failure_exits_3_after_writing(tmp_path, capsys,
                                                      monkeypatch):
     def fake_compute(stream, grid, p):
@@ -640,8 +668,27 @@ def test_violations_are_counted_across_forked_workers(tmp_path, capsys, monkeypa
                      "--Q", "100,200", "--threads", threads, "--out", str(out)]) == 3
         outputs.add((out.read_bytes(), capsys.readouterr()))
     (text, (_, err)), = outputs
-    assert err == "invariant violation: methods_agree failed on 8 rows\n"  # samples 1, 3, 5, 7
+    first = ", ".join(f"(100, {i}) dyadic:seed={sample_stream(1, i).seed:#x}" for i in (1, 3, 5))
+    assert err == ("invariant violation: methods_agree failed on 8 rows; "  # samples 1, 3, 5, 7
+                   f"first (Q, index): {first}\n")
     assert text.count(b",methods_agree,0\n") == 8
+
+
+def test_a_methods_agree_failure_names_samples_that_mq_replays(tmp_path, capsys, monkeypatch):
+    def sample_2_disagrees(stream, grid, p):
+        return [(Q, stat, v) for Q in grid for stat, v in
+                (("mq_closed", 1.0), ("methods_agree", int(sample_index(stream, 4, 9) != 2)))]
+
+    monkeypatch.setitem(REGISTRY, "mq", Experiment("mq", "Q", (100,), sample_2_disagrees))
+    assert main(["montecarlo", "--experiment", "mq", "--samples", "4", "--seed", "9",
+                 "--Q", "30,60", "--out", str(tmp_path / "bad.csv")]) == 3
+    err = capsys.readouterr().err
+    spec = f"dyadic:seed={sample_stream(9, 2).seed:#x}"
+    assert err.endswith(f"on 2 rows; first (Q, index): (30, 2) {spec}, (60, 2) {spec}\n")
+    monkeypatch.undo()
+    assert cflab.cf.parse_stream(spec).seed == sample_stream(9, 2).seed
+    assert main(["mq", "--x", spec, "--Q", "60"]) == 0  # the real routes agree on it
+    assert capsys.readouterr().out.endswith("agree 1\n")
 
 
 def _stuck_levels(x):

@@ -21,7 +21,7 @@ from cflab.harness import (CSV_HEADER, ExperimentConfig, ResultRow, RunRows, agg
                            pairdep_tables, resolve_params, rows_to_csv, run,
                            sample_stream, write_csv, write_json)
 from cflab.stats import WeightFunction, gauss_kuzmin_prob, terminal_quotient
-from oracles import FareyFraction, enumerate_farey
+from oracles import FareyFraction, enumerate_farey, value_of_cf
 
 
 # -- sample_stream -------------------------------------------------------------
@@ -404,6 +404,86 @@ def test_mq_count_farey_float_floor_guard(monkeypatch):
     counts = mq_count_farey(x, (300,))[300]
     assert counts == {1: 1, 2: 2, **dict.fromkeys(range(3, 300), 1)}
     assert counts == mq_count_closed(x, 300) == _table_scan(x, 300)
+
+
+@pytest.fixture(scope="module")
+def f2000():
+    return farey.farey_table(2000)
+
+
+def _f2000_halves(table, x, Q):
+    """2 chi summed per terminal quotient over F_Q, Q <= 2000, off the F_2000 table,
+    whose prefix of heights <= Q is F_Q: chi_mask for a dyadic x, and for a rational
+    x exact integer signs of x - lower and x - upper for each class's neighbors."""
+    n = np.searchsorted(table.den, Q, side="right")
+    if isinstance(x, DyadicStream):
+        halves = 2 * farey.chi_mask(table, x)[:n]
+    else:
+        r, s = (value_of_cf(x) % 1).as_integer_ratio()
+        halves = (np.sign(r * table.lo_den[:n] - s * table.lo_num[:n])
+                  - np.sign(r * table.hi_den[:n] - s * table.hi_num[:n]))
+        halves[0] = 2  # the zero class, chi identically 1
+    counts = np.bincount(table.terminal[:n], weights=halves)
+    return {int(m): int(counts[m]) for m in np.flatnonzero(counts)}
+
+
+def _doubled(counts):
+    return {m: int(2 * c) for m, c in counts.items()}
+
+
+@pytest.mark.parametrize("offset", [-1e-12, -4e-13, 4e-13, 1e-12])
+def test_mq_count_farey_x_next_to_a_class_of_height_near_2000(f2000, offset, monkeypatch):
+    # x = 1234/1999 + offset, so q x is within 2 CHI_MARGIN of the integer 1234 at
+    # q = 1999 (within CHI_MARGIN at 4e-13): the class holding x is the one floor
+    # or ceil of q x -+ CHI_MARGIN passes over
+    first = math.floor((Fraction(1234, 1999) + Fraction(offset)) * 2 ** 64)
+    blocks = itertools.chain([first], itertools.repeat(0x0123456789ABCDEF))
+    monkeypatch.setattr(cflab.cf, "mix64", lambda z: next(blocks))
+    x = DyadicStream(0)
+    assert 0 < abs(1999 * float(x.interval()[0]) - 1234) <= 2 * farey.CHI_MARGIN
+    counts = mq_count_farey(x, (1998, 2000))
+    for Q in (1998, 2000):
+        assert _doubled(counts[Q]) == _f2000_halves(f2000, x, Q)
+        assert counts[Q] == mq_count_closed(x, Q)
+    assert counts[2000] != counts[1998]  # 1234/1999 holds x
+
+
+@pytest.mark.parametrize("route", [mq_count_closed, lambda x, Q: mq_count_farey(x, (Q,))])
+def test_a_first_block_of_0_puts_a_1_past_the_cap_on_every_route(route, monkeypatch):
+    blocks = itertools.chain([0], itertools.repeat(0x0123456789ABCDEF))
+    monkeypatch.setattr(cflab.cf, "mix64", lambda z: next(blocks))
+    with pytest.raises(cflab.cf.QuotientCapExceeded):
+        route(DyadicStream(0), 2000)
+
+
+def test_mq_count_farey_x_below_the_margin(f2000, monkeypatch):
+    # the first block's top 32 bits 0: x = 2^-33 + ... < CHI_MARGIN, floor(q x -
+    # CHI_MARGIN) is -1 for q <= 8, and every 1/q holds x, settled exactly
+    blocks = itertools.chain([1 << 31], itertools.repeat(0x0123456789ABCDEF))
+    monkeypatch.setattr(cflab.cf, "mix64", lambda z: next(blocks))
+    x = DyadicStream(0)
+    assert 0 < float(x.interval()[0]) < farey.CHI_MARGIN / 8
+    counts = mq_count_farey(x, (2000,))[2000]
+    assert counts == dict.fromkeys(range(1, 2001), 1) == mq_count_closed(x, 2000)
+    assert _doubled(counts) == _f2000_halves(f2000, x, 2000)
+
+
+@pytest.mark.parametrize("p, q", [(377, 987), (-16, 113), (1, 2)])
+def test_mq_count_farey_rational_x_where_records_tie(f2000, p, q):
+    # x = p/q with 2q <= 2000: the floor and ceiling records tie with their doubles,
+    # and the classes with x on a neighbor endpoint count 1/2
+    x = cf_of_rational((p, q))
+    for Q, counts in mq_count_farey(x, (q, 2 * q - 1, 2 * q, 2000)).items():
+        assert _doubled(counts) == _f2000_halves(f2000, x, Q)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), grid=st.sets(st.integers(1, 2000), min_size=1, max_size=3))
+def test_mq_count_farey_to_height_2000_matches_the_table(f2000, seed, grid):
+    x = DyadicStream(seed)
+    for Q, counts in mq_count_farey(x, tuple(grid)).items():
+        assert _doubled(counts) == _f2000_halves(f2000, x, Q)
+        assert counts == mq_count_closed(x, Q)
 
 
 def test_mq_count_farey_smallest_orders():
