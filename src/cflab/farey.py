@@ -150,10 +150,8 @@ def terminal_from_neighbors(den, lo_den, hi_den):
     """Terminal partial quotients of height-den fractions from their neighbor
     heights, elementwise (1 for the zero class): for beta = [0; a1, ..., an],
     den = an q_{n-1} + q_{n-2} with q_{n-1} the smaller neighbor height,
-    except for (q-1)/q = [0; 1, q-1]."""
-    import numpy as np
-
-    return den // np.minimum(lo_den, hi_den) - ((hi_den == 1) & (den > 2))
+    except for (q-1)/q = [0; 1, q-1].  Python ints or numpy arrays alike."""
+    return den // ((lo_den + hi_den - abs(lo_den - hi_den)) // 2) - ((hi_den == 1) & (den > 2))
 
 
 def farey_table(Q: int) -> FareyTable:

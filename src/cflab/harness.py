@@ -2,7 +2,7 @@
 
 The weighted count M_Q(x) = sum over height <= Q classes of c(beta) chi_beta(x),
 with c(beta) = g(terminal partial quotient of beta), is computed by three
-independent routes (chi tested on the one-sided best approximations of x, the
+independent routes (chi read off the Stern-Brocot descent toward x, the
 intermediate fractions of x, a closed form in the partial quotients).  Each
 route returns the multiset of terminal quotients it counts; the routes must
 agree on it exactly, and weights are applied afterwards by mq_value.
@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 from .cf import (GOLDEN64, M64, DyadicStream, InvariantViolation, convergents, cutoff,
                  intermediates, mix64)
 # chi_mask and farey_table are unused here; perfbench/tracer.py patches them by name.
-from .farey import (CHI_MARGIN, HeightSet, check_order, chi, chi_mask,  # noqa: F401
+from .farey import (CHI_MARGIN, HeightSet, check_order, chi_mask,  # noqa: F401
                     farey_table, terminal_from_neighbors)
 from .stats import (TruncationFn, WeightFunction, birkhoff_average,
                     classical_stats, double_exceedance, indicator_sum,
@@ -140,58 +140,56 @@ def mq_count_intermediates(stream, grid) -> dict:
 
 
 def mq_count_farey(stream, grid) -> dict:
-    """{Q: the multiset from the definition} for each Q in grid, walking the
-    heights once up to max(grid): every class of height <= Q whose neighbor
-    interval holds x mod 1.
+    """{Q: the multiset from the definition} for each Q in grid, read off one
+    Stern-Brocot descent toward x mod 1 to height max(grid): every class of
+    height <= Q whose neighbor interval holds x, counted in halves.
 
-    For q >= 2 the neighbors of a/q in F_q are the nearest fractions of
-    smaller height on either side of it (Hardy and Wright, ch. III), so if
-    its interval holds x, no fraction of height < q lies strictly between
-    a/q and x: a/q is a one-sided best approximation of x (Khinchin, sec. 6),
-    either below x and at least the largest fraction below x of each smaller
-    height, or above x and at most the smallest above.  Those fractions are
-    read as floor(q x - CHI_MARGIN)/q and ceil(q x + CHI_MARGIN)/q, and the
-    candidates are their running records over q; the margin keeps x itself
-    out of them and lets a float error only weaken a record, and a q x
-    within CHI_MARGIN of an integer n keeps n/q as well.  The filter
-    only narrows the candidates: chi, tested in floats with the CHI_MARGIN
-    guard band and the band settled exactly, decides.  The candidates come
-    sorted by q, so each Q counts a prefix.  Counts are kept in halves: an x
-    on a neighbor endpoint (a rational) gives its class 1/2.
+    A node a/q of the Stern-Brocot tree is born as the mediant of its two
+    Farey neighbors in F_q (Graham, Knuth and Patashnik, Concrete
+    Mathematics, sec. 4.5), so the classes whose neighbor interval holds x
+    are the nodes on its descent path (the one-sided best approximations of
+    x, Khinchin, sec. 6), with the descent's bounds as their neighbors.  A
+    node counts sign(x - lower) - sign(x - upper) halves, both signs known
+    from the comparisons that set the bounds, and then the bound on x's side
+    moves to it.  Each sign is read in floats outside the CHI_MARGIN guard
+    band and settled exactly inside it.  An x equal to a node (a rational)
+    continues as two chains, one toward each old bound, whose nodes have x
+    on a neighbor endpoint and count 1/2; the zero class counts 1.
     """
-    import numpy as np
-
     for Q in grid:
         check_order(Q)
-    top = max(grid)
+    top, a0 = max(grid), stream.a0
     # x mod 1 within float error (the 40th convergent is within 1e-16 of x)
     x_f = float(stream.interval()[0] if isinstance(stream, DyadicStream)
-                else Fraction(*convergents(stream, 40)[-1][1:]) - stream.a0)
-    q = np.arange(1, top + 1)
-    lo, hi = np.floor(q * x_f - CHI_MARGIN), np.ceil(q * x_f + CHI_MARGIN)  # lo/q < x < hi/q
-    a = np.stack([lo, lo + 1, hi], axis=1).astype(np.int64)
-    keep = np.stack([lo / q >= np.maximum.accumulate(lo / q) - CHI_MARGIN, hi - lo == 2,
-                     hi / q <= np.minimum.accumulate(hi / q) + CHI_MARGIN], axis=1)
-    keep &= (a >= 1) & (a < q[:, None])
-    a, q = a[keep], np.nonzero(keep)[0] + 1  # the candidates, by ascending q
-    reduced = np.gcd(a, q) == 1
-    a, q = a[reduced], q[reduced]
-    # q_lo = a^-1 mod q, as in farey_neighbors
-    q_lo = np.array([pow(s, -1, t) for s, t in zip(a.tolist(), q.tolist())], dtype=np.int64)
-    q_hi = q - q_lo
-    lo_f, hi_f = (a - 1 / q_lo) / q, (a + 1 / q_hi) / q  # the neighbors' values
-    halves = 2 * ((lo_f < x_f - CHI_MARGIN) & (hi_f > x_f + CHI_MARGIN))
-    for i in np.flatnonzero(np.minimum(abs(lo_f - x_f), abs(hi_f - x_f)) <= CHI_MARGIN):
-        halves[i] = int(2 * chi((int(a[i]), int(q[i])), stream))
-    term = terminal_from_neighbors(q, q_lo, q_hi)
+                else Fraction(*convergents(stream, 40)[-1][1:]) - a0)
+
+    def sign(p, q):  # of x mod 1 - p/q
+        d = x_f - p / q
+        if abs(d) > CHI_MARGIN:
+            return 1 if d > 0 else -1
+        return stream.compare_fraction(a0 + Fraction(p, q))
+
+    nodes = []  # (height, terminal quotient, halves)
+    paths = [(0, 1, sign(0, 1), 1, 1, -1)]  # lower p, q, sign(x - lower), and the upper's
+    while paths:
+        pl, ql, sl, pu, qu, su = paths.pop()
+        while (q := ql + qu) <= top:
+            p = pl + pu
+            nodes.append((q, terminal_from_neighbors(q, ql, qu), sl - su))
+            if (s := sign(p, q)) > 0:
+                pl, ql, sl = p, q, s
+            else:
+                if s == 0:  # x = p/q: the chain toward the old upper bound, later
+                    paths.append((p, q, s, pu, qu, su))
+                pu, qu, su = p, q, s
     out = {}
     for Q in grid:
-        n = np.searchsorted(q, Q, side="right")
-        total = np.bincount(term[:n], weights=halves[:n], minlength=2).astype(np.int64)
-        total[1] += 2  # the zero class, chi identically 1
-        odd = bool((total % 2).any())
-        out[Q] = {int(m): Fraction(int(total[m]), 2) if odd else int(total[m]) // 2
-                  for m in np.flatnonzero(total)}
+        halves = {1: 2}  # the zero class, chi identically 1
+        for q, m, h in nodes:
+            if q <= Q:
+                halves[m] = halves.get(m, 0) + h
+        odd = any(h % 2 for h in halves.values())
+        out[Q] = {m: Fraction(h, 2) if odd else h // 2 for m, h in sorted(halves.items())}
     return out
 
 
@@ -461,8 +459,8 @@ def run(config: ExperimentConfig) -> RunRows:
         raise ValueError("seed must fit in 64 bits")
     grid, p = resolve_params(config)
     workers = min(config.threads, config.samples, len(os.sched_getaffinity(0)))
-    if p.get("with_farey") or ("weight" in p and not p["weight"].is_exact):
-        import numpy  # noqa: F401  (the Farey route and power weights: once, before any fork)
+    if "weight" in p and not p["weight"].is_exact:
+        import numpy  # noqa: F401  (power weights' arrays: once, before any fork)
     n = min(config.samples, 8 * workers)  # eight contiguous chunks per worker even out heavy tails
     chunks = [range(config.samples * k // n, config.samples * (k + 1) // n) for k in range(n)]
     parts = _fork_chunks(lambda c: _run_chunk(config, grid, p, c), chunks, workers)

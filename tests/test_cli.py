@@ -1051,13 +1051,13 @@ with open(sys.argv[2]) as fh:
 @pytest.mark.parametrize("argv, expected", [
     (["levy", "--n", "100", "--threads", "1"], "0 [] ['-'] -"),
     (["mq", "--Q", "10000", "--threads", "2"], "0 ['-'] ['-'] -"),  # no Farey route
-    (["mq", "--Q", "100", "--threads", "2"], "0 ['numpy'] ['numpy'] numpy"),
+    (["mq", "--Q", "100", "--threads", "2"], "0 ['-'] ['-'] -"),  # Farey route in pure Python
     (["mq", "--Q", "10000", "--weight", "power:0.25", "--threads", "2"],
      "0 ['numpy'] ['numpy'] numpy"),
 ], ids=["levy", "mq-harmonic", "mq-farey", "mq-power"])
 def test_montecarlo_loads_numpy_only_for_arrays_and_before_forking(tmp_path, argv, expected):
-    # numpy loads on first use and mpmath never; the Farey route and power
-    # weights need numpy, which the parent imports before forking, not each child
+    # numpy loads on first use and mpmath never; only power weights need numpy,
+    # which the parent imports before forking, not each child
     done = subprocess.run([sys.executable, "-c", LAZY_IMPORTS_RUN, str(ROOT),
                            str(tmp_path / "chunks.txt"), "montecarlo", "--experiment", *argv,
                            "--samples", "4", "--seed", "7", "--out", str(tmp_path / "out.csv")],

@@ -468,13 +468,26 @@ def test_mq_count_farey_x_below_the_margin(f2000, monkeypatch):
     assert _doubled(counts) == _f2000_halves(f2000, x, 2000)
 
 
-@pytest.mark.parametrize("p, q", [(377, 987), (-16, 113), (1, 2)])
+@pytest.mark.parametrize("p, q", [(377, 987), (-16, 113), (1, 2), (3, 1), (-2, 1),
+                                  (1, 1999), (1999, 2000)])
 def test_mq_count_farey_rational_x_where_records_tie(f2000, p, q):
-    # x = p/q with 2q <= 2000: the floor and ceiling records tie with their doubles,
-    # and the classes with x on a neighbor endpoint count 1/2
+    # the descent meets x = p/q (or starts on it, for an integer) and goes on as two
+    # chains of classes with x on a neighbor endpoint, each counting 1/2, up to 2000/q
+    # long: longest for an integer and 1/2; 1/1999 and 1999/2000 end the longest paths
     x = cf_of_rational((p, q))
-    for Q, counts in mq_count_farey(x, (q, 2 * q - 1, 2 * q, 2000)).items():
+    grid = sorted({Q for Q in (q, 2 * q - 1, 2 * q, 2000) if Q <= 2000})
+    for Q, counts in mq_count_farey(x, tuple(grid)).items():
         assert _doubled(counts) == _f2000_halves(f2000, x, Q)
+
+
+@pytest.mark.parametrize("p", [0, 3, -2])
+def test_mq_count_farey_integer_x_at_the_table_limit(p):
+    # 1/k = [0; k] has 0/1 as its lower neighbor, so an integer x puts every 1/k on
+    # an endpoint, and no other class of height >= 2 holds it
+    Q = farey.FAREY_TABLE_LIMIT
+    counts = mq_count_farey(cf_of_rational((p, 1)), (Q, 2))
+    assert counts[Q] == {1: 1, **dict.fromkeys(range(2, Q + 1), Fraction(1, 2))}
+    assert counts[2] == {1: 1, 2: Fraction(1, 2)}
 
 
 @settings(max_examples=6, deadline=None)
