@@ -211,23 +211,19 @@ def chi_mask(table: FareyTable, x: DyadicStream, margin: float = CHI_MARGIN) -> 
 
 
 _harmonic: tuple[list[int], list[int]] = ([0], [1])
-HARMONIC_PREFIX_LIMIT = 2 ** 16  # the prefix to it: about 0.91 s and 818 MiB peak RSS (2 vCPU EPYC)
 
 
 def _harmonic_prefix(k: int) -> tuple[list[int], list[int]]:
     """(N, L) with L[m] = lcm(1..m) and N[m] = L[m] H_m for m = 0..k at least.
 
     cflab's one exact harmonic prefix, read by the row sums up to
-    FAREY_TABLE_LIMIT and by stats.x_nf up to its largest clipped quotient.
+    FAREY_TABLE_LIMIT and by stats.x_nf up to its largest clipped quotient,
+    which x_nf bounds by stats.HARMONIC_PREFIX_LIMIT: k is not checked here.
     One per process, grown on demand by N_m = N_{m-1} (L_m / L_{m-1}) + L_m / m;
-    entry m has about 1.44 m bits, so k past HARMONIC_PREFIX_LIMIT is refused
-    before it grows.  It is grown on private copies and published by one
-    assignment, so an interrupted growth never leaves N and L unequal in length.
+    entry m has about 1.44 m bits.  It is grown on private copies and published
+    by one assignment, so an interrupted growth never leaves N and L unequal in length.
     """
     global _harmonic
-    if k > HARMONIC_PREFIX_LIMIT:
-        raise ValueError(f"the harmonic prefix sum to {k} is past its bound of "
-                         f"{HARMONIC_PREFIX_LIMIT}")
     N, L = _harmonic
     if len(L) <= k:
         N, L = N.copy(), L.copy()
@@ -307,7 +303,6 @@ def cumulative_expected_count(Q: int) -> tuple[Fraction, float]:
 class HeightSet:
     """Predicate over heights, from the mini-language all|primes|mod:d,r|file:path."""
 
-    name: str
     kind: str
     payload: tuple = ()
 
@@ -325,10 +320,8 @@ class HeightSet:
 
 
 def parse_height_set(spec: str) -> HeightSet:
-    if spec == "all":
-        return HeightSet("all", "all")
-    if spec == "primes":
-        return HeightSet("primes", "primes")
+    if spec in ("all", "primes"):
+        return HeightSet(spec)
     if spec.startswith("mod:"):
         try:
             d, r = map(int, spec[4:].split(","))
@@ -336,7 +329,7 @@ def parse_height_set(spec: str) -> HeightSet:
             d = r = 0  # refused below
         if d < 1 or not 0 <= r < d:
             raise ValueError(f"bad residue class {spec!r}")
-        return HeightSet(spec, "mod", (d, r))
+        return HeightSet("mod", (d, r))
     if spec.startswith("file:"):
         path = spec[5:]
         try:
@@ -348,5 +341,5 @@ def parse_height_set(spec: str) -> HeightSet:
             qs = tuple(sorted({int(tok) for tok in text.split()}))
         except ValueError as exc:
             raise ValueError(f"bad height set {spec!r}: {exc}") from None
-        return HeightSet(spec, "set", qs)
+        return HeightSet("set", qs)
     raise ValueError(f"unknown height set spec {spec!r}")

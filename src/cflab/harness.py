@@ -31,8 +31,8 @@ from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Callable, NamedTuple
 
-from .cf import (GOLDEN64, M64, DyadicStream, InvariantViolation, convergents, cutoff,
-                 intermediates, mix64)
+from .cf import (GOLDEN64, M64, ContinuedFraction, DyadicStream, InvariantViolation,
+                 convergents, cutoff, intermediates, mix64)
 # chi_mask and farey_table are unused here; perfbench/tracer.py patches them by name.
 from .farey import (CHI_MARGIN, HeightSet, check_order, chi_mask,  # noqa: F401
                     farey_table, terminal_from_neighbors)
@@ -211,17 +211,20 @@ def mq_value(counts: dict, g: WeightFunction, exact: bool):
 
 def _run_mq(stream, grid, p):
     """Rows at each Q in grid: the values under p["weight"] of the three count
-    multisets (mq_farey only with p["with_farey"]) and whether the multisets
-    are all equal.  The closed multiset is valued once and a multiset equal
-    to it reuses that value; a differing one is valued on its own."""
+    multisets, mq_farey in every row when max(grid) <= ORACLE_LIMIT and in none
+    otherwise, and whether they are equal.  A finite expansion keeps its mq_farey
+    value out of methods_agree: a rational x on a neighbor endpoint counts 1/2
+    there, by chi's definition.  The closed multiset is valued once and a
+    multiset equal to it reuses that value; a differing one is valued on its own."""
     g, exact = p["weight"], p["exact"]
     inter = mq_count_intermediates(stream, grid)
-    farey = mq_count_farey(stream, grid) if p["with_farey"] else {}
+    farey = mq_count_farey(stream, grid) if max(grid) <= ORACLE_LIMIT else {}
+    finite = isinstance(stream, ContinuedFraction) and not stream.period
     rows = []
     for Q in grid:
         closed, i, f = mq_count_closed(stream, Q), inter[Q], farey.get(Q)
         value = mq_value(closed, g, exact)
-        agree = i == closed and (f is None or f == closed)
+        agree = i == closed and (f is None or finite or f == closed)
         rows += [(Q, "mq_closed", value), (Q, "methods_agree", int(agree)),
                  (Q, "mq_intermediates", value if i == closed else mq_value(i, g, exact))]
         if f is not None:
@@ -233,10 +236,10 @@ def mq_all(x, Q: int, g: WeightFunction):
     """(farey, intermediates, closed, agree) values of M_Q(x) under g.
 
     The Farey route is skipped (None) above ORACLE_LIMIT.  Agreement is
-    equality of the count multisets, for every weight family; the values are
-    exact rationals exactly when g is an exact family.
+    equality of the count multisets (see _run_mq for a finite expansion); the
+    values are exact rationals exactly when g is an exact family.
     """
-    p = {"weight": g, "exact": g.is_exact, "with_farey": Q <= ORACLE_LIMIT}
+    p = {"weight": g, "exact": g.is_exact}
     row = {stat: v for _, stat, v in _run_mq(x, (Q,), p)}
     return row.get("mq_farey"), row["mq_intermediates"], row["mq_closed"], row["methods_agree"] == 1
 
@@ -298,7 +301,7 @@ REGISTRY: dict[str, Experiment] = {e.name: e for e in [
     Experiment("pairdep", "k", (5, 10), _per_param(_run_pairdep), (("n", 1),)),
     Experiment("double_exceed", "m", (100,), _per_param(_run_double_exceed), (("delta", 0.5),)),
     Experiment("openproblem", "Q", (1000,), _per_param(_run_openproblem),
-               (("heights", HeightSet("all", "all")),)),
+               (("heights", HeightSet("all")),)),
     Experiment("khinchin_avg", "n", (100,), _per_param(_run_khinchin),
                (("weight", WeightFunction.harmonic()),)),
 ]}
@@ -339,9 +342,6 @@ def resolve_params(config: ExperimentConfig) -> tuple[tuple[int, ...], dict]:
     if config.exact and "weight" in p and not p["weight"].is_exact:
         raise ValueError("exact values need an exact weight family")
     p["exact"] = config.exact
-    if exp.name == "mq":
-        # the oracle route is all-or-nothing per run so the stat set is uniform
-        p["with_farey"] = max(grid) <= ORACLE_LIMIT
     return grid, p
 
 

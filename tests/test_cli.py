@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cflab.cf
-from cflab import cli
+from cflab import cli, harness
 from cflab.cf import (DyadicStream, InvariantViolation, NeedsMoreBits,
                       QuotientCapExceeded, intermediates)
 from cflab.cli import main
@@ -85,10 +85,38 @@ def test_mq_routes_agree_with_integer_part(capsys):
 
 
 def test_mq_routes_that_disagree_keep_their_own_values(capsys):
-    # x = 1/3 lies on a neighbor endpoint, which counts 1/2 on the Farey route only
-    assert main(["mq", "--x", "rational:1/3", "--Q", "10", "--method", "all"]) == 3
+    # x = 1/3 lies on a neighbor endpoint, which counts 1/2 on the Farey route only,
+    # by chi's definition; a finite expansion's agreement compares the other two
+    assert main(["mq", "--x", "rational:1/3", "--Q", "10", "--method", "all"]) == 0
     assert capsys.readouterr().out == \
-        "farey 23/8\nconv 11/6\nclosed 11/6\nagree 0\n"
+        "farey 23/8\nconv 11/6\nclosed 11/6\nagree 1\n"
+
+
+@pytest.mark.parametrize("x, route", [
+    ("dyadic:seed=42", "mq_count_intermediates"), ("rational:1/3", "mq_count_intermediates"),
+    ("periodic:[0;2|1,3]", "mq_count_farey"), ("dyadic:seed=42", "mq_count_farey"),
+])
+def test_mq_routes_that_disagree_exit_3(x, route, capsys, monkeypatch):
+    # only a finite expansion's Farey route is left out of the agreement
+    count = getattr(harness, route)
+
+    def one_more_zero_class(stream, grid):
+        counts = count(stream, grid)
+        for c in counts.values():
+            c[1] += 1
+        return counts
+
+    argv = ["mq", "--x", x, "--Q", "100", "--weight", "unit"]
+    assert main(argv) == 0
+    agreed = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(harness, route, one_more_zero_class)
+    assert main(argv) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert (agreed[-1], lines[-1]) == ("agree 1", "agree 0")
+    moved = {"mq_count_farey": "farey", "mq_count_intermediates": "conv"}[route]
+    changed = dict(ln.split() for ln in set(lines) - set(agreed))  # unit weights: one more
+    assert changed == {moved: str(int(dict(ln.split() for ln in agreed)[moved]) + 1),
+                       "agree": "0"}
 
 
 def test_mq_single_method(capsys):

@@ -4,10 +4,13 @@ Each case runs `cflab` in process and hashes its exit code, stdout, stderr
 and, for `montecarlo`, the CSV and its JSON mirror (None when the run wrote
 none).  The digests in golden_digests.json were recorded at commit 8a3c255,
 except `cf -7/3` and `chi --beta -1/3 ...`, which carry the digests of their
-spellings `cf -- -7/3` and `--beta=-1/3`, and the periodic refusals and
-expansions after `convergents --x dyadic:seed=7`, recorded at f94fd33; a
-case whose output differs names itself.  After an intended output change, re-record them with
-`PYTHONPATH=src python3 tests/test_golden_digests.py` from the repository root.
+spellings `cf -- -7/3` and `--beta=-1/3`, the periodic refusals and
+expansions after `convergents --x dyadic:seed=7`, recorded at f94fd33, and
+the three rational `mq ... --method all` cases, re-recorded on top of f273aa4
+when a finite expansion's Farey value left `methods_agree`; a case whose
+output differs names itself.  After an intended output change, re-record them with
+`PYTHONPATH=src python3 tests/test_golden_digests.py` from the repository root,
+which keeps the recorded cases in their order, so only changed digests show in a diff.
 """
 
 import contextlib
@@ -81,4 +84,7 @@ def test_every_output_byte_matches_its_golden_digest():
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(digests(), indent=1) + "\n", "utf-8")
+    got = digests()
+    order = json.loads(DIGESTS.read_text("utf-8")) if DIGESTS.exists() else {}
+    DIGESTS.write_text(json.dumps({**{case: got[case] for case in order if case in got}, **got},
+                                  indent=1) + "\n", "utf-8")

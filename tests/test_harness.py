@@ -125,8 +125,20 @@ def test_run_mq_large_q_drops_oracle_route():
     assert all(r.value == 1 for r in rows if r.stat == "methods_agree")
 
 
+@pytest.mark.parametrize("grid, with_farey", [
+    ((harness.ORACLE_LIMIT,), True), ((100, harness.ORACLE_LIMIT + 1), False),
+])
+def test_run_mq_reads_the_oracle_gate_off_its_grid(grid, with_farey):
+    # mq_farey is in every row of a run or in none, from max(grid) alone
+    _, p = resolve_params(ExperimentConfig("mq", samples=1, seed=9, params={"grid": grid}))
+    assert sorted(p) == ["exact", "weight"]
+    rows = harness._run_mq(sample_stream(9, 0), grid, p)
+    assert [Q for Q, stat, _ in rows if stat == "mq_farey"] == (list(grid) if with_farey else [])
+    assert all(v == 1 for _, stat, v in rows if stat == "methods_agree")
+
+
 def test_run_openproblem_empty_height_set():
-    empty = HeightSet("none", "set", frozenset())
+    empty = HeightSet("set", frozenset())
     rows = run(ExperimentConfig("openproblem", samples=4, seed=2,
                                 params={"grid": (200,), "heights": empty}))
     assert len(rows) == 4
@@ -662,7 +674,7 @@ def test_run_mq_values_a_disagreeing_route_on_its_own(exact, monkeypatch):
         return counts
 
     monkeypatch.setattr(harness, "mq_count_intermediates", drop_the_zero_class)
-    p = {"weight": WeightFunction.harmonic(), "exact": exact, "with_farey": True}
+    p = {"weight": WeightFunction.harmonic(), "exact": exact}
     rows = {stat: v for _, stat, v in harness._run_mq(sample_stream(9, 0), (300,), p)}
     assert rows["methods_agree"] == 0
     assert rows["mq_farey"] == rows["mq_closed"]

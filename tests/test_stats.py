@@ -22,7 +22,7 @@ from cflab.harness import (mq_all, mq_count_closed, mq_count_farey,
                            mq_count_intermediates, mq_value, sample_stream)
 from cflab.stats import (ClassicalStats, TruncationFn, WeightFunction, birkhoff_average,
                          classical_stats, double_exceedance, gauss_kuzmin_prob,
-                         indicator_sum, main_term, mq_level_expectation,
+                         indicator_sum, mq_level_expectation,
                          parse_weight, terminal_quotient, weight_log_series, x_nf)
 
 GOLDEN = ContinuedFraction(0, (), (1,))
@@ -139,7 +139,7 @@ def test_weight_prefix_sums():
 
 
 def test_harmonic_prefix_sums_stop_at_their_bound(monkeypatch):
-    monkeypatch.setattr(farey, "HARMONIC_PREFIX_LIMIT", 10)
+    monkeypatch.setattr(stats, "HARMONIC_PREFIX_LIMIT", 10)
     monkeypatch.setattr(farey, "_harmonic", ([0], [1]))
     assert x_nf(first_quotients(10, 1), 2, HARMONIC, WIDE) == \
         sum(Fraction(1, m) for m in range(2, 11))
@@ -147,6 +147,8 @@ def test_harmonic_prefix_sums_stop_at_their_bound(monkeypatch):
     with pytest.raises(ValueError, match="^the harmonic prefix sum to 12 is past its bound of 10$"):
         x_nf(first_quotients(3, 12, 11, 20), 4, HARMONIC, TruncationFn(5))  # f(4) = 24
     assert len(farey._harmonic[1]) == 11  # refused before it grew
+    with pytest.raises(ValueError, match="^the harmonic prefix sum to 12 is past its bound of 10$"):
+        x_nf(first_quotients(3, 10, 12, 20), 4, HARMONIC, TruncationFn(5))  # the bound itself is in
     assert x_nf(first_quotients(11, 1), 2, UNIT, WIDE) == 10  # only growing prefixes are bounded
 
 
@@ -181,6 +183,8 @@ def test_power_prefix_sums_stop_at_their_bound(monkeypatch):
     with pytest.raises(ValueError, match="^the power prefix sum to 12 is past its bound of 10$"):
         x_nf(first_quotients(3, 12, 11, 20), 4, p, TruncationFn(5))
     assert len(stats._PREFIX_CACHE[p]) == 11  # refused before it grew
+    with pytest.raises(ValueError, match="^the power prefix sum to 12 is past its bound of 10$"):
+        x_nf(first_quotients(3, 10, 12, 20), 4, p, TruncationFn(5))  # the bound itself is in
 
 
 def test_weight_prefix_sums_under_racing_threads(monkeypatch):
@@ -317,6 +321,7 @@ def test_mq_oracle_limit_skips_farey():
 
 
 def test_main_term_series():
+    # the series S = sum_m g(m) log(1+1/m) of the main term (12/pi^2) S log Q
     # independent oracle: partial sum plus integral tail bound for
     # sum_{m>=1} (1/m) log(1+1/m); the tail is below 1/(2M^2) + much less
     M = 200_000
@@ -326,23 +331,9 @@ def test_main_term_series():
     assert bound < 1e-10
     assert partial < s < partial + tail_hi
     assert s == pytest.approx(1.25775, abs=2e-5)
-    got = main_term(HARMONIC, 10 ** 6)
-    assert got == pytest.approx(12 / math.pi ** 2 * s * math.log(10 ** 6), rel=1e-12)
-
-
-def test_main_term_variants():
-    with pytest.raises(ValueError):
-        main_term(UNIT, 100)
-    want = 12 / math.pi ** 2 * (math.log(3 / 2) / 2 + math.log(4 / 3) / 3)
-    assert main_term(HARMONIC, math.e, cutoff_m=3) == pytest.approx(want)
-    # the truncated variant starts at m=2; once the m=1 term is added back,
-    # the gap to the infinite variant sits inside the tail integral
-    g = WeightFunction.power(0.5)
-    full = main_term(g, 100)
-    trunc = main_term(g, 100, cutoff_m=5000)
-    m1 = 12 / math.pi ** 2 * math.log(100) * float(g(1)) * math.log(2)
-    gap_bound = 12 / math.pi ** 2 * math.log(100) * (5000 ** -1 + 5000 ** -2)
-    assert 0 < full - trunc - m1 < gap_bound
+    for start, shift in ((1, 0), (1, 1), (3, 0)):
+        with pytest.raises(ValueError, match="^series diverges for unit weights$"):
+            weight_log_series(UNIT, start, shift)
 
 
 def test_level_expectation_differs_from_naive_series():
@@ -364,10 +355,10 @@ def per_term_head(g, ms, shift):
 
 
 SERIES_WEIGHTS = (HARMONIC, WeightFunction.power(0.25), WeightFunction.power(0.001),
-                  WeightFunction.power(2.5), FLOAT_WEIGHTS[-1])
+                  WeightFunction.power(2.5))
 
 
-@pytest.mark.parametrize("g", SERIES_WEIGHTS[:-1], ids=lambda g: f"{g.family}-{g.gamma}")
+@pytest.mark.parametrize("g", SERIES_WEIGHTS, ids=lambda g: f"{g.family}-{g.gamma}")
 @pytest.mark.parametrize("start,shift", [(1, 0), (1, 1), (3, 0), (3, 1)])
 def test_series_head_matches_the_per_term_sum(g, start, shift):
     s0 = 1.0 if g.family == "harmonic" else 0.5 + g.gamma
@@ -376,13 +367,6 @@ def test_series_head_matches_the_per_term_sum(g, start, shift):
     assert weight_log_series(g, start, shift) == (want, bound)
     if (start, shift) == (1, 1):
         assert mq_level_expectation(g) == want / stats.LOG2
-
-
-@pytest.mark.parametrize("g", SERIES_WEIGHTS, ids=lambda g: f"{g.family}-{g.gamma}")
-def test_truncated_main_term_matches_the_per_term_sum(g):
-    for cutoff_m in (1, 2, 3, 100, 4096, 5000):
-        want = 12 / math.pi**2 * per_term_head(g, range(2, cutoff_m + 1), 0) * math.log(1000)
-        assert main_term(g, 1000, cutoff_m) == want
 
 
 @pytest.mark.parametrize("g", [HARMONIC, WeightFunction.power(0.25)])

@@ -127,7 +127,6 @@ farey.cumulative_expected_count(100)
 for g in (stats.WeightFunction.harmonic(), stats.WeightFunction.power(0.25)):
     stats.weight_log_series(g)
     stats.mq_level_expectation(g)
-    stats.main_term(g, 1000)
 print(loaded())
 """
 
