@@ -6,8 +6,8 @@ quotients positive and, for rationals with L >= 1, a terminal quotient
 aL >= 2; the integer 1 has the expansion [1] with L = 0.  Convergents
 follow p_n = a_n p_{n-1} + p_{n-2}, q_n = a_n q_{n-1} + q_{n-2} seeded
 with p_{-1} = 1, p_{-2} = 0, q_{-1} = 0, q_{-2} = 1, so p_0/q_0 = a0/1;
-`_levels` is the one walk of this recurrence, and every function here that
-needs convergents consumes it.
+`_levels` is the one forward walk of this recurrence, which every function
+here that needs convergents consumes; DyadicStream.continuant steps back on it.
 """
 
 from __future__ import annotations
@@ -79,6 +79,15 @@ class PartialQuotientStream:
     def quotients(self, lo: int, hi: int) -> list[int]:
         """[a_lo, ..., a_{hi-1}]."""
         return [self.quotient(i) for i in range(lo, hi)]
+
+    def continuant(self, n: int) -> int:
+        """q_n off the walk `_levels`; OutOfQuotients(L) past a finite end, as quotient."""
+        if n < 0:
+            raise ValueError("continuant index starts at 0")
+        for k, _, _, q, _, _ in _levels(self):
+            if k == n:
+                return q
+        raise OutOfQuotients(k)
 
     def compare_fraction(self, r: Fraction) -> int:
         """Sign of x - r, read off the expansions (Khinchin, Continued
@@ -209,6 +218,8 @@ class DyadicStream(PartialQuotientStream):
     one full-width step.  Both endpoints stay in the cylinder of the
     certified prefix, so both tails stay in [1, inf] (b = 0 when an endpoint
     is the k-th convergent itself); a tail below 1 raises InvariantViolation.
+    continuant(n) certifies as quotient(n) does, then steps back from |s q_k|
+    by q_{j-1} = q_{j+1} - a_{j+1} q_j: k - n big-int steps, not n.
     """
 
     BLOCK = 64
@@ -301,6 +312,15 @@ class DyadicStream(PartialQuotientStream):
             return super().quotients(lo, hi)  # [] or quotient(lo)'s ValueError
         self.quotient(hi - 1)  # through the attribute, which perfbench/tracer.py patches
         return self._certified[lo - 1:hi - 1]
+
+    def continuant(self, n: int) -> int:
+        if n < 1:
+            return super().continuant(n)  # q_0 = 1, or the ValueError
+        self.quotient(n)  # through the attribute, which perfbench/tracer.py patches
+        qm1, q = map(abs, self._sq)  # q_{k-1}, q_k
+        for a in reversed(self._certified[n:]):  # a_{j+1}: q_{j-1} = q_{j+1} - a_{j+1} q_j
+            qm1, q = q - a * qm1, qm1
+        return q
 
     def certified(self) -> tuple[int, ...]:
         return tuple(self._certified)

@@ -10,6 +10,7 @@ worker process that died.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -143,7 +144,10 @@ def _cmd_montecarlo(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; set_defaults binds the _cmd_* functions at
+    that build, so patching one afterwards does not reach main."""
     ap = argparse.ArgumentParser(
         prog="cflab",
         description="Continued fractions, Farey indicators and seeded "

@@ -318,19 +318,18 @@ class ClassicalStats:
 
 
 def classical_stats(x, ns: Sequence[int]) -> list[ClassicalStats]:
-    """The running statistics at each n in ns, in its order, from one pass."""
+    """The running statistics at each n in ns, in its order: the quotient sum and
+    max from one pass over a_1..a_max(ns), q_n from the stream (`continuant`)."""
     if min(ns) < 1:
         raise ValueError("n must be >= 1")
     at = {}
-    q_nm1, q_n = 0, 1
     pq_sum = pq_max = done = 0
     for n in sorted(set(ns)):
         run = x.quotients(done + 1, n + 1)
         pq_sum += sum(run)
         pq_max = max(pq_max, max(run))
-        for a in run:
-            q_nm1, q_n = q_n, a * q_n + q_nm1
         done = n
+        q_n = x.continuant(n)
         at[n] = ClassicalStats(n, math.log(q_n) / n, pq_sum, pq_max, q_n)
     return [at[n] for n in ns]
 

@@ -429,6 +429,73 @@ def test_quotients_are_the_quotient_reads(x, lo, hi):
         lambda: [x.quotient(i) for i in range(lo, hi)])
 
 
+CONTINUANT_SEEDS = [0, 1, 7, 11, 17, 2026, M64] + [mix64(i) for i in range(17)]
+
+
+@pytest.mark.parametrize("seed", CONTINUANT_SEEDS)
+def test_dyadic_continuant_is_the_walks_q_n(seed):
+    # the step back from the certified end against the forward walk on a twin
+    rng = random.Random(seed)
+    ns = [1, 0, *rng.sample(range(2, 5001), 8)]  # n = 1 on a fresh stream, then unsorted
+    x = DyadicStream(seed)
+    walk = convergents(DyadicStream(seed), 5000)
+    for n in ns:
+        assert x.continuant(n) == walk[n][2]
+    k = len(x.certified())
+    for n in (k, k - 1, k // 7, 2, 0):  # at the certified end and far below it
+        assert x.continuant(n) == walk[n][2]
+    assert DyadicStream(seed).continuant(0) == 1
+
+
+@pytest.mark.parametrize("x, L", [(ContinuedFraction(2, (5,), (1, 2, 3)), None),
+                                  (ContinuedFraction(0, (), (1,)), None),
+                                  (cf_of_rational((355, 113)), 2), (cf_of_rational((3, 1)), 0),
+                                  (cf_of_rational((-7, 3)), 2)],
+                         ids=["periodic", "golden", "rational", "integer", "negative"])
+def test_continuant_is_the_walks_q_n_and_ends_where_quotient_ends(x, L):
+    for n in (3, 0, 40, 1, 2, 17):
+        if L is None or n <= L:
+            assert x.continuant(n) == convergents(x, n)[-1][2]
+        else:  # past the end, OutOfQuotients(L), as quotient raises it
+            assert read_outcome(lambda: x.continuant(n)) == read_outcome(lambda: x.quotient(n)) \
+                == (OutOfQuotients, f"expansion ends after {L} partial quotients")
+
+
+@pytest.mark.parametrize("x", [DyadicStream(3), ContinuedFraction(0, (), (1,)),
+                               cf_of_rational((2, 5))], ids=["dyadic", "golden", "rational"])
+def test_continuant_index_starts_at_0(x):
+    with pytest.raises(ValueError, match="continuant index starts at 0"):
+        x.continuant(-1)
+
+
+def test_continuant_draws_no_bits_below_the_certified_end():
+    x = DyadicStream(5)
+    x.quotient(1000)
+    held = (x.certified(), x.bits)
+    k = len(held[0])
+    for n in (k, 1, k // 2, 0, k - 1, 1000):
+        x.continuant(n)
+        assert (x.certified(), x.bits) == held
+
+
+def continuant_by_quotient(x, n):
+    """quotient(n)'s certification, then q_n off the forward walk."""
+    x.quotient(n)
+    return convergents(x, n)[-1][2]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, M64), n=st.integers(900, 1600))
+def test_continuant_runs_out_of_bits_where_quotient_does(seed, n):
+    # 2^12 bits certify about 1,200 quotients, so n falls on both sides of it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DyadicStream, "MAX_BITS", 1 << 12)
+        x, twin = DyadicStream(seed), DyadicStream(seed)
+        got = read_outcome(lambda: x.continuant(n))
+        assert got == read_outcome(lambda: continuant_by_quotient(twin, n))
+        assert (x.certified(), x.bits) == (twin.certified(), twin.bits)
+
+
 def test_dyadic_determinism_and_stability():
     x1 = DyadicStream(999)
     x2 = DyadicStream(999)

@@ -767,6 +767,41 @@ def test_missing_subcommand_is_a_usage_error():
     assert exc.value.code == 2
 
 
+FRESH_MAIN = """
+import sys
+sys.path.insert(0, sys.argv[1] + "/src")
+from cflab.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def exit_code(argv):
+    """main(argv)'s return value, or the code of argparse's SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_one_parser_serves_each_call_as_a_fresh_interpreter_would(tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage at this width
+    levy = ["montecarlo", "--experiment", "levy", "--samples", "2", "--seed", "3",
+            "--n", "300,20", "--out", str(tmp_path / "levy.csv")]
+    calls = [levy, ["mq", "--x", "rational:1/3"], ["--help"],
+             ["mq", "--x", "dyadic:seed=42", "--Q", "100", "--method", "all"], levy]
+    parser, codes = cli.build_parser(), []
+    for argv in calls:
+        got = (exit_code(argv), *capsys.readouterr())
+        fresh = subprocess.run([sys.executable, "-c", FRESH_MAIN, str(ROOT), *argv],
+                               capture_output=True, text=True, timeout=120,
+                               env={**os.environ, "COLUMNS": "80"})
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(got[0])
+    assert codes == [0, 2, 0, 0, 0]  # an argparse error, then --help, in between
+    assert cli.build_parser() is parser
+
+
 def test_gamma_is_no_option_but_a_weight_spec(capsys):
     with pytest.raises(SystemExit) as exc:  # power:G is its one spelling
         main(["montecarlo", "--experiment", "mq", "--samples", "1", "--seed", "1",

@@ -580,11 +580,22 @@ def classical_stats_at(x, n):
 @settings(max_examples=60, deadline=None)
 @given(spec=st.sampled_from(["periodic:[0;|1]", "periodic:[2;1,3|4,1,2]",
                              "periodic:[0;7|100]", "dyadic:seed=7", "dyadic:seed=2026"]),
-       grid=st.lists(st.integers(2, 400), max_size=4, unique=True), at=st.integers(0, 4))
+       # past n of about 150 a dyadic tail is past 512 bits, where Lehmer batches certify
+       grid=st.lists(st.integers(2, 400) | st.integers(401, 2500), max_size=4, unique=True),
+       at=st.integers(0, 4))
 def test_classical_stats_grid_matches_one_pass_per_n(spec, grid, at):
     grid.insert(min(at, len(grid)), 1)  # unsorted, and n = 1 somewhere in it
     got = classical_stats(parse_stream(spec), grid)
     assert got == [classical_stats_at(parse_stream(spec), n) for n in grid]
+
+
+def test_classical_stats_certifies_twice_per_grid_point(monkeypatch):
+    # one slice read and one continuant per n: q_n is stepped back to, not walked
+    calls = []
+    quotient = DyadicStream.quotient
+    monkeypatch.setattr(DyadicStream, "quotient", lambda x, n: calls.append(n) or quotient(x, n))
+    classical_stats(DyadicStream(7), [2000, 250, 1000])
+    assert sorted(calls) == [250, 250, 1000, 1000, 2000, 2000]
 
 
 def test_double_exceedance():
