@@ -25,11 +25,10 @@ GOLDEN64 = 0x9E3779B97F4A7C15
 QUOTIENT_CAP = 1 << 63
 
 # DyadicStream certifies tails past _LEHMER_MIN_BITS in batches read off their
-# leading _WORD bits, so each batch quotient is below 2^63 <= QUOTIENT_CAP.
-# Against no batches, a_1..a_n per stream (2 vCPU) took within 2% for n <= 250,
-# -15 to -19% at n = 1000, -33 to -35% at 2000; a 128-bit threshold +10% at 100.
-# Those timings were taken when quotient drew one block per certification pass.
-_WORD = 63
+# leading _WORD bits.  Per stream (2 vCPU Xeon), against 63-bit words and a matrix
+# carried step by step: n = 2000 1.40 -> 1.15 ms, 32000 53.7 -> 37.4 ms, 100000
+# 357 -> 244 ms; 188- or 314-bit words, or a 320- or 448-bit threshold, 1-8% slower.
+_WORD = 250
 _LEHMER_MIN_BITS = 512
 
 
@@ -163,18 +162,20 @@ def cf_of_rational(x: tuple[int, int]) -> ContinuedFraction:
 def _lehmer_batch(a, b, c, d, sq0, sq1):
     """The quotients shared by every number between the leading-word brackets
     of the tails a/b and c/d, and (a, b, sq0, sq1) after them (Lehmer 1938;
-    Knuth, TAOCP vol. 2, 4.5.2, Algorithm L).  Euclid runs in word-size ints
-    on the outer endpoints u and v while both give the quotient m and a
-    nonzero remainder; the matrix takes (a, b) to (x0 a + x1 b, y0 a + y1 b),
-    and c = a - sq0, d = b + sq1 follow the same map."""
+    Jebelean, J. Symbolic Comput. 19, 1995).  Euclid runs on the outer ends u
+    and v alone while both give the quotient m and a nonzero remainder; the
+    matrix M taking (a, b) to (x0 a + x1 b, y0 a + y1 b) is read off the ends
+    once, N = M P with P and N the ends as columns before and after, and
+    c = a - sq0, d = b + sq1 follow it.  A quotient above QUOTIENT_CAP
+    empties the batch, so the exact steps reach it and raise."""
     h = max(a.bit_length(), c.bit_length()) - _WORD
     A, B, C, D = a >> h, b >> h, c >> h, d >> h
     # a/b lies in [A/(B+1), (A+1)/B] and c/d in [C/(D+1), (C+1)/D]
-    un, ud = (A, B + 1) if A * (D + 1) <= C * (B + 1) else (C, D + 1)
-    # B or D = 0 makes v infinite (vd = 0), which no quotient fits under
-    vn, vd = (A + 1, B) if (A + 1) * D >= (C + 1) * B else (C + 1, D)
+    u0, u1 = (A, B + 1) if A * (D + 1) <= C * (B + 1) else (C, D + 1)
+    # B or D = 0 makes v infinite (v1 = 0), which no quotient fits under
+    v0, v1 = (A + 1, B) if (A + 1) * D >= (C + 1) * B else (C + 1, D)
     batch = []
-    x0, x1, y0, y1 = 1, 0, 0, 1
+    un, ud, vn, vd = u0, u1, v0, v1
     while True:
         m, ru = divmod(un, ud)
         rv = vn - m * vd
@@ -182,9 +183,12 @@ def _lehmer_batch(a, b, c, d, sq0, sq1):
             break
         batch.append(m)
         un, ud, vn, vd = ud, ru, vd, rv
-        x0, x1, y0, y1 = y0, y1, x0 - m * y0, x1 - m * y1
-    return batch, ((x0 * a + x1 * b, y0 * a + y1 * b,
-                    x0 * sq0 - x1 * sq1, y1 * sq1 - y0 * sq0) if batch else None)
+    if not batch or max(batch) > QUOTIENT_CAP:
+        return [], None
+    det = u0 * v1 - v0 * u1  # < 0, as u < v; every division below is exact
+    x0, x1 = (un * v1 - vn * u1) // det, (vn * u0 - un * v0) // det
+    y0, y1 = (ud * v1 - vd * u1) // det, (vd * u0 - ud * v0) // det
+    return batch, (x0 * a + x1 * b, y0 * a + y1 * b, x0 * sq0 - x1 * sq1, y1 * sq1 - y0 * sq0)
 
 
 class DyadicStream(PartialQuotientStream):
@@ -211,15 +215,16 @@ class DyadicStream(PartialQuotientStream):
     steps on X/2^B.  New blocks, one m-bit integer w, map them to
     2^m a - s q_{k-1} w and 2^m b + s q_k w; the upper endpoint's tail is
     (a - s q_{k-1}) / (b + s q_k).  Euclid then runs on both tails in
-    lockstep and certifies each quotient on which they agree.  Past _LEHMER_MIN_BITS a block's ~18
-    quotients come in a batch of about 17 read off the tails' leading words
-    (_lehmer_batch) and one or two small ones, each one full-width matrix
-    product, not O(B) per quotient; a short tail, or an empty batch, takes
-    one full-width step.  Both endpoints stay in the cylinder of the
+    lockstep and certifies each quotient on which they agree.  Past
+    _LEHMER_MIN_BITS quotients come in batches of 60 to 70 read off the tails'
+    leading words (_lehmer_batch), each one full-width matrix product, not
+    O(B) per quotient; a short tail, or an empty batch, takes one full-width
+    step.  Both endpoints stay in the cylinder of the
     certified prefix, so both tails stay in [1, inf] (b = 0 when an endpoint
     is the k-th convergent itself); a tail below 1 raises InvariantViolation.
     continuant(n) certifies as quotient(n) does, then steps back from |s q_k|
-    by q_{j-1} = q_{j+1} - a_{j+1} q_j: k - n big-int steps, not n.
+    by q_{j-1} = q_{j+1} - a_{j+1} q_j, k - n big-int steps, or, for 3n < k,
+    walks n steps forward (`_levels`).
     """
 
     BLOCK = 64
@@ -317,6 +322,8 @@ class DyadicStream(PartialQuotientStream):
         if n < 1:
             return super().continuant(n)  # q_0 = 1, or the ValueError
         self.quotient(n)  # through the attribute, which perfbench/tracer.py patches
+        if 3 * n < len(self._certified):  # a step forward costs about two back
+            return super().continuant(n)
         qm1, q = map(abs, self._sq)  # q_{k-1}, q_k
         for a in reversed(self._certified[n:]):  # a_{j+1}: q_{j-1} = q_{j+1} - a_{j+1} q_j
             qm1, q = q - a * qm1, qm1

@@ -271,6 +271,7 @@ def test_dyadic_certifier_at_a_deep_rational(monkeypatch):
     [0xBFFFFFFFFFFFFFFF] + [M64] * 3,         # upper endpoint 3/4
     [0xAAAAAAAAAAAAAAAA] + [0] * 3,           # one huge quotient, then 2/3 - e
     [0xFFFFFFFFFFFFFFFE] + [M64] * 3,         # upper endpoint [0;1,2^64-1]
+    [0x7FFFFFFFFFFFFFFF] + [M64] * 3,         # upper endpoint 1/2 = [0;2]: d = 0
 ])
 def test_dyadic_certifier_canonical_edges(words, monkeypatch):
     blocks = iter(words)
@@ -292,16 +293,16 @@ def _euclid(a, b, n):
 def straddling_tails(count: int, seed: int):
     """count tail pairs (a, b, c, d) of 520 to 1,000 bits.  a/b lies within 4
     leading-word units of a boundary p/q, a convergent (plus 1) with q of 10 to 40
-    bits, where a batch of 63-bit words runs out.  c/d's leading words are a/b's
-    moved by one of the offsets below, so that p/q falls between either tail
-    and an inner end of the other's bracket, such as A/B or (A+1)/(B+1)."""
+    bits, where a batch of _WORD-bit words runs out.  c/d's leading words are
+    a/b's moved by one of the offsets below, so that p/q falls between either
+    tail and an inner end of the other's bracket, such as A/B or (A+1)/(B+1)."""
     rng = random.Random(seed)
     boundaries = [(p + q, q) for s in range(8) for _, p, q in convergents(DyadicStream(s), 60)
                   if 10 <= q.bit_length() <= 40]
     for _ in range(count):
         p, q = rng.choice(boundaries)
         k = rng.choice((520, 600, 1000))
-        h = (p << k).bit_length() - 63
+        h = (p << k).bit_length() - cflab.cf._WORD
         a = (p << k) + rng.randrange(-4 << h, 4 << h)
         b = (q << k) + rng.randrange(-4 << h, 4 << h)
         sign = rng.choice((1, -1))
@@ -312,15 +313,23 @@ def straddling_tails(count: int, seed: int):
 
 
 def test_lehmer_batch_on_tails_straddling_a_boundary():
-    # every quotient of a batch is one of both tails' exact expansions, and the
-    # state after it holds both tails' remainders; a batch takes about 16
+    # every quotient of a batch is one of the exact expansions of both tails
+    # and of numbers just inside each end of their leading-word brackets
+    # (open: a/b lies strictly between A/(B+1) and (A+1)/B), and the state
+    # after it holds both tails' remainders; a batch takes about 18
     certified = 0
+    K = 1 << 1000
     for a, b, c, d in straddling_tails(1000, seed=0):
         sq0, sq1 = a - c, d - b  # c = a - sq0, d = b + sq1, as DyadicStream holds them
         batch, state = cflab.cf._lehmer_batch(a, b, c, d, sq0, sq1)
         (lower, after_lower), (upper, after_upper) = (_euclid(a, b, len(batch)),
                                                       _euclid(c, d, len(batch)))
         assert batch == lower == upper, (a, b, c, d)
+        h = max(a.bit_length(), c.bit_length()) - cflab.cf._WORD
+        A, B, C, D = a >> h, b >> h, c >> h, d >> h
+        for n, m in ((A * K + 1, (B + 1) * K), ((A + 1) * K - 1, B * K),
+                     (C * K + 1, (D + 1) * K), ((C + 1) * K - 1, D * K)):
+            assert _euclid(n, m, len(batch))[0] == batch, (a, b, c, d)
         if batch:
             a2, b2, sq0, sq1 = state
             assert ((a2, b2), (a2 - sq0, b2 + sq1)) == (after_lower, after_upper)
@@ -343,12 +352,128 @@ def test_dyadic_quotient_cap(monkeypatch):
     assert x.certified() == (3,)
 
 
+def expansion_with(huge, at, length, seed):
+    """[a_1, ..., a_length]: random quotients in 1..4, huge at index at + 1,
+    and a last quotient of at least 2."""
+    rng = random.Random(seed)
+    qs = [rng.randint(1, 4) for _ in range(length)]
+    qs[at], qs[-1] = huge, qs[-1] + 1
+    return qs
+
+
+def tails_of(qs):
+    """a/b = [a_1; a_2, ...], as a stream holds its tail after a prefix."""
+    a, b = 1, 0
+    for m in reversed(qs):
+        a, b = m * a + b, a
+    return a, b
+
+
+HUGE_OVER_CAP = [2 ** 63 + 1, 2 ** 64 + 12345, 2 ** 72]
+HUGE_UNDER_CAP = [2 ** 62, 2 ** 62 + 7, 2 ** 63 - 1, 2 ** 63]
+
+
+@pytest.mark.parametrize("huge", HUGE_OVER_CAP + HUGE_UNDER_CAP)
+def test_lehmer_batch_leaves_a_quotient_over_the_cap_to_the_exact_steps(huge):
+    # two tails of about 700 bits share 400 quotients, so the leading words
+    # of both reach past `huge` at index at + 1 (a cap raised past it shows that)
+    for at in range(0, 24, 3):
+        qs = expansion_with(huge, at, 450, seed=at)
+        (a, b), (c, d) = tails_of(qs), tails_of(qs[:400] + [5, 1, 7] * 16 + [2])
+        assert min(a.bit_length(), c.bit_length()) > 512
+        batch, state = cflab.cf._lehmer_batch(a, b, c, d, a - c, d - b)
+        if huge > cflab.cf.QUOTIENT_CAP:
+            assert (batch, state) == ([], None)  # nothing past huge, and not huge
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cflab.cf, "QUOTIENT_CAP", 2 ** 72)
+                assert huge in cflab.cf._lehmer_batch(a, b, c, d, a - c, d - b)[0]
+        else:
+            assert batch[:at + 2] == qs[:at + 2] and len(batch) > at + 1
+            a2, b2, sq0, sq1 = state
+            assert _euclid(a, b, len(batch)) == (batch, (a2, b2))
+            assert _euclid(c, d, len(batch)) == (batch, (a2 - sq0, b2 + sq1))
+
+
+def stream_words(qs):
+    """64-bit words spelling x = [0; qs] to 8,192 bits, then mix64 words."""
+    p, q = tails_of(qs)  # x = q/p
+    X = (q << 8192) // p
+    words = [(X >> (64 * i)) & M64 for i in reversed(range(128))]
+    return itertools.chain(words, (mix64(k * GOLDEN64 & M64) for k in itertools.count(1)))
+
+
+def read_on_words(qs, n, monkeypatch, **patches):
+    """A stream on stream_words(qs) reads quotient(n) with the cf module
+    attributes patched: the outcome, certified(), bits, and the batches."""
+    batches, batch = [], cflab.cf._lehmer_batch
+
+    def spy(*args):
+        out = batch(*args)
+        batches.append(out[0])
+        return out
+
+    with monkeypatch.context() as mp:
+        words = stream_words(qs)
+        mp.setattr(cflab.cf, "mix64", lambda z: next(words))
+        mp.setattr(cflab.cf, "_lehmer_batch", spy)
+        for name, value in patches.items():
+            mp.setattr(cflab.cf, name, value)
+        x = DyadicStream(0)
+        try:
+            outcome = "ok", x.quotient(n)
+        except QuotientCapExceeded as exc:
+            outcome = QuotientCapExceeded, str(exc)
+        return outcome, x.certified(), x.bits, batches
+
+
+@pytest.mark.parametrize("huge", HUGE_OVER_CAP + HUGE_UNDER_CAP)
+def test_dyadic_stream_certifies_a_batch_with_a_huge_quotient_as_exact_steps(huge, monkeypatch):
+    # quotient(1000) draws about 1,400 bits in its first pass, so huge at
+    # index 20 lies inside a batch; the twin takes exact steps only
+    qs = expansion_with(huge, 19, 1500, seed=huge)
+    got = read_on_words(qs, 1000, monkeypatch)
+    twin = read_on_words(qs, 1000, monkeypatch, _LEHMER_MIN_BITS=DyadicStream.MAX_BITS)
+    assert got[:3] == twin[:3] and not any(twin[3])
+    if huge > cflab.cf.QUOTIENT_CAP:
+        assert got[0][0] is QuotientCapExceeded and got[1] == tuple(qs[:19])
+        assert not any(huge in b for b in got[3])
+        raised = read_on_words(qs, 1000, monkeypatch, QUOTIENT_CAP=2 ** 72)
+    else:
+        assert got[0][0] == "ok" and got[1][:1000] == tuple(qs[:1000])
+        raised = got
+    assert any(huge in b[1:] for b in raised[3])  # inside a batch, not its first
+
+
+@pytest.mark.parametrize("seed", [0, 7, M64] + [mix64(i) for i in range(13)])
+def test_dyadic_stream_matches_an_exact_step_twin(seed, monkeypatch):
+    # the twin's tails never pass _LEHMER_MIN_BITS, so it certifies one
+    # full-width Euclid step at a time (ROADMAP item 7's oracle)
+    x = DyadicStream(seed)
+    x.quotient(10_000)
+    with monkeypatch.context() as mp:
+        mp.setattr(cflab.cf, "_LEHMER_MIN_BITS", DyadicStream.MAX_BITS)
+        twin = DyadicStream(seed)
+        twin.quotient(10_000)
+    assert (x.certified(), x.bits) == (twin.certified(), twin.bits)
+    monkeypatch.setattr(DyadicStream, "MAX_BITS", 1 << 14)  # about 4,800 quotients
+    x = DyadicStream(seed)
+    got = read_outcome(lambda: x.quotient(10_000))
+    monkeypatch.setattr(cflab.cf, "_LEHMER_MIN_BITS", DyadicStream.MAX_BITS)
+    twin = DyadicStream(seed)
+    assert got == read_outcome(lambda: twin.quotient(10_000)) and got[0] is NeedsMoreBits
+    assert (x.certified(), x.bits) == (twin.certified(), twin.bits)
+
+
 def test_dyadic_tail_below_one_is_an_invariant_violation():
     x = DyadicStream(5)
     a, b = x._tail
     x._tail = (b, a)
     with pytest.raises(InvariantViolation):
         x._grow(1)
+    y = DyadicStream(5)  # the upper endpoint's tail (a - sq0) / (b + sq1) alone leaves
+    y._sq = (y._tail[0] + 1, y._sq[1])
+    with pytest.raises(InvariantViolation):
+        y._certify()
 
 
 def test_dyadic_stream_starts_with_one_block():
