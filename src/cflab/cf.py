@@ -27,7 +27,9 @@ QUOTIENT_CAP = 1 << 63
 # DyadicStream certifies tails past _LEHMER_MIN_BITS in batches read off their
 # leading _WORD bits.  Per stream (2 vCPU Xeon), against 63-bit words and a matrix
 # carried step by step: n = 2000 1.40 -> 1.15 ms, 32000 53.7 -> 37.4 ms, 100000
-# 357 -> 244 ms; 188- or 314-bit words, or a 320- or 448-bit threshold, 1-8% slower.
+# 357 -> 244 ms.  188-, 250- and 314-bit words, and thresholds of 320 to 512 bits,
+# measured within about 5% of each other with no consistent winner; 250 and 512
+# sit in that flat range.
 _WORD = 250
 _LEHMER_MIN_BITS = 512
 
@@ -223,8 +225,7 @@ class DyadicStream(PartialQuotientStream):
     certified prefix, so both tails stay in [1, inf] (b = 0 when an endpoint
     is the k-th convergent itself); a tail below 1 raises InvariantViolation.
     continuant(n) certifies as quotient(n) does, then steps back from |s q_k|
-    by q_{j-1} = q_{j+1} - a_{j+1} q_j, k - n big-int steps, or, for 3n < k,
-    walks n steps forward (`_levels`).
+    by q_{j-1} = q_{j+1} - a_{j+1} q_j: k - n big-int steps, not n.
     """
 
     BLOCK = 64
@@ -322,8 +323,6 @@ class DyadicStream(PartialQuotientStream):
         if n < 1:
             return super().continuant(n)  # q_0 = 1, or the ValueError
         self.quotient(n)  # through the attribute, which perfbench/tracer.py patches
-        if 3 * n < len(self._certified):  # a step forward costs about two back
-            return super().continuant(n)
         qm1, q = map(abs, self._sq)  # q_{k-1}, q_k
         for a in reversed(self._certified[n:]):  # a_{j+1}: q_{j-1} = q_{j+1} - a_{j+1} q_j
             qm1, q = q - a * qm1, qm1
