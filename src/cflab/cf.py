@@ -396,7 +396,6 @@ class CutoffData:
 
     N: int
     a: int
-    terminated: bool = False
     quotients: tuple[int, ...] = ()
 
 
@@ -405,7 +404,7 @@ def cutoff(x, Q: int) -> CutoffData:
     a q_{N-1} + q_{N-2} <= Q < (a+1) q_{N-1} + q_{N-2}.
 
     A rational stream that runs out of quotients first reports its terminal
-    level with full multiplicity and terminated=True.
+    level with full multiplicity.
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
@@ -415,7 +414,7 @@ def cutoff(x, Q: int) -> CutoffData:
             return CutoffData(N=n, a=a + (Q - q) // qm1, quotients=tuple(read[1:]))
         read.append(a)
     # an integer has no level 1
-    return CutoffData(N=n, a=a if n else 0, terminated=True, quotients=tuple(read[1:-1]))
+    return CutoffData(N=n, a=a if n else 0, quotients=tuple(read[1:-1]))
 
 
 def intermediates(x, Q: int) -> list[tuple[int, int, int, int]]:

@@ -14,26 +14,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cf import DyadicStream, InvariantViolation
 
 
-@dataclass(frozen=True)
-class NeighborPair:
-    """Adjacent fractions below and above beta in the Farey set of its height.
-
-    upper is a value in (0, 1]; the top endpoint is represented by 1/1
-    (the zero class approached from below).
-    """
-
-    lower: Fraction
-    upper: Fraction
-
-
-def farey_neighbors(beta: tuple[int, int]) -> NeighborPair:
-    """Neighbors of beta in the Farey set of order h(beta)."""
+def farey_neighbors(beta: tuple[int, int]) -> tuple[Fraction, Fraction]:
+    """(lower, upper): the fractions adjacent to beta in the Farey set of order
+    h(beta).  upper lies in (0, 1]; the top endpoint is 1/1 (the zero class
+    approached from below)."""
     a, q = beta
     if q == 1:
         raise ValueError("height-1 class has no neighbors; chi is identically 1")
@@ -41,7 +31,7 @@ def farey_neighbors(beta: tuple[int, int]) -> NeighborPair:
     p_lo = (a * q_lo - 1) // q
     q_hi = q - q_lo
     p_hi = a - p_lo
-    return NeighborPair(Fraction(p_lo, q_lo), Fraction(p_hi, q_hi))
+    return Fraction(p_lo, q_lo), Fraction(p_hi, q_hi)
 
 
 def chi(beta: tuple[int, int], x) -> Fraction:
@@ -53,19 +43,9 @@ def chi(beta: tuple[int, int], x) -> Fraction:
     _, q = beta
     if q == 1:
         return Fraction(1)
-    nb = farey_neighbors(beta)
+    lower, upper = farey_neighbors(beta)
     # sign(x - lower) - sign(x - upper): 2 inside, 1 on an endpoint, 0 outside
-    return Fraction(x.compare_fraction(x.a0 + nb.lower)
-                    - x.compare_fraction(x.a0 + nb.upper), 2)
-
-
-def expected_chi(beta: tuple[int, int]) -> Fraction:
-    """Length of the neighbor interval, 1/(h(lower) h(upper))."""
-    a, q = beta
-    if q == 1:
-        return Fraction(1)
-    q_lo = pow(a, -1, q)
-    return Fraction(1, q_lo * (q - q_lo))
+    return Fraction(x.compare_fraction(x.a0 + lower) - x.compare_fraction(x.a0 + upper), 2)
 
 
 @functools.cache
@@ -123,16 +103,9 @@ class FareyTable:
     hi_num: np.ndarray
     hi_den: np.ndarray
     terminal: np.ndarray
-    _index: dict | None = field(default=None, repr=False)
 
     def __len__(self):
         return len(self.num)
-
-    def index_of(self, beta: tuple[int, int]) -> int:
-        if self._index is None:
-            self._index = {(int(a), int(q)): i
-                           for i, (a, q) in enumerate(zip(self.num, self.den))}
-        return self._index[beta]
 
 
 FAREY_TABLE_LIMIT = 5000
@@ -236,7 +209,7 @@ def _harmonic_prefix(k: int) -> tuple[list[int], list[int]]:
 
 
 def row_sum_exact(q: int) -> Fraction:
-    """Sum of expected_chi over all fractions of height exactly q.
+    """Sum of 1/(h(lower) h(upper)) over the fractions of height exactly q.
 
     As a/q runs over the row, the lower-neighbor heights u run over the
     units mod q, and 1/(u(q-u)) telescopes to (2/q) sum of 1/u.  Moebius
@@ -304,7 +277,7 @@ class HeightSet:
     """Predicate over heights, from the mini-language all|primes|mod:d,r|file:path."""
 
     kind: str
-    payload: tuple = ()
+    payload: tuple | frozenset = ()  # (d, r) for mod, the heights for set
 
     def __contains__(self, q: int) -> bool:
         if self.kind == "all":
@@ -338,7 +311,7 @@ def parse_height_set(spec: str) -> HeightSet:
         except OSError as exc:
             raise ValueError(f"cannot read height set {path!r}: {exc.strerror}") from exc
         try:
-            qs = tuple(sorted({int(tok) for tok in text.split()}))
+            qs = frozenset(int(tok) for tok in text.split())
         except ValueError as exc:
             raise ValueError(f"bad height set {spec!r}: {exc}") from None
         return HeightSet("set", qs)

@@ -51,12 +51,6 @@ class WeightFunction:
             raise ValueError("power family needs gamma > 0")
         return WeightFunction("power", gamma=gamma)
 
-    @staticmethod
-    def from_table(values: Sequence) -> "WeightFunction":
-        """g(m) = values[m - 1] for m up to len(values), zero beyond."""
-        return WeightFunction("table", table=tuple((m, Fraction(v))
-                                                   for m, v in enumerate(values, start=1)))
-
     @property
     def is_exact(self) -> bool:
         return self.family != "power"
@@ -191,9 +185,8 @@ def _series_tail(s0: float, M: int, shift: int) -> tuple[float, float]:
     return tail, math.nextafter(bound, math.inf)
 
 
-def weight_log_series(g: WeightFunction, start: int = 1,
-                      shift: int = 0) -> tuple[float, float]:
-    """(value, tail_bound) for sum_{m>=start} g(m+shift) log(1+1/m).
+def weight_log_series(g: WeightFunction, shift: int = 0) -> tuple[float, float]:
+    """(value, tail_bound) for sum_{m>=1} g(m+shift) log(1+1/m).
 
     Power and harmonic weights sum the terms m <= 4096 and get a Hurwitz-zeta
     tail (bound far below 1e-30); they take shift 0 or 1 only.  Raises
@@ -204,14 +197,14 @@ def weight_log_series(g: WeightFunction, start: int = 1,
     if g.family == "table":
         total = 0.0
         for k, v in g.table:  # the unlisted terms are 0
-            if k - shift >= start:
+            if k > shift:
                 total += float(v) * math.log1p(1.0 / (k - shift))
         return total, 0.0
     if shift not in (0, 1):
         raise ValueError("shift must be 0 or 1")
     s0, head = (1.0 if g.family == "harmonic" else 0.5 + g.gamma), 4096
-    ws = g.floats(range(start + shift, head + shift + 1))
-    head_sum = math.fsum(map(mul, ws, [math.log1p(1.0 / m) for m in range(start, head + 1)]))
+    ws = g.floats(range(1 + shift, head + shift + 1))
+    head_sum = math.fsum(map(mul, ws, [math.log1p(1.0 / m) for m in range(1, head + 1)]))
     tail, bound = _series_tail(s0, head, shift)
     return head_sum + tail, bound
 
@@ -224,7 +217,7 @@ def mq_level_expectation(g: WeightFunction) -> float:
     member of level n carries g(a_{n-1}+1), not g(1)); it differs from the
     unshifted series sum_m g(m) log2(1+1/m) for non-constant g.
     """
-    value, _ = weight_log_series(g, start=1, shift=1)
+    value, _ = weight_log_series(g, shift=1)
     return value / LOG2
 
 
@@ -287,13 +280,6 @@ def x_nf(x, n: int, g: WeightFunction, f: TruncationFn):
     while (m := len(prefix)) <= K:  # in place; a racing grower sets slot m to the same value
         prefix[m:m + 1] = [prefix[m - 1] + g(m)]
     return sum([prefix[k] for k in ks], np.longdouble(0))
-
-
-def gauss_kuzmin_prob(k: int) -> float:
-    """Limiting probability log2(1 + 1/(k(k+2))) of a partial quotient equal to k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return math.log1p(1.0 / (k * (k + 2))) / LOG2
 
 
 def birkhoff_average(x, fvals: Callable[[int], object], n: int):

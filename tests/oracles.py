@@ -4,11 +4,13 @@ The library spells a class mod 1 as an (a, q) pair of ints; FareyFraction is
 such a pair with names, so every library function takes it as it is.
 """
 
+import math
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from cflab.cf import ContinuedFraction
-from cflab.farey import check_order
+from cflab.farey import FareyTable, check_order
+from cflab.stats import LOG2, WeightFunction
 
 
 class FareyFraction(NamedTuple):
@@ -39,3 +41,31 @@ def value_of_cf(cf: ContinuedFraction) -> Fraction:
     for a in reversed(cf.preperiod):
         tail = 1 / (a + tail)
     return cf.a0 + tail
+
+
+def expected_chi(beta: tuple[int, int]) -> Fraction:
+    """Length of the neighbor interval of beta, 1/(h(lower) h(upper)); 1 for
+    the zero class."""
+    a, q = beta
+    if q == 1:
+        return Fraction(1)
+    q_lo = pow(a, -1, q)
+    return Fraction(1, q_lo * (q - q_lo))
+
+
+def index_of(table: FareyTable) -> dict[tuple[int, int], int]:
+    """{(a, q): i} over the entries of a bulk Farey table."""
+    return {(int(a), int(q)): i for i, (a, q) in enumerate(zip(table.num, table.den))}
+
+
+def table_weight(values: Sequence) -> WeightFunction:
+    """The table weight g(m) = values[m - 1] for m up to len(values), zero beyond."""
+    return WeightFunction("table", table=tuple((m, Fraction(v))
+                                               for m, v in enumerate(values, start=1)))
+
+
+def gauss_kuzmin_prob(k: int) -> float:
+    """Limiting probability log2(1 + 1/(k(k+2))) of a partial quotient equal to k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return math.log1p(1.0 / (k * (k + 2))) / LOG2

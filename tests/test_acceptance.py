@@ -7,13 +7,13 @@ import math
 from fractions import Fraction
 
 from cflab.farey import (chi_mask, cumulative_expected_count,
-                         expected_chi, farey_neighbors, farey_table,
+                         farey_neighbors, farey_table,
                          row_sum_exact, row_sum_formula)
 from cflab.harness import (ExperimentConfig, aggregate, mq_all, mq_count_closed,
                            mq_value, rows_to_csv, run, sample_stream)
 from cflab.cf import intermediates
-from cflab.stats import WeightFunction, gauss_kuzmin_prob, weight_log_series
-from oracles import enumerate_farey
+from cflab.stats import WeightFunction, weight_log_series
+from oracles import enumerate_farey, expected_chi, gauss_kuzmin_prob, index_of
 
 KL_CONSTANT = math.pi ** 2 / (12 * math.log(2))   # a.e. limit of log(q_n)/n
 LEVEL_RATE = 12 * math.log(2) / math.pi ** 2      # a.e. limit of N(Q,x)/log Q
@@ -45,13 +45,14 @@ def test_criterion_01_triple_method_equality_exact():
 
 def test_criterion_02_indicator_matches_enumeration():
     table = farey_table(100)
+    index = index_of(table)
     mismatches = 0
     for i in range(1000):
         x = sample_stream(1042, i)
         mask = chi_mask(table, x)
         member = [False] * len(table.num)
         for _, _, num, den in intermediates(x, 100):
-            member[table.index_of((num, den))] = True
+            member[index[(num, den)]] = True
         mismatches += sum(1 for a, b in zip(mask, member) if bool(a) != b)
     line = _report(2, mismatches == 0,
                    f"indicator vs enumeration over F_100 x 1000 samples, "
@@ -68,8 +69,7 @@ def test_criterion_03_farey_neighbor_exactness():
             if expected_chi(beta) != 1:
                 bad += 1
             continue
-        nb = farey_neighbors(beta)
-        lo, hi = nb.lower, nb.upper
+        lo, hi = farey_neighbors(beta)
         uni = (beta.num * lo.denominator - lo.numerator * beta.den == 1
                and hi.numerator * beta.den - beta.num * hi.denominator == 1)
         if not uni or expected_chi(beta) != hi - lo:
@@ -137,7 +137,7 @@ def test_criterion_07_level_count_rate():
 def test_criterion_08_weighted_count_headline():
     Q = 10 ** 6
     g = WeightFunction.harmonic()
-    series, tail = weight_log_series(g, start=1)
+    series, tail = weight_log_series(g)
     assert tail < 1e-10
     target = 12 / math.pi ** 2 * series
     vals = []

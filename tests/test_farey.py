@@ -13,11 +13,11 @@ from cflab import farey
 from cflab.cf import (ContinuedFraction, DyadicStream, InvariantViolation, cf_of_rational,
                       intermediates)
 from cflab.farey import (chi, chi_mask, cumulative_expected_count,
-                         expected_chi, farey_neighbors,
+                         farey_neighbors,
                          farey_table, parse_height_set, row_sum_exact,
                          row_sum_formula)
 from cflab.stats import terminal_quotient
-from oracles import FareyFraction, enumerate_farey
+from oracles import FareyFraction, enumerate_farey, expected_chi, index_of
 
 
 def brute_neighbors(a, q):
@@ -29,12 +29,9 @@ def brute_neighbors(a, q):
 
 
 def test_neighbors_examples():
-    nb = farey_neighbors(FareyFraction(2, 5))
-    assert (nb.lower, nb.upper) == (Fraction(1, 3), Fraction(1, 2))
-    nb = farey_neighbors(FareyFraction(1, 2))
-    assert (nb.lower, nb.upper) == (Fraction(0), Fraction(1))
-    nb = farey_neighbors(FareyFraction(1, 5))
-    assert (nb.lower, nb.upper) == (Fraction(0), Fraction(1, 4))
+    assert farey_neighbors(FareyFraction(2, 5)) == (Fraction(1, 3), Fraction(1, 2))
+    assert farey_neighbors(FareyFraction(1, 2)) == (Fraction(0), Fraction(1))
+    assert farey_neighbors(FareyFraction(1, 5)) == (Fraction(0), Fraction(1, 4))
 
 
 def test_neighbors_against_brute_force():
@@ -42,8 +39,7 @@ def test_neighbors_against_brute_force():
         for a in range(1, q):
             if math.gcd(a, q) != 1:
                 continue
-            nb = farey_neighbors(FareyFraction(a, q))
-            assert (nb.lower, nb.upper) == brute_neighbors(a, q)
+            assert farey_neighbors(FareyFraction(a, q)) == brute_neighbors(a, q)
 
 
 def test_neighbors_height_one_rejected():
@@ -55,8 +51,7 @@ def test_unimodularity_and_gap_f100():
     for beta in enumerate_farey(100):
         if beta.den == 1:
             continue
-        nb = farey_neighbors(beta)
-        lo, hi = nb.lower, nb.upper
+        lo, hi = farey_neighbors(beta)
         assert beta.num * lo.denominator - lo.numerator * beta.den == 1
         assert hi.numerator * beta.den - beta.num * hi.denominator == 1
         assert lo.denominator + hi.denominator == beta.den
@@ -67,9 +62,9 @@ def test_mediant_ancestry_of_neighbor_triples():
     for beta in enumerate_farey(100):
         if beta.den == 1:
             continue
-        nb = farey_neighbors(beta)
-        k_num = nb.lower.numerator + nb.upper.numerator
-        k_den = nb.lower.denominator + nb.upper.denominator
+        lo, hi = farey_neighbors(beta)
+        k_num = lo.numerator + hi.numerator
+        k_den = lo.denominator + hi.denominator
         assert k_num % beta.num == 0 if beta.num else k_num == 0
         assert k_den % beta.den == 0
         if beta.num:
@@ -314,16 +309,17 @@ def test_farey_table_matches_enumeration():
     table = farey_table(50)
     listed = list(enumerate_farey(50))
     assert len(table) == len(listed)
+    index = index_of(table)
     for beta in listed:
-        i = table.index_of(beta)
+        i = index[beta]
         assert (table.num[i], table.den[i]) == (beta.num, beta.den)
         if beta.den == 1:
             continue
-        nb = farey_neighbors(beta)
+        lower, upper = farey_neighbors(beta)
         assert (table.lo_num[i], table.lo_den[i]) == \
-            (nb.lower.numerator, nb.lower.denominator)
+            (lower.numerator, lower.denominator)
         assert (table.hi_num[i], table.hi_den[i]) == \
-            (nb.upper.numerator, nb.upper.denominator)
+            (upper.numerator, upper.denominator)
 
 
 def check_table_against_oracle(table, Q):
@@ -335,11 +331,11 @@ def check_table_against_oracle(table, Q):
     assert (table.lo_f[0], table.hi_f[0], table.terminal[0]) == (-math.inf, math.inf, 1)
     for i in range(1, len(table)):
         beta = FareyFraction(int(table.num[i]), int(table.den[i]))
-        nb = farey_neighbors(beta)
+        lower, upper = farey_neighbors(beta)
         lo = (int(table.lo_num[i]), int(table.lo_den[i]))
         hi = (int(table.hi_num[i]), int(table.hi_den[i]))
-        assert lo == (nb.lower.numerator, nb.lower.denominator)
-        assert hi == (nb.upper.numerator, nb.upper.denominator)
+        assert lo == (lower.numerator, lower.denominator)
+        assert hi == (upper.numerator, upper.denominator)
         assert table.lo_f[i] == lo[0] / lo[1] and table.hi_f[i] == hi[0] / hi[1]
         assert table.terminal[i] == terminal_quotient(beta.num, beta.den)
 
@@ -435,7 +431,7 @@ def test_parse_height_set(tmp_path):
     p.write_text("4\n9\n")
     fs = parse_height_set(f"file:{p}")
     assert 4 in fs and 9 in fs and 5 not in fs
-    for bad in ("mod:0,0", "mod:3,7", "nonsense"):
+    for bad in ("mod:0,0", "mod:3,3", "mod:3,7", "nonsense"):
         with pytest.raises(ValueError):
             parse_height_set(bad)
 
@@ -443,6 +439,8 @@ def test_parse_height_set(tmp_path):
 def test_height_set_mask_agrees_with_contains():
     prime = [q >= 2 and all(q % p for p in range(2, q)) for q in range(41)]
     want = {"all": [q >= 1 for q in range(41)], "primes": prime,
+            "mod:1,0": [q >= 1 for q in range(41)],
+            "mod:3,1": [q >= 1 and q % 3 == 1 for q in range(41)],
             "mod:3,2": [q >= 1 and q % 3 == 2 for q in range(41)]}
     for spec, member in want.items():
         hs = parse_height_set(spec)

@@ -20,8 +20,8 @@ from cflab.harness import (CSV_HEADER, ExperimentConfig, ResultRow, RunRows, agg
                            mq_count_farey, mq_count_intermediates, mq_value,
                            pairdep_tables, resolve_params, rows_to_csv, run,
                            sample_stream, write_csv, write_json)
-from cflab.stats import WeightFunction, gauss_kuzmin_prob, terminal_quotient
-from oracles import FareyFraction, enumerate_farey, value_of_cf
+from cflab.stats import WeightFunction, terminal_quotient
+from oracles import FareyFraction, enumerate_farey, gauss_kuzmin_prob, value_of_cf
 
 
 # -- sample_stream -------------------------------------------------------------
@@ -143,6 +143,21 @@ def test_run_openproblem_empty_height_set():
                                 params={"grid": (200,), "heights": empty}))
     assert len(rows) == 4
     assert all(r.stat == "hits" and r.value == 0 for r in rows)
+
+
+def test_run_openproblem_large_file_height_set(tmp_path):
+    # openproblem asks the set once per intermediate fraction, so a file's
+    # heights are held for hashed lookup, not scanned
+    Q, qs = 10 ** 6, range(7, 140_001, 7)  # 20,000 heights
+    path = tmp_path / "heights.txt"
+    path.write_text(" ".join(map(str, reversed(qs))) + "\n7 14\n")  # any order, repeats
+    heights = parse_height_set(f"file:{path}")
+    assert type(heights.payload) is frozenset and heights.payload == set(qs)
+    rows = run(ExperimentConfig("openproblem", samples=20, seed=5,
+                                params={"grid": (Q,), "heights": heights}))
+    assert [r.value for r in rows] == [
+        sum(1 for *_, den in intermediates(sample_stream(5, i), Q) if den % 7 == 0 and den <= 140_000)
+        for i in range(20)]
 
 
 def test_run_variance_grid_rows():

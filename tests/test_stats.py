@@ -21,9 +21,10 @@ from cflab.cf import (ContinuedFraction, DyadicStream, cf_of_rational, intermedi
 from cflab.harness import (mq_all, mq_count_closed, mq_count_farey,
                            mq_count_intermediates, mq_value, sample_stream)
 from cflab.stats import (ClassicalStats, TruncationFn, WeightFunction, birkhoff_average,
-                         classical_stats, double_exceedance, gauss_kuzmin_prob,
+                         classical_stats, double_exceedance,
                          indicator_sum, mq_level_expectation,
                          parse_weight, terminal_quotient, weight_log_series, x_nf)
+from oracles import gauss_kuzmin_prob, table_weight
 
 GOLDEN = ContinuedFraction(0, (), (1,))
 ALT23 = ContinuedFraction(0, (2,), (3, 2))  # [0;2,3,2,3,...]
@@ -88,10 +89,10 @@ def test_weight_table_parsing(tmp_path):
         parse_weight("mystery")
 
 
-def dense_table_series(g, top, start=1, shift=0):
+def dense_table_series(g, top, shift=0):
     """Oracle: the table series summed over every m up to the largest listed."""
     total = 0.0
-    for m in range(start, top + 1 - shift):
+    for m in range(1, top + 1 - shift):
         total += float(g(m + shift)) * math.log1p(1.0 / m)
     return total
 
@@ -107,12 +108,12 @@ def test_weight_table_is_sparse(tmp_path):
     f = tmp_path / "w.txt"
     f.write_text("7 2/3\n1 1/3\n5 0\n40 -1/8\n")
     sparse = parse_weight(f"table:{f}")
-    dense = WeightFunction.from_table([sparse(m) for m in range(1, 41)])
+    dense = table_weight([sparse(m) for m in range(1, 41)])
     assert [sparse(m) for m in range(1, 50)] == [dense(m) for m in range(1, 50)]
-    for start, shift in itertools.product((1, 3), (0, 1)):
-        want = dense_table_series(sparse, 40, start, shift)
-        assert weight_log_series(sparse, start, shift) == (want, 0.0)
-        assert weight_log_series(dense, start, shift) == (want, 0.0)
+    for shift in (0, 1):
+        want = dense_table_series(sparse, 40, shift)
+        assert weight_log_series(sparse, shift) == (want, 0.0)
+        assert weight_log_series(dense, shift) == (want, 0.0)
     for seed in (2, 3):
         x = DyadicStream(seed)
         assert x_nf(x, 30, sparse, TruncationFn(0.5)) == x_nf(x, 30, dense, TruncationFn(0.5))
@@ -165,11 +166,11 @@ def test_unit_and_table_prefix_sums_keep_no_growing_cache(monkeypatch):
     monkeypatch.setattr(stats, "_PREFIX_CACHE", {})
     huge = TruncationFn(-80)  # f(2) is about 9 * 10^12
     assert x_nf(first_quotients(10**12, 1), 2, UNIT, huge) == 10**12 - 1  # the closed form
-    g = WeightFunction.from_table([Fraction(1, 3), 2, 0, Fraction(-5, 7), 1])
+    g = table_weight([Fraction(1, 3), 2, 0, Fraction(-5, 7), 1])
     assert x_nf(first_quotients(10**12, 1), 2, g, huge) == Fraction(16, 7)  # past the last m
     assert x_nf(first_quotients(5, 1), 2, g, huge) == Fraction(16, 7)
     assert x_nf(first_quotients(4, 1), 2, g, huge) == Fraction(9, 7)
-    assert x_nf(first_quotients(9, 1), 2, WeightFunction.from_table([]), huge) == 0
+    assert x_nf(first_quotients(9, 1), 2, table_weight([]), huge) == 0
     assert x_nf(first_quotients(60, 1), 2, HARMONIC, huge) == sum(
         Fraction(1, m) for m in range(2, 61))  # read off farey's prefix
     assert stats._PREFIX_CACHE == {}
@@ -327,25 +328,25 @@ def test_main_term_series():
     M = 200_000
     partial = math.fsum(math.log1p(1 / m) / m for m in range(1, M + 1))
     tail_hi = 1 / M - 1 / (2 * M ** 2)  # sum_{m>M} 1/m^2 bounds, crude
-    s, bound = weight_log_series(HARMONIC, start=1)
+    s, bound = weight_log_series(HARMONIC)
     assert bound < 1e-10
     assert partial < s < partial + tail_hi
     assert s == pytest.approx(1.25775, abs=2e-5)
-    for start, shift in ((1, 0), (1, 1), (3, 0)):
+    for shift in (0, 1):
         with pytest.raises(ValueError, match="^series diverges for unit weights$"):
-            weight_log_series(UNIT, start, shift)
+            weight_log_series(UNIT, shift)
 
 
 def test_level_expectation_differs_from_naive_series():
     # per-level mean pairs g(m+1) with the threshold law, not g(m)
-    series, bound = weight_log_series(HARMONIC, start=1, shift=1)
+    series, bound = weight_log_series(HARMONIC, shift=1)
     probe = math.fsum(math.log1p(1 / m) / (m + 1) for m in range(1, 500_000))
     assert bound < 1e-5
     assert series == pytest.approx(probe, abs=1e-5)
     assert series == pytest.approx(0.788529, abs=2e-5)
     lvl = mq_level_expectation(HARMONIC)
     assert lvl == pytest.approx(series / math.log(2), rel=1e-12)
-    naive, _ = weight_log_series(HARMONIC, start=1)
+    naive, _ = weight_log_series(HARMONIC)
     assert series < naive  # same base, the shift strictly lowers every term
 
 
@@ -359,13 +360,13 @@ SERIES_WEIGHTS = (HARMONIC, WeightFunction.power(0.25), WeightFunction.power(0.0
 
 
 @pytest.mark.parametrize("g", SERIES_WEIGHTS, ids=lambda g: f"{g.family}-{g.gamma}")
-@pytest.mark.parametrize("start,shift", [(1, 0), (1, 1), (3, 0), (3, 1)])
-def test_series_head_matches_the_per_term_sum(g, start, shift):
+@pytest.mark.parametrize("shift", [0, 1], ids=["1-0", "1-1"])  # the series' first m, shift
+def test_series_head_matches_the_per_term_sum(g, shift):
     s0 = 1.0 if g.family == "harmonic" else 0.5 + g.gamma
     tail, bound = stats._series_tail(s0, 4096, shift)
-    want = per_term_head(g, range(start, 4097), shift) + tail
-    assert weight_log_series(g, start, shift) == (want, bound)
-    if (start, shift) == (1, 1):
+    want = per_term_head(g, range(1, 4097), shift) + tail
+    assert weight_log_series(g, shift) == (want, bound)
+    if shift == 1:
         assert mq_level_expectation(g) == want / stats.LOG2
 
 
@@ -377,11 +378,11 @@ def test_shifted_series_matches_nsum_oracle(g):
     with mpmath.workdps(30):
         ref = mpmath.nsum(lambda m: (m + 1) ** -s0 * mpmath.log1p(1 / m),
                           [1, mpmath.inf], method="euler-maclaurin")
-    series, bound = weight_log_series(g, start=1, shift=1)
+    series, bound = weight_log_series(g, shift=1)
     assert bound < 1e-30
     assert abs(series - float(ref)) <= bound + 1e-15
     with pytest.raises(ValueError):
-        weight_log_series(g, start=1, shift=2)
+        weight_log_series(g, shift=2)
 
 
 def em_mp(s, x, terms):
@@ -476,7 +477,7 @@ def test_truncation_fn():
 def test_x_nf():
     assert x_nf(GOLDEN, 50, HARMONIC, TruncationFn(0.5)) == 0
     assert x_nf(ALT23, 4, HARMONIC, TruncationFn(0.5)) == Fraction(8, 3)
-    table_g = WeightFunction.from_table([0, 1])
+    table_g = table_weight([0, 1])
     assert x_nf(ALT23, 4, table_g, TruncationFn(0.5)) == 4
 
 
@@ -506,7 +507,7 @@ def x_nf_by_definition(x, n, g, f):
 ORACLE_WEIGHTS = {
     "harmonic": HARMONIC, "unit": UNIT,
     "power:0.25": WeightFunction.power(0.25), "power:1.5": WeightFunction.power(1.5),
-    "dense": WeightFunction.from_table([Fraction((-1) ** m, m * m + 1) for m in range(1, 200)]),
+    "dense": table_weight([Fraction((-1) ** m, m * m + 1) for m in range(1, 200)]),
     "sparse": WeightFunction("table", table=((1, Fraction(3)), (2, Fraction(-1, 3)),
                                              (7, Fraction(2, 9)), (40, Fraction(-5, 8)),
                                              (10 ** 9, Fraction(1, 2)))),

@@ -3,6 +3,7 @@
 import ast
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -137,3 +138,60 @@ def test_reference_values_never_load_mpmath():
     done = subprocess.run([sys.executable, "-c", REFERENCE_RUN, str(ROOT)],
                           check=True, capture_output=True, text=True, timeout=120)
     assert done.stdout.splitlines() == ["0 -", "numpy"]
+
+
+# FareyTable.terminal is read by the tests' Farey oracles only; it leaves src/
+# with FareyTable itself once perfbench/tracer.py no longer patches the table
+# functions by name
+UNREAD_ALLOWED = {"FareyTable.terminal"}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, name, node) for each top-level function and class, and
+    each method and annotated field of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    yield f"{node.name}.{member.name}", member.name, member
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    yield f"{node.name}.{member.target.id}", member.target.id, member
+
+
+def _read(node, strings: bool) -> str | None:
+    """The name a node reads: a loaded name or attribute, or, where strings
+    count, a string constant."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    if strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def test_every_library_name_is_read_outside_its_definition():
+    # a name of src/cflab that only the tests read belongs in tests/oracles.py;
+    # perfbench reads names too, and patches some by their string; dunder
+    # methods are called by the interpreter, not by name
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for top in ("src", "perfbench") for path in sorted((ROOT / top).rglob("*.py"))}
+    reads = defaultdict(set)  # name -> ids of the nodes that read it
+    for path, tree in trees.items():
+        strings = path.is_relative_to(ROOT / "perfbench")
+        for node in ast.walk(tree):
+            if name := _read(node, strings):
+                reads[name].add(id(node))
+    unread = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(ROOT / "src" / "cflab"):
+            continue
+        for qualified, name, definition in _definitions(tree):
+            if name.startswith("__") and name.endswith("__") or qualified in UNREAD_ALLOWED:
+                continue
+            inside = {id(node) for node in ast.walk(definition)}
+            if not reads[name] - inside:
+                unread.append(f"{path.relative_to(ROOT)}:{definition.lineno} {qualified}")
+    assert not unread, f"read only by the tests: {', '.join(unread)}"
