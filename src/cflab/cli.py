@@ -20,7 +20,7 @@ from .cf import (NeedsMoreBits, QuotientCapExceeded, cf_of_rational,
                  convergents, intermediates, parse_stream)
 from .farey import chi, parse_height_set, row_sum_exact, row_sum_formula
 from .harness import (REGISTRY, ExperimentConfig, InvariantViolation,
-                      aggregate, find_violations, mq_all, mq_count_closed,
+                      aggregate, find_violations, int_text, mq_all, mq_count_closed,
                       mq_count_farey, mq_count_intermediates, mq_value,
                       pairdep_tables, run, sample_stream, write_csv, write_json)
 from .stats import parse_weight
@@ -41,8 +41,10 @@ def _class_mod1(text: str) -> tuple[int, int]:
 
 
 def _fmt(v) -> str:
+    """str(v) of an exact value, without str(int)'s limit on digits; a float to 12 digits."""
     if isinstance(v, (Fraction, int)):
-        return str(v)
+        num, den = v.as_integer_ratio()
+        return int_text(num) if den == 1 else f"{int_text(num)}/{int_text(den)}"
     return format(float(v), ".12g")
 
 
@@ -53,7 +55,7 @@ def _cmd_cf(args) -> int:
 
 def _cmd_convergents(args) -> int:
     for n, p, q in convergents(parse_stream(args.x), args.n):
-        print(f"{n} {p}/{q}")
+        print(f"{n} {int_text(p)}/{int_text(q)}")
     return 0
 
 
@@ -137,8 +139,8 @@ def _cmd_montecarlo(args) -> int:
             print(f"k={k} r={rv} s={sv} joint={joint:.12g} product={prod:.12g}")
     bad = find_violations(rows)
     if bad:  # the first failing samples, named by specs that `cflab mq --x` replays
-        first = ", ".join(f"({r.param}, {r.index}) dyadic:seed="
-                          f"{sample_stream(r.seed, r.index).seed:#x}" for r in bad[:3])
+        first = ", ".join(f"({param}, {i}) dyadic:seed={sample_stream(args.seed, i).seed:#x}"
+                          for param, i in bad[:3])
         raise InvariantViolation(f"methods_agree failed on {len(bad)} rows; "
                                  f"first ({exp.param}, index): {first}")
     return 0

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .cf import (GOLDEN64, M64, ContinuedFraction, DyadicStream, InvariantViolation,
                  convergents, cutoff, intermediates, mix64)
@@ -54,15 +54,6 @@ def sample_stream(master_seed: int, index: int) -> DyadicStream:
     if index < 0:
         raise ValueError("index must be >= 0")
     return DyadicStream(mix64((master_seed + (index + 1) * GOLDEN64) & M64))
-
-
-class ResultRow(NamedTuple):
-    experiment: str
-    seed: int
-    index: int
-    param: int
-    stat: str
-    value: object
 
 
 @dataclass
@@ -346,9 +337,10 @@ def resolve_params(config: ExperimentConfig) -> tuple[tuple[int, ...], dict]:
 
 
 def _reduce(rows, exact: bool) -> tuple:
-    """(rows, text, floats, bad) of ResultRow-shaped tuples: per param, its rows in
-    (index, stat) order and their CSV lines; per (param, stat), its float values
-    sorted; and the count of methods_agree values other than 1."""
+    """The part (text, floats, bad) of (experiment, seed, index, param, stat, value)
+    rows: per param, the CSV lines of its rows in (index, stat) order; per (param,
+    stat), its float values sorted; and the count of methods_agree values other
+    than 1.  The rows are dropped once formatted."""
     groups, floats, bad = {}, {}, 0
     for row in rows:
         _, _, _, param, stat, value = row
@@ -359,8 +351,7 @@ def _reduce(rows, exact: bool) -> tuple:
         group.sort(key=itemgetter(2, 4))  # stable, as the frozen (param, index, stat) sort
     for vals in floats.values():
         vals.sort()
-    text = {param: _csv_lines(group, exact) for param, group in groups.items()}
-    return groups, text, floats, bad
+    return {param: _csv_lines(group, exact) for param, group in groups.items()}, floats, bad
 
 
 def _run_chunk(config: ExperimentConfig, grid: tuple, p: dict, indices: range) -> tuple:
@@ -425,27 +416,22 @@ def _fork_chunks(work: Callable, chunks: list, workers: int) -> list:
 
 class RunRows:
     """The rows of a run as its workers left them: the parts (see _reduce) of its
-    chunks, in chunk order.  rows_to_csv, aggregate and find_violations read the
-    parts; iterating yields the ResultRows sorted by (param, index, stat), built
-    one at a time.  Chunks are contiguous index ranges, so the parts taken in
-    chunk order, param by param, are in that order with no sort.
+    chunks, in chunk order.  Chunks are contiguous index ranges, so the parts'
+    text taken in chunk order, param by param, is the CSV in (param, index, stat)
+    order with no sort.
     """
 
     def __init__(self, parts: list):
         self.parts = parts
-        self.params = sorted({param for rows, *_ in parts for param in rows})
+        self.params = sorted({param for text, _, _ in parts for param in text})
 
-    def __len__(self) -> int:
-        return sum(len(group) for rows, *_ in self.parts for group in rows.values())
-
-    def __iter__(self):
-        return (ResultRow._make(row) for param in self.params
-                for rows, *_ in self.parts for row in rows.get(param, ()))
+    def __len__(self) -> int:  # one float per row
+        return sum(len(vals) for _, floats, _ in self.parts for vals in floats.values())
 
 
 def run(config: ExperimentConfig) -> RunRows:
     """Execute the experiment; returns its rows as a RunRows: the parts the workers
-    ordered and formatted, and on iteration the ResultRows sorted by (param, index, stat).
+    ordered and formatted.
 
     `threads` counts worker processes, the caller and threads - 1 forked children
     (pure Python gains nothing from threads), capped at the samples and usable
@@ -467,10 +453,12 @@ def run(config: ExperimentConfig) -> RunRows:
     return RunRows(parts)
 
 
-def find_violations(rows: RunRows) -> list[ResultRow]:
-    if not any(bad for *_, bad in rows.parts):
+def find_violations(rows: RunRows) -> list[tuple[int, int]]:
+    """(param, index) of each methods_agree value other than 1, in CSV order."""
+    if not any(bad for _, _, bad in rows.parts):
         return []  # the workers counted none
-    return [r for r in rows if r.stat == "methods_agree" and r.value != 1]
+    return [(int(param), int(i)) for _, _, i, param, stat, value in _csv_fields(rows)
+            if stat == "methods_agree" and Fraction(value) != 1]
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -495,7 +483,7 @@ def aggregate(rows: RunRows) -> list[Summary]:
     ceil(0.05 * count) values at each end of the sorted sample (falling back
     to the plain mean when that would empty the list).
     """
-    runs = [floats for _, _, floats, _ in rows.parts]
+    runs = [floats for _, floats, _ in rows.parts]
     out = []
     for key in sorted({key for run in runs for key in run}):
         sv = sorted([v for run in runs for v in run.get(key, ())])  # merges sorted runs
@@ -510,14 +498,14 @@ def aggregate(rows: RunRows) -> list[Summary]:
     return out
 
 
-def pairdep_tables(rows: list[ResultRow]) -> dict:
+def pairdep_tables(rows: RunRows) -> dict:
     """{(k, r, s): (joint frequency, product of marginal frequencies)} for r, s in 1, 2."""
-    by_param: dict[int, dict[int, dict[str, int]]] = {}
-    for r in rows:
-        by_param.setdefault(r.param, {}).setdefault(r.index, {})[r.stat] = r.value
+    by_param: dict[int, dict[str, dict[str, Fraction]]] = {}  # k -> index -> stat -> value
+    for _, _, i, k, stat, value in _csv_fields(rows):
+        by_param.setdefault(int(k), {}).setdefault(i, {})[stat] = Fraction(value)
     out = {}
-    for k, per_sample in sorted(by_param.items()):
-        pairs = [(d["a_first"], d["a_second"]) for _, d in sorted(per_sample.items())]
+    for k, per_sample in by_param.items():
+        pairs = [(d["a_first"], d["a_second"]) for d in per_sample.values()]
         n = len(pairs)
         for rv in (1, 2):
             for sv in (1, 2):
@@ -533,23 +521,29 @@ def pairdep_tables(rows: list[ResultRow]) -> dict:
 CSV_HEADER = "experiment,seed,index,param,stat,value"
 
 
+def int_text(n: int) -> str:
+    """The decimal digits of n, written through Decimal, which has no limit on
+    digits; str(int) stops at 4300."""
+    return str(Decimal(n))
+
+
 def format_value(v, exact: bool) -> str:
     """Frozen text form: exact mode writes num/den, otherwise ints verbatim
-    and everything else as 12-significant-digit decimals.  Exact integers are
-    written through Decimal, which has no limit on digits; str(int) has."""
+    and everything else as 12-significant-digit decimals."""
     if exact:
         if isinstance(v, Fraction):
-            return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
+            return f"{int_text(v.numerator)}/{int_text(v.denominator)}"
         if isinstance(v, int):
-            return f"{Decimal(v)}/1"
+            return f"{int_text(v)}/1"
         raise ValueError(f"value {v!r} is not exact")
     if isinstance(v, int):
-        return str(v)
+        return int_text(v)
     return format(float(v), ".12g")
 
 
 def _csv_lines(rows, exact: bool) -> str:
-    """CSV lines, each ending in a newline, of ResultRow-shaped tuples."""
+    """CSV lines, each ending in a newline, of (experiment, seed, index, param,
+    stat, value) rows."""
     return "".join([f"{e},{seed},{i},{param},{stat},{format_value(v, exact)}\n"
                     for e, seed, i, param, stat, v in rows])
 
@@ -557,11 +551,15 @@ def _csv_lines(rows, exact: bool) -> str:
 def _csv_pieces(rows: RunRows) -> list[str]:
     """The CSV text in the workers' pieces, which write_csv writes without joining them."""
     return [CSV_HEADER + "\n", *(text.get(param, "") for param in rows.params
-                                 for _, text, *_ in rows.parts)]
+                                 for text, _, _ in rows.parts)]
 
 
-def rows_to_csv(rows: RunRows) -> str:
-    return "".join(_csv_pieces(rows))
+def _csv_fields(rows: RunRows):
+    """The six text fields of each CSV line after the header, in file order, read
+    piece by piece."""
+    for piece in _csv_pieces(rows)[1:]:
+        for line in piece.split("\n")[:-1]:
+            yield line.split(",")
 
 
 def _write_text(path: str, pieces: list) -> None:
@@ -579,9 +577,7 @@ def write_csv(rows: RunRows, path: str) -> None:
 
 def write_json(rows: RunRows, path: str) -> None:
     """JSON mirror of the CSV, read off its lines: same rows, same value strings."""
-    payload = []
-    for line in rows_to_csv(rows).split("\n")[1:-1]:
-        e, seed, i, param, stat, value = line.split(",")
-        payload.append({"experiment": e, "seed": int(seed), "index": int(i),
-                        "param": int(param), "stat": stat, "value": value})
+    payload = [{"experiment": e, "seed": int(seed), "index": int(i), "param": int(param),
+                "stat": stat, "value": value}
+               for e, seed, i, param, stat, value in _csv_fields(rows)]
     _write_text(path, [json.dumps(payload, separators=(",", ":")) + "\n"])

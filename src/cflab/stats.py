@@ -300,7 +300,6 @@ class ClassicalStats:
     levy_stat: float
     pq_sum: int
     pq_max: int
-    q_n: int
 
 
 def classical_stats(x, ns: Sequence[int]) -> list[ClassicalStats]:
@@ -315,8 +314,7 @@ def classical_stats(x, ns: Sequence[int]) -> list[ClassicalStats]:
         pq_sum += sum(run)
         pq_max = max(pq_max, max(run))
         done = n
-        q_n = x.continuant(n)
-        at[n] = ClassicalStats(n, math.log(q_n) / n, pq_sum, pq_max, q_n)
+        at[n] = ClassicalStats(n, math.log(x.continuant(n)) / n, pq_sum, pq_max)
     return [at[n] for n in ns]
 
 

@@ -6,10 +6,13 @@ such a pair with names, so every library function takes it as it is.
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
+from cflab import harness
 from cflab.cf import ContinuedFraction
 from cflab.farey import FareyTable, check_order
+from cflab.harness import REGISTRY, ExperimentConfig, RunRows, resolve_params, sample_stream
 from cflab.stats import LOG2, WeightFunction
 
 
@@ -69,3 +72,37 @@ def gauss_kuzmin_prob(k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
     return math.log1p(1.0 / (k * (k + 2))) / LOG2
+
+
+class Row(NamedTuple):
+    """One row of a run: a CSV line's fields, the value as a number."""
+
+    experiment: str
+    seed: int
+    index: int
+    param: int
+    stat: str
+    value: object
+
+
+def run_rows(config: ExperimentConfig) -> list[Row]:
+    """The rows of a run computed straight from its experiment, one sample after
+    another in one process, sorted by (param, index, stat)."""
+    grid, p = resolve_params(config)
+    compute = REGISTRY[config.experiment].compute
+    rows = [Row(config.experiment, config.seed, i, *row) for i in range(config.samples)
+            for row in compute(sample_stream(config.seed, i), grid, p)]
+    return sorted(rows, key=attrgetter("param", "index", "stat"))
+
+
+def rows_to_csv(rows: RunRows) -> str:
+    """A run's CSV text, the pieces write_csv writes joined."""
+    return "".join(harness._csv_pieces(rows))
+
+
+def csv_rows(rows: RunRows) -> list[Row]:
+    """A run's rows read back off its CSV text, each value as a Fraction, so that
+    the plain (5) and exact (5/1) spellings read alike."""
+    return [Row(e, int(seed), int(i), int(param), stat, Fraction(value))
+            for e, seed, i, param, stat, value in
+            (line.split(",") for line in rows_to_csv(rows).split("\n")[1:-1])]

@@ -10,10 +10,11 @@ from cflab.farey import (chi_mask, cumulative_expected_count,
                          farey_neighbors, farey_table,
                          row_sum_exact, row_sum_formula)
 from cflab.harness import (ExperimentConfig, aggregate, mq_all, mq_count_closed,
-                           mq_value, rows_to_csv, run, sample_stream)
+                           mq_value, run, sample_stream)
 from cflab.cf import intermediates
 from cflab.stats import WeightFunction, weight_log_series
-from oracles import enumerate_farey, expected_chi, gauss_kuzmin_prob, index_of
+from oracles import (csv_rows, enumerate_farey, expected_chi, gauss_kuzmin_prob, index_of,
+                     rows_to_csv)
 
 KL_CONSTANT = math.pi ** 2 / (12 * math.log(2))   # a.e. limit of log(q_n)/n
 LEVEL_RATE = 12 * math.log(2) / math.pi ** 2      # a.e. limit of N(Q,x)/log Q
@@ -104,8 +105,9 @@ def test_criterion_05_levy_median():
 
 
 def test_criterion_06_quotient_distribution_pooled():
-    rows = run(ExperimentConfig("gauss_kuzmin", samples=500, seed=7,
-                                params={"grid": (1, 2, 3), "n": 100}))
+    # exact frequencies hits/100, read back off the CSV as Fractions
+    rows = csv_rows(run(ExperimentConfig(
+        "gauss_kuzmin", samples=500, seed=7, params={"grid": (1, 2, 3), "n": 100}, exact=True)))
     total = 500 * 100
     devs = []
     ok = True

@@ -15,11 +15,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import cflab.cf
 from cflab import cli, harness
 from cflab.cf import (DyadicStream, InvariantViolation, NeedsMoreBits,
-                      QuotientCapExceeded, intermediates)
+                      QuotientCapExceeded, convergents, intermediates, parse_stream)
 from cflab.cli import main
-from cflab.harness import (Experiment, ExperimentConfig, REGISTRY, rows_to_csv, run,
-                           sample_stream)
+from cflab.harness import (Experiment, ExperimentConfig, REGISTRY, mq_count_closed, mq_value,
+                           run, sample_stream)
 from cflab.stats import TruncationFn, WeightFunction, classical_stats, x_nf
+from oracles import rows_to_csv
 
 
 def test_cf_prints_expansion(capsys):
@@ -602,6 +603,34 @@ def test_exact_values_past_the_interpreters_digit_limit_are_written(tmp_path, mo
         assert max(len(num), len(den)) > 4300
         assert (Decimal(num), Decimal(den)) == (want.numerator, want.denominator)
     assert len(written) == 1
+
+
+def test_convergents_past_the_interpreters_digit_limit_are_printed(capsys):
+    # q_600 of [0; 99999999, 99999999, ...] has about 4800 digits, where str(int)
+    # stops by default; the digits are written through Decimal, as format_value's
+    x = "periodic:[0;|99999999]"
+    assert main(["convergents", "--x", x, "--n", "600"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    want = convergents(parse_stream(x), 600)
+    assert len(lines) == len(want) == 601 and len(lines[-1]) > 2 * 4300
+    for line, (n, p, q) in zip(lines, want):
+        k, ratio = line.split(" ")
+        num, den = ratio.split("/")
+        assert (int(k), Decimal(num), Decimal(den)) == (n, p, q)
+    assert main(["cf", "1" * 4301]) == 2  # reading so many digits stays refused
+    assert "4300 digits" in capsys.readouterr().err
+
+
+def test_mq_values_past_the_interpreters_digit_limit_are_printed(capsys):
+    # the harmonic M_Q of [0; 20000, 20000, ...] sums 1/m over m up to 20001, whose
+    # denominator has about 8700 digits
+    x = "periodic:[0;|20000]"
+    assert main(["mq", "--x", x, "--Q", "100000", "--method", "closed"]) == 0
+    method, value = capsys.readouterr().out.split(" ")
+    num, den = value.rstrip("\n").split("/")
+    want = mq_value(mq_count_closed(parse_stream(x), 100000), WeightFunction.harmonic(), True)
+    assert method == "closed" and len(den) > 4300
+    assert (Decimal(num), Decimal(den)) == (want.numerator, want.denominator)
 
 
 MERGE_RUNS = {

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -15,13 +16,14 @@ import cflab.cf
 from cflab.cf import ContinuedFraction, DyadicStream, cf_of_rational, intermediates
 from cflab import farey, harness
 from cflab.farey import HeightSet, chi, parse_height_set
-from cflab.harness import (CSV_HEADER, ExperimentConfig, ResultRow, RunRows, aggregate,
+from cflab.harness import (CSV_HEADER, REGISTRY, ExperimentConfig, RunRows, aggregate,
                            find_violations, format_value, mq_count_closed,
                            mq_count_farey, mq_count_intermediates, mq_value,
-                           pairdep_tables, resolve_params, rows_to_csv, run,
+                           pairdep_tables, resolve_params, run,
                            sample_stream, write_csv, write_json)
 from cflab.stats import WeightFunction, terminal_quotient
-from oracles import FareyFraction, enumerate_farey, gauss_kuzmin_prob, value_of_cf
+from oracles import (FareyFraction, Row, csv_rows, enumerate_farey, gauss_kuzmin_prob,
+                     rows_to_csv, run_rows, value_of_cf)
 
 
 # -- sample_stream -------------------------------------------------------------
@@ -72,7 +74,7 @@ def test_sample_stream_quotient_law():
 
 
 def test_run_levy_row_counts():
-    rows = run(ExperimentConfig("levy", samples=10, seed=1, params={"grid": (50,)}))
+    rows = csv_rows(run(ExperimentConfig("levy", samples=10, seed=1, params={"grid": (50,)})))
     assert len(rows) == 30
     assert {r.param for r in rows} == {50}
     assert sum(1 for r in rows if r.stat == "levy_stat") == 10
@@ -82,20 +84,21 @@ def test_run_levy_row_counts():
 def test_run_levy_grid_rows_equal_one_n_runs():
     # one pass per sample over an unsorted grid labels each row with its own n
     grid = (250, 1, 40)
-    rows = run(ExperimentConfig("levy", samples=4, seed=3, params={"grid": grid}))
-    assert list(rows) == sorted((r for n in grid for r in run(
+    rows = run_rows(ExperimentConfig("levy", samples=4, seed=3, params={"grid": grid}))
+    assert rows == sorted((r for n in grid for r in run_rows(
         ExperimentConfig("levy", samples=4, seed=3, params={"grid": (n,)}))),
         key=lambda r: (r.param, r.index, r.stat))
 
 
-def test_run_mq_all_methods_agree():
+def test_run_mq_all_methods_agree(monkeypatch):
     cfg = ExperimentConfig("mq", samples=5, seed=9,
                            params={"grid": (1000,),
                                    "weight": WeightFunction.harmonic()})
     rows = run(cfg)
     assert len(rows) == 5 * 4  # closed, intermediates, farey, methods_agree
-    agree = [r for r in rows if r.stat == "methods_agree"]
+    agree = [r for r in csv_rows(rows) if r.stat == "methods_agree"]
     assert len(agree) == 5 and all(r.value == 1 for r in agree)
+    monkeypatch.setattr(harness, "_csv_fields", None)  # no failure counted, no text read
     assert find_violations(rows) == []
 
 
@@ -119,7 +122,7 @@ def test_run_mq_builds_no_farey_table(monkeypatch):
 
 def test_run_mq_large_q_drops_oracle_route():
     cfg = ExperimentConfig("mq", samples=2, seed=9, params={"grid": (4000,)})
-    rows = run(cfg)
+    rows = csv_rows(run(cfg))
     stats = {r.stat for r in rows}
     assert stats == {"mq_closed", "mq_intermediates", "methods_agree"}
     assert all(r.value == 1 for r in rows if r.stat == "methods_agree")
@@ -139,8 +142,8 @@ def test_run_mq_reads_the_oracle_gate_off_its_grid(grid, with_farey):
 
 def test_run_openproblem_empty_height_set():
     empty = HeightSet("set", frozenset())
-    rows = run(ExperimentConfig("openproblem", samples=4, seed=2,
-                                params={"grid": (200,), "heights": empty}))
+    rows = csv_rows(run(ExperimentConfig("openproblem", samples=4, seed=2,
+                                         params={"grid": (200,), "heights": empty})))
     assert len(rows) == 4
     assert all(r.stat == "hits" and r.value == 0 for r in rows)
 
@@ -153,23 +156,23 @@ def test_run_openproblem_large_file_height_set(tmp_path):
     path.write_text(" ".join(map(str, reversed(qs))) + "\n7 14\n")  # any order, repeats
     heights = parse_height_set(f"file:{path}")
     assert type(heights.payload) is frozenset and heights.payload == set(qs)
-    rows = run(ExperimentConfig("openproblem", samples=20, seed=5,
-                                params={"grid": (Q,), "heights": heights}))
+    rows = csv_rows(run(ExperimentConfig("openproblem", samples=20, seed=5,
+                                         params={"grid": (Q,), "heights": heights})))
     assert [r.value for r in rows] == [
         sum(1 for *_, den in intermediates(sample_stream(5, i), Q) if den % 7 == 0 and den <= 140_000)
         for i in range(20)]
 
 
 def test_run_variance_grid_rows():
-    rows = run(ExperimentConfig("variance", samples=4, seed=3, params={"n": 20}))
+    rows = csv_rows(run(ExperimentConfig("variance", samples=4, seed=3, params={"n": 20})))
     assert len(rows) == 12  # default grid m in {2, 5, 10}
     assert sorted({r.param for r in rows}) == [2, 5, 10]
     assert all(r.stat == "fsum" for r in rows)
 
 
 def test_run_rows_sorted():
-    rows = run(ExperimentConfig("nq", samples=5, seed=4,
-                                params={"grid": (100, 50)}))
+    rows = csv_rows(run(ExperimentConfig("nq", samples=5, seed=4,
+                                         params={"grid": (100, 50)})))
     assert [(r.param, r.index, r.stat) for r in rows] == \
         sorted((r.param, r.index, r.stat) for r in rows)
 
@@ -189,19 +192,36 @@ def _one_chunk(rows, exact=False) -> RunRows:
 
 
 def test_run_rows_read_like_the_list_of_its_rows(monkeypatch):
-    # run() returns the workers' parts; the caller's CSV text, summaries and
-    # violations read off them equal those of the same rows as one chunk
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    for threads in (1, 3):
-        cfg = ExperimentConfig("mq", samples=13, seed=3, params={"grid": (500, 100)},
-                               threads=threads)
-        rows = run(cfg)
-        listed = _one_chunk(list(rows))
-        assert len(rows) == len(listed) == 13 * 2 * 4
-        assert list(rows) == list(listed)
-        assert aggregate(rows) == aggregate(listed)
-        assert rows_to_csv(rows) == rows_to_csv(listed)
-        assert find_violations(rows) == find_violations(listed) == []
+    # run() returns the workers' parts; the CSV read off them is the rows of the
+    # experiment computed one sample after another, sorted and formatted, and the
+    # summaries and violations equal those of those rows as one chunk
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for experiment, threads in itertools.product(sorted(REGISTRY), (1, 2)):
+        cfg = ExperimentConfig(experiment, samples=13, seed=3, threads=threads)
+        rows, listed = run(cfg), run_rows(cfg)
+        assert rows_to_csv(rows) == CSV_HEADER + "\n" + "".join(
+            f"{e},{seed},{i},{param},{stat},{format_value(v, False)}\n"
+            for e, seed, i, param, stat, v in listed)
+        assert len(rows) == len(listed)
+        assert aggregate(rows) == aggregate(_one_chunk(listed))
+        assert find_violations(rows) == []
+
+
+def test_a_chunk_part_keeps_its_text_and_floats_only():
+    # a chunk's part holds its CSV text and sorted floats, about 180 bytes a levy
+    # sample; with the rows kept beside them it held about 420
+    cfg = ExperimentConfig("levy", samples=2000, seed=1, params={"grid": (20,)})
+    grid, p = resolve_params(cfg)
+    harness._run_chunk(cfg, grid, p, range(20))  # whatever the first samples load or cache
+    tracemalloc.start()
+    try:
+        part = harness._run_chunk(cfg, grid, p, range(2000))
+        held = tracemalloc.get_traced_memory()[0]
+        del part
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 300 * 2000
 
 
 def test_run_caps_the_pool_at_the_sample_count(monkeypatch):
@@ -255,7 +275,7 @@ def test_a_serial_run_forks_nothing_and_runs_every_chunk_in_the_caller(samples, 
     monkeypatch.setattr(os, "fork", lambda: forks.append(1))  # never called
     monkeypatch.setattr(harness, "_fork_chunks", recorded)
     monkeypatch.setattr(harness, "_run_chunk", in_caller)
-    rows = run(ExperimentConfig("nq", samples=samples, seed=4, params={"grid": (50,)}))
+    rows = csv_rows(run(ExperimentConfig("nq", samples=samples, seed=4, params={"grid": (50,)})))
     assert [r.index for r in rows if r.stat == "N"] == list(range(samples))
     assert forks == []
     assert [i for c in chunks for i in c] == list(range(samples))
@@ -266,8 +286,10 @@ def test_a_serial_run_forks_nothing_and_runs_every_chunk_in_the_caller(samples, 
 def test_run_exact_mode_emits_rationals():
     cfg = ExperimentConfig("khinchin_avg", samples=2, seed=8,
                            params={"grid": (30,)}, exact=True)
-    rows = run(cfg)
+    rows = run_rows(cfg)
     assert all(isinstance(r.value, Fraction) for r in rows)
+    assert rows_to_csv(run(cfg)).count("/") == len(rows)  # one num/den per line
+    assert csv_rows(run(cfg)) == rows
 
 
 def test_run_validation():
@@ -698,17 +720,20 @@ def test_run_mq_values_a_disagreeing_route_on_its_own(exact, monkeypatch):
 
 
 def test_find_violations_flags_disagreement():
-    ok = ResultRow("mq", 1, 0, 100, "methods_agree", 1)
-    bad = ResultRow("mq", 1, 1, 100, "methods_agree", 0)
-    other = ResultRow("mq", 1, 1, 100, "mq_closed", 2.0)
-    assert find_violations(_one_chunk([ok, bad, other])) == [bad]
+    ok = Row("mq", 1, 0, 100, "methods_agree", 1)
+    bad = Row("mq", 1, 1, 100, "methods_agree", 0)
+    other = Row("mq", 1, 1, 100, "mq_closed", 2)
+    late = Row("mq", 1, 0, 300, "methods_agree", 0)
+    for exact in (False, True):  # 0 and 0/1 read alike
+        rows = _one_chunk([late, ok, bad, other], exact)
+        assert find_violations(rows) == [(100, 1), (300, 0)]
 
 
 # -- aggregation -----------------------------------------------------------------
 
 
 def _rows(vals, stat="v", param=1):
-    return [ResultRow("x", 0, i, param, stat, v) for i, v in enumerate(vals)]
+    return [Row("x", 0, i, param, stat, v) for i, v in enumerate(vals)]
 
 
 def test_aggregate_basic():
@@ -741,9 +766,10 @@ def test_pairdep_tables_synthetic():
     pairs = [(1, 1), (1, 1), (2, 2), (1, 2)]
     rows = []
     for i, (a, b) in enumerate(pairs):
-        rows.append(ResultRow("pairdep", 0, i, 5, "a_first", a))
-        rows.append(ResultRow("pairdep", 0, i, 5, "a_second", b))
-    t = pairdep_tables(rows)
+        rows.append(Row("pairdep", 0, i, 5, "a_first", a))
+        rows.append(Row("pairdep", 0, i, 5, "a_second", b))
+    t = pairdep_tables(_one_chunk(rows))
+    assert pairdep_tables(_one_chunk(rows, exact=True)) == t  # 2 and 2/1 read alike
     assert t[(5, 1, 1)] == (0.5, 0.75 * 0.5)
     assert t[(5, 1, 2)] == (0.25, 0.75 * 0.5)
     assert t[(5, 2, 1)] == (0.0, 0.25 * 0.5)
@@ -814,8 +840,8 @@ def test_write_csv_and_json_mirror(tmp_path):
 
 
 def test_write_csv_and_json_rewrite_in_place(tmp_path):
-    long = run(ExperimentConfig("nq", samples=6, seed=14, params={"grid": (50, 60)}))
-    short = _one_chunk(list(long)[:3])
+    cfg = ExperimentConfig("nq", samples=6, seed=14, params={"grid": (50, 60)})
+    long, short = run(cfg), _one_chunk(run_rows(cfg)[:3])
     for write in (write_csv, write_json):
         path, link, fresh = (tmp_path / f"{name}.{write.__name__}" for name in ("out", "link", "new"))
         link.symlink_to(path)
@@ -829,7 +855,7 @@ def test_write_csv_and_json_rewrite_in_place(tmp_path):
 
 
 NAMES = st.from_regex(r"[a-z_]{1,12}", fullmatch=True)
-ROWS = st.lists(st.builds(ResultRow, NAMES, st.integers(0, 2 ** 64 - 1),
+ROWS = st.lists(st.builds(Row, NAMES, st.integers(0, 2 ** 64 - 1),
                           st.integers(0, 10 ** 6), st.integers(-10 ** 6, 10 ** 6), NAMES,
                           st.integers() | st.fractions() | st.floats()), max_size=8)
 

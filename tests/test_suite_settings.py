@@ -140,10 +140,10 @@ def test_reference_values_never_load_mpmath():
     assert done.stdout.splitlines() == ["0 -", "numpy"]
 
 
-# FareyTable.terminal is read by the tests' Farey oracles only; it leaves src/
-# with FareyTable itself once perfbench/tracer.py no longer patches the table
-# functions by name
-UNREAD_ALLOWED = {"FareyTable.terminal"}
+# FareyTable.den and .terminal are read by the tests' Farey oracles only; they
+# leave src/ with FareyTable itself once perfbench/tracer.py no longer patches
+# the table functions by name
+UNREAD_ALLOWED = {"FareyTable.den", "FareyTable.terminal"}
 
 
 def _definitions(tree: ast.Module):
@@ -172,6 +172,16 @@ def _read(node, strings: bool) -> str | None:
     return None
 
 
+def _field_read(node) -> str | None:
+    """The field name a node reads: a loaded attribute or a keyword argument, not
+    a local variable that happens to share the name."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    if isinstance(node, ast.keyword):
+        return node.arg
+    return None
+
+
 def test_every_library_name_is_read_outside_its_definition():
     # a name of src/cflab that only the tests read belongs in tests/oracles.py;
     # perfbench reads names too, and patches some by their string; dunder
@@ -179,11 +189,14 @@ def test_every_library_name_is_read_outside_its_definition():
     trees = {path: ast.parse(path.read_text(), str(path))
              for top in ("src", "perfbench") for path in sorted((ROOT / top).rglob("*.py"))}
     reads = defaultdict(set)  # name -> ids of the nodes that read it
+    field_reads = defaultdict(set)  # the same, for an annotated field of a class
     for path, tree in trees.items():
         strings = path.is_relative_to(ROOT / "perfbench")
         for node in ast.walk(tree):
             if name := _read(node, strings):
                 reads[name].add(id(node))
+            if name := _field_read(node):
+                field_reads[name].add(id(node))
     unread = []
     for path, tree in trees.items():
         if not path.is_relative_to(ROOT / "src" / "cflab"):
@@ -192,6 +205,7 @@ def test_every_library_name_is_read_outside_its_definition():
             if name.startswith("__") and name.endswith("__") or qualified in UNREAD_ALLOWED:
                 continue
             inside = {id(node) for node in ast.walk(definition)}
-            if not reads[name] - inside:
+            read = field_reads if isinstance(definition, ast.AnnAssign) else reads
+            if not read[name] - inside:
                 unread.append(f"{path.relative_to(ROOT)}:{definition.lineno} {qualified}")
     assert not unread, f"read only by the tests: {', '.join(unread)}"
