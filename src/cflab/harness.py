@@ -25,6 +25,7 @@ import pickle
 import signal
 import statistics
 import traceback
+from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -70,7 +71,7 @@ class ExperimentConfig:
 #
 # An experiment's compute maps (stream, grid, settings), once per sample, to
 # (param, stat name, value) triples; the stat set may depend on settings but
-# never on the sample, so row counts are exactly samples * |grid| * |stats|.
+# never on the sample (run checks it), so row counts are samples * |grid| * |stats|.
 
 
 def _per_param(fn):
@@ -337,21 +338,18 @@ def resolve_params(config: ExperimentConfig) -> tuple[tuple[int, ...], dict]:
 
 
 def _reduce(rows, exact: bool) -> tuple:
-    """The part (text, floats, bad) of (experiment, seed, index, param, stat, value)
-    rows: per param, the CSV lines of its rows in (index, stat) order; per (param,
-    stat), its float values sorted; and the count of methods_agree values other
-    than 1.  The rows are dropped once formatted."""
-    groups, floats, bad = {}, {}, 0
+    """The part (text, floats) of (experiment, seed, index, param, stat, value)
+    rows: per param, the CSV lines of its rows in (index, stat) order, and per
+    (param, stat), its values as floats in index order, in one array('d').  The
+    rows are dropped once read."""
+    groups, floats = {}, {}
     for row in rows:
-        _, _, _, param, stat, value = row
-        groups.setdefault(param, []).append(row)
-        floats.setdefault((param, stat), []).append(float(value))
-        bad += stat == "methods_agree" and value != 1
-    for group in groups.values():
+        groups.setdefault(row[3], []).append(row)
+    for param, group in groups.items():
         group.sort(key=itemgetter(2, 4))  # stable, as the frozen (param, index, stat) sort
-    for vals in floats.values():
-        vals.sort()
-    return {param: _csv_lines(group, exact) for param, group in groups.items()}, floats, bad
+        for row in group:
+            floats.setdefault((param, row[4]), array("d")).append(float(row[5]))
+    return {param: _csv_lines(group, exact) for param, group in groups.items()}, floats
 
 
 def _run_chunk(config: ExperimentConfig, grid: tuple, p: dict, indices: range) -> tuple:
@@ -418,15 +416,24 @@ class RunRows:
     """The rows of a run as its workers left them: the parts (see _reduce) of its
     chunks, in chunk order.  Chunks are contiguous index ranges, so the parts'
     text taken in chunk order, param by param, is the CSV in (param, index, stat)
-    order with no sort.
+    order with no sort, and a (param, stat)'s floats taken in chunk order are its
+    column, in which the value at position i is sample i's.
     """
 
     def __init__(self, parts: list):
         self.parts = parts
-        self.params = sorted({param for text, _, _ in parts for param in text})
+        self.keys = sorted({key for _, floats in parts for key in floats})
+        self.params = sorted({param for param, _ in self.keys})
 
     def __len__(self) -> int:  # one float per row
-        return sum(len(vals) for _, floats, _ in self.parts for vals in floats.values())
+        return sum(len(vals) for _, floats in self.parts for vals in floats.values())
+
+    def column(self, key: tuple) -> array:
+        """The floats of (param, stat) `key`, in sample order."""
+        col = array("d")
+        for _, floats in self.parts:
+            col += floats[key]
+        return col
 
 
 def run(config: ExperimentConfig) -> RunRows:
@@ -449,16 +456,18 @@ def run(config: ExperimentConfig) -> RunRows:
         import numpy  # noqa: F401  (power weights' arrays: once, before any fork)
     n = min(config.samples, 8 * workers)  # eight contiguous chunks per worker even out heavy tails
     chunks = [range(config.samples * k // n, config.samples * (k + 1) // n) for k in range(n)]
-    parts = _fork_chunks(lambda c: _run_chunk(config, grid, p, c), chunks, workers)
-    return RunRows(parts)
+    rows = RunRows(_fork_chunks(lambda c: _run_chunk(config, grid, p, c), chunks, workers))
+    for c, (_, floats) in zip(chunks, rows.parts):  # so a column's positions are its indices
+        if uneven := [key for key in rows.keys if len(floats.get(key, ())) != len(c)]:
+            raise InvariantViolation(f"samples {c.start}..{c.stop - 1} do not give one "
+                                     f"{uneven[0]} value each")
+    return rows
 
 
 def find_violations(rows: RunRows) -> list[tuple[int, int]]:
     """(param, index) of each methods_agree value other than 1, in CSV order."""
-    if not any(bad for _, _, bad in rows.parts):
-        return []  # the workers counted none
-    return [(int(param), int(i)) for _, _, i, param, stat, value in _csv_fields(rows)
-            if stat == "methods_agree" and Fraction(value) != 1]
+    return [(param, i) for param, stat in rows.keys if stat == "methods_agree"
+            for i, v in enumerate(rows.column((param, stat))) if v != 1]
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -478,15 +487,14 @@ class Summary:
 def aggregate(rows: RunRows) -> list[Summary]:
     """Deterministic summaries per (param, stat).
 
-    A run's sorted values per chunk are merged; math.fsum rounds exactly, so
-    no sum depends on the order of the rows.  The trimmed mean drops
-    ceil(0.05 * count) values at each end of the sorted sample (falling back
-    to the plain mean when that would empty the list).
+    Each (param, stat)'s column is sorted on its own; math.fsum rounds
+    exactly, so no sum depends on the order of the rows.  The trimmed mean
+    drops ceil(0.05 * count) values at each end of the sorted sample (falling
+    back to the plain mean when that would empty the list).
     """
-    runs = [floats for _, floats, _ in rows.parts]
     out = []
-    for key in sorted({key for run in runs for key in run}):
-        sv = sorted([v for run in runs for v in run.get(key, ())])  # merges sorted runs
+    for key in rows.keys:
+        sv = sorted(rows.column(key))
         n = len(sv)
         mean = math.fsum(sv) / n
         drop = math.ceil(0.05 * n)
@@ -499,13 +507,11 @@ def aggregate(rows: RunRows) -> list[Summary]:
 
 
 def pairdep_tables(rows: RunRows) -> dict:
-    """{(k, r, s): (joint frequency, product of marginal frequencies)} for r, s in 1, 2."""
-    by_param: dict[int, dict[str, dict[str, Fraction]]] = {}  # k -> index -> stat -> value
-    for _, _, i, k, stat, value in _csv_fields(rows):
-        by_param.setdefault(int(k), {}).setdefault(i, {})[stat] = Fraction(value)
+    """{(k, r, s): (joint frequency, product of marginal frequencies)} for r, s in 1, 2,
+    over each sample's (a_first, a_second) pair."""
     out = {}
-    for k, per_sample in by_param.items():
-        pairs = [(d["a_first"], d["a_second"]) for d in per_sample.values()]
+    for k in rows.params:
+        pairs = list(zip(rows.column((k, "a_first")), rows.column((k, "a_second"))))
         n = len(pairs)
         for rv in (1, 2):
             for sv in (1, 2):
@@ -551,15 +557,7 @@ def _csv_lines(rows, exact: bool) -> str:
 def _csv_pieces(rows: RunRows) -> list[str]:
     """The CSV text in the workers' pieces, which write_csv writes without joining them."""
     return [CSV_HEADER + "\n", *(text.get(param, "") for param in rows.params
-                                 for text, _, _ in rows.parts)]
-
-
-def _csv_fields(rows: RunRows):
-    """The six text fields of each CSV line after the header, in file order, read
-    piece by piece."""
-    for piece in _csv_pieces(rows)[1:]:
-        for line in piece.split("\n")[:-1]:
-            yield line.split(",")
+                                 for text, _ in rows.parts)]
 
 
 def _write_text(path: str, pieces: list) -> None:
@@ -576,8 +574,9 @@ def write_csv(rows: RunRows, path: str) -> None:
 
 
 def write_json(rows: RunRows, path: str) -> None:
-    """JSON mirror of the CSV, read off its lines: same rows, same value strings."""
+    """JSON mirror of the CSV, read off its lines piece by piece: same rows, same value strings."""
+    fields = (line.split(",") for piece in _csv_pieces(rows)[1:] for line in piece.split("\n")[:-1])
     payload = [{"experiment": e, "seed": int(seed), "index": int(i), "param": int(param),
                 "stat": stat, "value": value}
-               for e, seed, i, param, stat, value in _csv_fields(rows)]
+               for e, seed, i, param, stat, value in fields]
     _write_text(path, [json.dumps(payload, separators=(",", ":")) + "\n"])

@@ -646,7 +646,7 @@ MERGE_RUNS = {
 def test_forked_runs_merge_to_the_serial_output(argv, tmp_path, capsys, monkeypatch):
     # 1, 2 and 3 workers cut the samples into differently sized chunks
     # (min(samples, 8 workers) of them); the caller concatenates the workers'
-    # lines and merges their sorted values, and every output is the same
+    # lines and columns, and every output is the same
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     outputs = set()
     for threads in ("1", "2", "3"):
@@ -705,8 +705,8 @@ def test_methods_agree_failure_exits_3_after_writing(tmp_path, capsys,
 
 
 def test_violations_are_counted_across_forked_workers(tmp_path, capsys, monkeypatch):
-    # the caller reads the workers' counts of failed rows; at --threads 2 the child
-    # takes samples 0 and 1 before the caller claims a chunk, so each counts some
+    # the caller reads failed rows off columns that both processes filled; at --threads 2
+    # the child takes samples 0 and 1 before the caller claims a chunk, so each has some
     parent = os.getpid()
     w = caller_waits_for_the_child(monkeypatch)
 
@@ -746,6 +746,27 @@ def test_a_methods_agree_failure_names_samples_that_mq_replays(tmp_path, capsys,
     assert cflab.cf.parse_stream(spec).seed == sample_stream(9, 2).seed
     assert main(["mq", "--x", spec, "--Q", "60"]) == 0  # the real routes agree on it
     assert capsys.readouterr().out.endswith("agree 1\n")
+
+
+@pytest.mark.parametrize("samples, threads, chunks", [  # the chunks that hold samples 0 and 1
+    (2, "1", ("0..0", "1..1")), (20, "1", ("0..1", "0..1")), (20, "2", ("0..0", "1..1"))])
+@pytest.mark.parametrize("stats, key, first", [
+    (lambda i: ["v"] + ["odd"] * (i % 2), (100, "odd"), 0),  # missing from even samples
+    (lambda i: ["v"] * (1 + (i == 1)), (100, "v"), 1),  # twice in sample 1
+])
+def test_a_stat_set_that_varies_by_sample_exits_3(samples, threads, chunks, stats, key, first,
+                                                   tmp_path, capsys, monkeypatch):
+    # a value's position in its (param, stat) column is its sample index, which holds
+    # only if every sample gives every stat once; 2 samples make one-sample chunks
+    def varying(stream, grid, p):
+        return [(Q, stat, 1) for Q in grid for stat in stats(sample_index(stream, samples))]
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setitem(REGISTRY, "levy", Experiment("levy", "n", (100,), varying))
+    assert main(["montecarlo", "--experiment", "levy", "--samples", str(samples), "--seed", "1",
+                 "--threads", threads, "--out", str(tmp_path / "out.csv")]) == 3
+    assert capsys.readouterr().err == (  # the lowest chunk that holds a bad sample
+        f"invariant violation: samples {chunks[first]} do not give one {key} value each\n")
 
 
 def _stuck_levels(x):

@@ -95,11 +95,14 @@ def test_run_mq_all_methods_agree(monkeypatch):
                            params={"grid": (1000,),
                                    "weight": WeightFunction.harmonic()})
     rows = run(cfg)
+    pairs = run(ExperimentConfig("pairdep", samples=5, seed=9))
     assert len(rows) == 5 * 4  # closed, intermediates, farey, methods_agree
     agree = [r for r in csv_rows(rows) if r.stat == "methods_agree"]
     assert len(agree) == 5 and all(r.value == 1 for r in agree)
-    monkeypatch.setattr(harness, "_csv_fields", None)  # no failure counted, no text read
+    want = aggregate(rows), pairdep_tables(pairs)
+    monkeypatch.setattr(harness, "_csv_pieces", None)  # the readers read floats, no text
     assert find_violations(rows) == []
+    assert (aggregate(rows), pairdep_tables(pairs)) == want
 
 
 def test_run_mq_builds_no_farey_table(monkeypatch):
@@ -208,8 +211,9 @@ def test_run_rows_read_like_the_list_of_its_rows(monkeypatch):
 
 
 def test_a_chunk_part_keeps_its_text_and_floats_only():
-    # a chunk's part holds its CSV text and sorted floats, about 180 bytes a levy
-    # sample; with the rows kept beside them it held about 420
+    # a chunk's part holds its CSV text and one array('d') per (param, stat), about
+    # 115 bytes a levy sample; with a list of float objects it held about 185, and
+    # with the rows kept beside them about 420
     cfg = ExperimentConfig("levy", samples=2000, seed=1, params={"grid": (20,)})
     grid, p = resolve_params(cfg)
     harness._run_chunk(cfg, grid, p, range(20))  # whatever the first samples load or cache
@@ -221,7 +225,7 @@ def test_a_chunk_part_keeps_its_text_and_floats_only():
         held -= tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held < 300 * 2000
+    assert held < 150 * 2000
 
 
 def test_run_caps_the_pool_at_the_sample_count(monkeypatch):
@@ -297,6 +301,11 @@ def test_run_validation():
         run(ExperimentConfig("levy", samples=0, seed=1))
     with pytest.raises(ValueError):
         run(ExperimentConfig("levy", samples=1, seed=1, threads=0))
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            run(ExperimentConfig("nq", samples=1, seed=seed))
+    for seed in (0, 2 ** 64 - 1):  # both ends of the range are seeds
+        assert len(run(ExperimentConfig("nq", samples=1, seed=seed))) == 2
 
 
 def test_resolve_params_errors():
@@ -724,7 +733,7 @@ def test_find_violations_flags_disagreement():
     bad = Row("mq", 1, 1, 100, "methods_agree", 0)
     other = Row("mq", 1, 1, 100, "mq_closed", 2)
     late = Row("mq", 1, 0, 300, "methods_agree", 0)
-    for exact in (False, True):  # 0 and 0/1 read alike
+    for exact in (False, True):  # exact mode changes the text only, not the floats
         rows = _one_chunk([late, ok, bad, other], exact)
         assert find_violations(rows) == [(100, 1), (300, 0)]
 
@@ -740,6 +749,8 @@ def test_aggregate_basic():
     (s,) = aggregate(_one_chunk(_rows([1, 2, 3])))
     assert s.mean == 2 and s.median == 2 and s.count == 3
     assert s.stddev == pytest.approx(1.0)
+    (s,) = aggregate(_one_chunk(_rows([1, 3])))  # two values have a spread too
+    assert s.stddev == pytest.approx(math.sqrt(2))
 
 
 def test_aggregate_trimmed_mean_rule():
@@ -769,7 +780,7 @@ def test_pairdep_tables_synthetic():
         rows.append(Row("pairdep", 0, i, 5, "a_first", a))
         rows.append(Row("pairdep", 0, i, 5, "a_second", b))
     t = pairdep_tables(_one_chunk(rows))
-    assert pairdep_tables(_one_chunk(rows, exact=True)) == t  # 2 and 2/1 read alike
+    assert pairdep_tables(_one_chunk(rows, exact=True)) == t  # the floats of 2 and 2/1
     assert t[(5, 1, 1)] == (0.5, 0.75 * 0.5)
     assert t[(5, 1, 2)] == (0.25, 0.75 * 0.5)
     assert t[(5, 2, 1)] == (0.0, 0.25 * 0.5)
@@ -778,9 +789,13 @@ def test_pairdep_tables_synthetic():
     assert t[(5, 1, 1)][0] + t[(5, 1, 2)][0] == 0.75
 
 
-def test_pairdep_tables_marginals_match_direct_counts():
+@pytest.mark.parametrize("threads, exact", itertools.product((1, 2), (False, True)))
+def test_pairdep_tables_marginals_match_direct_counts(threads, exact, monkeypatch):
+    # at 2 workers the columns of a_first and a_second are read across chunks
+    # of both processes, and each pair is still one sample's
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     rows = run(ExperimentConfig("pairdep", samples=50, seed=21,
-                                params={"grid": (5,), "n": 1}))
+                                params={"grid": (5,), "n": 1}, threads=threads, exact=exact))
     pairs = [(sample_stream(21, i).quotient(1),
               sample_stream(21, i).quotient(6)) for i in range(50)]
     t = pairdep_tables(rows)
